@@ -19,6 +19,7 @@ indented) line, with residue summation over either pole family available as
 an independent route.
 """
 
+import functools
 import logging
 import math
 import os
@@ -26,7 +27,6 @@ import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import mpmath
 import numpy as np
 
 from .cgamma import (POLE_TOLERANCE, asymptotic_log_abs_gamma, detect_pole,
@@ -42,6 +42,7 @@ _EPS = np.finfo(float).eps
 _T_MAX = 6000.0
 _NEG_INF = complex(float("-inf"), 0.0)
 _MP_LOCK = threading.Lock()  # mpmath precision context is process-global
+mpmath = None  # see _mpmath
 
 
 def _max_nodes_default():
@@ -154,11 +155,20 @@ def _signed_terms(kernel):
 
 
 def kernel_log_grid(kernel, s):
-    """Vectorized log of the kernel; no pole checks (see log_gamma_grid)."""
+    """Vectorized log of the kernel; no pole checks (see log_gamma_grid).
+
+    The arguments coeff + slope*s of every gamma factor are stacked into one
+    array, so the whole grid costs a single log_gamma_grid call.
+    """
     s = np.asarray(s, dtype=np.complex128)
     out = np.zeros(s.shape, dtype=np.complex128)
-    for coeff, slope, sign in _signed_terms(kernel):
-        out = out + sign * log_gamma_grid(coeff + slope * s).reshape(s.shape)
+    terms = _signed_terms(kernel)
+    if terms:
+        coeff, slope, sign = (np.array(col) for col in zip(*terms))
+        args = coeff[:, None] + slope[:, None] * s.ravel()
+        logs = log_gamma_grid(args).reshape(args.shape)
+        # rows added in _signed_terms order, equal to one call per factor
+        out = out + (sign[:, None] * logs).sum(axis=0).reshape(s.shape)
     if kernel.base != 1.0:
         out = out + s * kernel.base_log
     return out
@@ -291,7 +301,7 @@ class Detour:
                                  radius=self.radius)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Contour:
     kind: str  # "vertical" or "indented"
     anchor: float
@@ -305,6 +315,7 @@ class Contour:
         if self.truncation <= 0:
             raise ParameterError("truncation height must be positive",
                                  truncation=self.truncation)
+        object.__setattr__(self, "truncation", float(self.truncation))
         object.__setattr__(self, "detours", tuple(self.detours))
         ds = self.detours
         for i in range(len(ds)):
@@ -368,6 +379,7 @@ def _right_pole_res_in(kernel, lo, hi):
     return sorted(set(out))
 
 
+@functools.lru_cache(maxsize=256)
 def choose_contour(kernel):
     """Deterministic pole-separating contour.
 
@@ -376,6 +388,7 @@ def choose_contour(kernel):
     line is placed just right of every left-opening pole, in the widest gap
     between right-opening pole abscissae, and every right-opening pole left
     of it gets a semicircular detour routing it to the right of the path.
+    Kernel and contour are immutable, so the choice is memoized per kernel.
     """
     collision = find_pole_collision(kernel)
     if collision is not None:
@@ -472,7 +485,7 @@ def convergence_class(kernel, z, branch_k=0):
 # evaluation results
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalResult:
     value: complex
     err_estimate: float
@@ -553,9 +566,40 @@ def _ordered_pole_sources(kernel, side, n_max):
     return items
 
 
+def _vanishing_ladders(kernel, family):
+    """Indices of the pole ladders of ``family`` whose residues all vanish.
+
+    A ladder's residues are exactly zero when a denominator gamma sits on a
+    pole at each of its poles: the gamma's argument starts at a non-positive
+    integer and moves by a non-positive integer from one pole to the next.
+    """
+    dens = [(c, d) for c, d, sign in _signed_terms(kernel) if sign < 0]
+    out = []
+    for idx, f in enumerate(getattr(kernel, family)):
+        if family == "up_left":
+            s0, step = f.coeff / f.mult, 1.0 / f.mult
+        else:
+            s0, step = (f.coeff - 1.0) / f.mult, -1.0 / f.mult
+        for c, d in dens:
+            move = d * step
+            if round(move) <= 0 and abs(move - round(move)) <= POLE_TOLERANCE \
+                    and detect_pole(c + d * s0).is_pole:
+                out.append(idx)
+                break
+    return out
+
+
+def _mpmath():
+    """The mpmath module, imported on first use (by the re-summation only)."""
+    global mpmath
+    if mpmath is None:
+        import mpmath
+    return mpmath
+
+
 def _residue_series_mp(kernel, z, side, n_max, tol, branch_k, dps):
     """High-precision re-summation used when double arithmetic cancels."""
-    with _MP_LOCK, mpmath.workdps(dps):
+    with _MP_LOCK, _mpmath().workdps(dps):
         zz = mpmath.mpmathify(complex(z))
         logz = mpmath.log(zz) + 2j * mpmath.pi * branch_k
         logbase = mpmath.log(mpmath.mpmathify(complex(kernel.base)))
@@ -594,7 +638,8 @@ def _residue_series_mp(kernel, z, side, n_max, tol, branch_k, dps):
             total += term
             nterms += 1
             last = abs(term)
-            if last < tol * 1e-3 * max(abs(total), mpmath.mpf(1e-300)):
+            if total != 0 and \
+                    last < tol * 1e-3 * max(abs(total), mpmath.mpf(1e-300)):
                 ok += 1
                 if ok >= 3:
                     break
@@ -632,6 +677,14 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
         if abs(sources[i][1] - sources[i - 1][1]) <= POLE_TOLERANCE:
             raise HigherOrderPoleError("coincident poles on the chosen side",
                                        location=sources[i][1])
+    dead = _vanishing_ladders(kernel, sources[0][2])
+    if dead:
+        sources = [src for src in sources if src[3] not in dead]
+    if not sources:
+        # every residue is exactly zero, so is the integral
+        return EvalResult(value=0j, err_estimate=0.0, nodes_used=0,
+                          contour=None, method="residues_" + side,
+                          arg_branch=branch_k)
     logz = complex(np.log(z)) + 2j * np.pi * branch_k
 
     total = 0.0 + 0.0j
@@ -654,7 +707,9 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
         if not math.isfinite(last):
             raise NonConvergentSeriesError("residue terms overflow",
                                            terms=nterms)
-        if last < tol * max(abs(total), 1e-300):
+        # structurally zero leading terms (a denominator gamma at a pole)
+        # say nothing about convergence while the partial sum is still zero
+        if total != 0 and last < tol * max(abs(total), 1e-300):
             ok += 1
             if ok >= 3:
                 converged = True
@@ -795,7 +850,8 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0, max_nodes=None):
     sigma = contour.anchor
     T = _truncation_height(kernel, sigma, logz, tol, contour.truncation)
     T = max(T, contour.truncation)
-    used = replace(contour, truncation=float(T))
+    used = contour if T == contour.truncation \
+        else replace(contour, truncation=float(T))
 
     def integrand(y):
         s = sigma + 1j * np.asarray(y, dtype=np.float64)

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from mbint import verification
 from mbint.errors import (ContourError, ConvergenceError,
                           HigherOrderPoleError, NonConvergentSeriesError,
                           ParameterError, PoleError)
-from mbint.special_functions import GParams, pfq
+from mbint.special_functions import GParams, meijer_g, pfq
 
 E_INV = 0.36787944117144233          # e^{-1}
 SQRT2_E2 = 0.19139299302082185       # sqrt(2) e^{-2}
@@ -189,6 +192,23 @@ def test_residue_series_cross_family_collision_rejected():
         mb.residue_series(kernel, 0.5, "right")
 
 
+def test_residue_series_structural_zero_prefix_is_not_convergence():
+    # 1/Gamma(l - 2) vanishes for l = 0, 1, 2; those terms must not stop
+    # the sum before its first nonzero term
+    res = meijer_g(GParams(1, 0, 0, 2, (), (0.0, 3.0)), 0.5,
+                   method="residues")
+    mpmath_value = -0.018355821889397755  # mpmath.meijerg, 30 digits
+    assert res.nodes_used > 3
+    assert abs(res.value - mpmath_value) <= res.err_estimate
+
+
+def test_residue_series_vanishing_ladder_is_exact_zero():
+    # 1/Gamma(-1 - s) has a pole at every pole s = 1 + l of Gamma(1 - s)
+    res = meijer_g(GParams(1, 0, 1, 3, (-1.0,), (1.0, 0.755, 0.5)),
+                   0.0643 + 0.0446j, method="residues")
+    assert res.value == 0.0 and res.err_estimate == 0.0
+
+
 def test_pole_families_count_validation():
     with pytest.raises(ParameterError):
         mb.pole_families(k_exp(0.0), 0)
@@ -222,6 +242,32 @@ def test_invariants_suite():
               (chk.to_json() for chk in verification.suite_mb(seed=5))}
     for name, check in report.items():
         assert check["passed"], (name, check)
+
+
+def test_choose_contour_memoized_and_reused_by_integrate():
+    contour = mb.choose_contour(k_exp(0.5))
+    assert mb.choose_contour(k_exp(0.5)) is contour
+    res = mb.integrate(k_exp(0.5), 2.0)
+    assert res.contour is contour
+
+
+def test_result_and_contour_copy_pickle_replace():
+    contour = mb.Contour("indented", 0.25, 30.0,
+                         (mb.Detour(0.0, 0.2, "left"),))
+    result = mb.EvalResult(1.5 - 2.0j, 1e-12, 120, contour, "quadrature", 1)
+    for obj in (contour, result):
+        assert copy.copy(obj) == obj
+        assert copy.deepcopy(obj) == obj
+        assert pickle.loads(pickle.dumps(obj)) == obj
+    assert dataclasses.replace(contour, truncation=60.0).truncation == 60.0
+    assert dataclasses.replace(contour, truncation=60.0).detours \
+        == contour.detours
+    moved = dataclasses.replace(result, value=3.0 + 0j)
+    assert moved.value == 3.0 and moved.contour is contour
+    with pytest.raises(ParameterError):
+        dataclasses.replace(contour, truncation=-1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.value = 0.0
 
 
 def test_contour_detour_disks_must_be_disjoint():
