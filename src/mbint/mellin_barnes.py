@@ -572,6 +572,9 @@ def _vanishing_ladders(kernel, family):
     A ladder's residues are exactly zero when a denominator gamma sits on a
     pole at each of its poles: the gamma's argument starts at a non-positive
     integer and moves by a non-positive integer from one pole to the next.
+    Such a ladder interleaved with a live one must not be summed: its zero
+    terms would count towards the stop rule and stand as the last term in
+    the error estimate.
     """
     dens = [(c, d) for c, d, sign in _signed_terms(kernel) if sign < 0]
     out = []
@@ -656,7 +659,9 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
 
     Closing right (around the right-opening poles) contributes -sum of
     residues, closing left +sum.  Terms are accumulated in ladder order and
-    summation stops after three consecutive terms below tol * |partial|.
+    summation stops after three consecutive terms below tol * |partial|,
+    counted once the partial sum is nonzero; a series whose terms are all
+    exactly zero evaluates to an exact 0.
     When alternating cancellation makes double precision insufficient the
     sum is redone with mpmath at a working precision sized to the measured
     condition number.
@@ -680,11 +685,6 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     dead = _vanishing_ladders(kernel, sources[0][2])
     if dead:
         sources = [src for src in sources if src[3] not in dead]
-    if not sources:
-        # every residue is exactly zero, so is the integral
-        return EvalResult(value=0j, err_estimate=0.0, nodes_used=0,
-                          contour=None, method="residues_" + side,
-                          arg_branch=branch_k)
     logz = complex(np.log(z)) + 2j * np.pi * branch_k
 
     total = 0.0 + 0.0j
@@ -716,6 +716,12 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
                 break
         else:
             ok = 0
+    if abs_sum == 0.0:
+        # every term was exactly zero (or every ladder vanishes): terms
+        # below the double range, or denominator gammas at the poles
+        return EvalResult(value=0j, err_estimate=0.0, nodes_used=nterms,
+                          contour=None, method="residues_" + side,
+                          arg_branch=branch_k)
     if not converged:
         raise NonConvergentSeriesError("residue series did not settle",
                                        terms=nterms,

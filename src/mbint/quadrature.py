@@ -78,11 +78,12 @@ def integrate_adaptive(f, a, b, tol_abs=0.0, tol_rel=1e-10, max_nodes=200000,
     while True:
         target = max(tol_abs, tol_rel * abs(vals.sum()))
         room = (max_nodes - nodes) // 30
-        if errs.sum() <= target or room == 0:
+        toterr = errs.sum()
+        if toterr <= target or room <= 0 or not np.isfinite(toterr):
             break
         split = errs > target / errs.size
         # the worst panel always splits: a rounding-level excess of the sum
-        # or a NaN estimate must not stall the round
+        # must not stall the round
         split[np.argmax(errs)] = True
         idx = np.flatnonzero(split)
         if idx.size > room:

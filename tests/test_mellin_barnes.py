@@ -209,6 +209,24 @@ def test_residue_series_vanishing_ladder_is_exact_zero():
     assert res.value == 0.0 and res.err_estimate == 0.0
 
 
+def test_residue_series_skips_vanishing_ladder_beside_live_one():
+    # 1/Gamma(-s) vanishes at every pole s = 2 + l of Gamma(2 - s); its zero
+    # terms, interleaved with the live s = 0.5 + l ladder, must not stop the
+    # sum or stand as its last term
+    z = -0.6 + 0.3j
+    res = meijer_g(GParams(2, 0, 1, 2, (0.0,), (2.0, 0.5)), z,
+                   method="residues")
+    mpmath_value = 1.318144319020035 + 0.29799548457459324j  # 30 digits
+    assert abs(res.value - mpmath_value) <= res.err_estimate
+
+
+def test_residue_series_underflowing_terms_are_exact_zero():
+    # every term z^(2 + l) / l! lies below the double range
+    res = meijer_g(GParams(1, 0, 0, 1, (), (2.0,)), 1e-200,
+                   method="residues")
+    assert res.value == 0.0 and res.err_estimate == 0.0
+
+
 def test_pole_families_count_validation():
     with pytest.raises(ParameterError):
         mb.pole_families(k_exp(0.0), 0)

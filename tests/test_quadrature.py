@@ -73,6 +73,23 @@ def test_node_budget_is_respected():
     assert sizes == [120, 60]
 
 
+def test_budget_below_first_round_stops_after_it():
+    f, sizes = counting(peaked)
+    res = quadrature.integrate_adaptive(f, -1.0, 2.0, tol_rel=1e-12,
+                                        max_nodes=100)
+    assert not res.converged
+    assert res.nodes == 120
+    assert sizes == [120]
+
+
+def test_nan_estimate_stops_at_once():
+    f, sizes = counting(lambda x: np.full(np.shape(x), np.nan + 0j))
+    res = quadrature.integrate_adaptive(f, 0.0, 1.0)
+    assert not res.converged
+    assert res.nodes == 120
+    assert sizes == [120]
+
+
 def test_integrand_called_once_per_round():
     f, sizes = counting(peaked)
     res = quadrature.integrate_adaptive(f, -1.0, 2.0, tol_rel=1e-12,
