@@ -14,7 +14,6 @@ import logging
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,31 +31,6 @@ _FORM_ALIASES = {"rising": "rising", "reflected": "reflected",
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    """One parsed invocation: command, output format, tolerance, seed."""
-
-    command: str
-    output_format: str
-    tol: float
-    seed: int
-    input: object  # the parsed argument namespace
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise UsageError("tolerance must be positive")
-
-
-def _job_from_args(args):
-    command = args.command
-    if getattr(args, "func", None):
-        command += " " + args.func
-    return JobConfig(command=command, output_format=args.output,
-                     tol=float(getattr(args, "tol", 1e-10) or 1e-10),
-                     seed=int(getattr(args, "seed", 0) or 0),
-                     input=args)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -476,7 +450,8 @@ def run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        job = _job_from_args(args)
+        if not getattr(args, "tol", 1.0) > 0:  # also refuses NaN
+            raise UsageError("tolerance must be positive")
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)

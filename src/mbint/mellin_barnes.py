@@ -20,6 +20,7 @@ an independent route.
 """
 
 import functools
+import heapq
 import logging
 import math
 import os
@@ -213,30 +214,115 @@ class Pole:
     sources: tuple  # of (family, factor_index, ladder_index)
 
 
-def _raw_poles(factors, family, count, left):
-    raw = []
-    for idx, f in enumerate(factors):
-        for l in range(count):
-            if left:
-                loc = (f.coeff - 1.0 - l) / f.mult
-            else:
-                loc = (f.coeff + l) / f.mult
-            raw.append((complex(loc), (family, idx, l)))
-    return raw
+@dataclass(frozen=True, slots=True)
+class _Ladder:
+    """The poles of one numerator gamma: an arithmetic progression in s.
+
+    Gamma(b - beta s) (family up_left) has the right-opening poles
+    s_l = (b + l) / beta, Gamma(1 - a + alpha s) (up_right) the
+    left-opening poles s_l = (a - 1 - l) / alpha, for 0 <= l < length;
+    ``origin`` is b or a - 1 and ``mult`` is beta or alpha.
+    """
+    family: str
+    idx: int
+    length: int
+    origin: complex
+    mult: float
+
+    @property
+    def rightward(self):
+        return self.family == "up_left"
+
+    def location(self, l):
+        if self.rightward:
+            return (self.origin + l) / self.mult
+        return (self.origin - l) / self.mult
 
 
-def _cluster(raw, descending):
-    raw.sort(key=lambda it: (it[0].real, it[0].imag))
-    poles = []
-    for loc, src in raw:
-        if poles and abs(loc - poles[-1][0]) <= POLE_TOLERANCE:
-            poles[-1][1].append(src)
-        else:
-            poles.append([loc, [src]])
-    out = [Pole(loc, len(srcs), tuple(srcs)) for loc, srcs in poles]
-    if descending:
-        out.reverse()
-    return out
+def _ladder(kernel, family, idx, length):
+    f = getattr(kernel, family)[idx]
+    origin = f.coeff if family == "up_left" else f.coeff - 1.0
+    return _Ladder(family, idx, length, origin, f.mult)
+
+
+def _pole_ladders(kernel, side, length):
+    """The ladders that closing the contour on ``side`` encircles."""
+    family = "up_left" if side == "right" else "up_right"
+    return [_ladder(kernel, family, idx, length)
+            for idx in range(len(getattr(kernel, family)))]
+
+
+def _ladder_poles(ladder):
+    """(key, Im s_l, idx, l, s_l) for l = 0, 1, ..., in ladder order.
+
+    The key is Re s_l on a rightward ladder and -Re s_l on a leftward one,
+    so merging a family's ladders lists its poles in opening order, ties
+    broken by factor index; (key, Im, idx, l) is unique per pole, so the
+    merge never compares s_l itself.
+    """
+    origin, mult, idx = ladder.origin, ladder.mult, ladder.idx
+    if ladder.rightward:
+        for l in range(ladder.length):
+            loc = (origin + l) / mult
+            yield loc.real, loc.imag, idx, l, loc
+    else:
+        for l in range(ladder.length):
+            loc = (origin - l) / mult
+            yield -loc.real, loc.imag, idx, l, loc
+
+
+def _merged_poles(ladders):
+    """The poles of one family's ladders, drawn lazily in opening order."""
+    return heapq.merge(*map(_ladder_poles, ladders))
+
+
+def _coincident_pole(a, b):
+    """A pole of ladder ``a`` within POLE_TOLERANCE of one of ladder ``b``
+    (same family, same length), or None."""
+    n = a.length
+    if a.mult == b.mult:
+        # s_l - s'_l' depends on j = l - l' alone: only the j nearest the
+        # gap between the origins can bring two poles together
+        gap = (a.origin - b.origin).real
+        j = round(-gap if a.rightward else gap)
+        if abs(j) >= n:
+            return None
+        l = max(j, 0)
+        loc = b.location(l - j)
+        return loc if abs(a.location(l) - loc) <= POLE_TOLERANCE else None
+    # unequal steps: every pole of a against the nearest pole of b
+    sign = 1.0 if a.rightward else -1.0
+    sa = (a.origin + sign * np.arange(n)) / a.mult
+    lb = np.clip(np.rint(sign * (sa * b.mult - b.origin).real), 0, n - 1)
+    sb = (b.origin + sign * lb) / b.mult
+    hit = np.flatnonzero(np.abs(sa - sb) <= POLE_TOLERANCE)
+    return complex(sa[hit[0]]) if hit.size else None
+
+
+def _live_length(kernel, ladder):
+    """The index from which every residue on ``ladder`` vanishes, else its
+    length.
+
+    A denominator gamma whose argument moves by a non-positive integer from
+    pole to pole sits on a pole at every pole of the ladder from the first
+    one where its argument is a non-positive integer.
+    """
+    step = (1.0 if ladder.rightward else -1.0) / ladder.mult
+    s0 = ladder.origin / ladder.mult
+    end = ladder.length
+    for coeff, slope, sign in _signed_terms(kernel):
+        move = slope * step
+        k = round(move)
+        w0 = coeff + slope * s0
+        n0 = round(w0.real)
+        if sign > 0 or k > 0 or abs(move - k) > POLE_TOLERANCE \
+                or abs(w0 - n0) > POLE_TOLERANCE:
+            continue
+        if k < 0:
+            end = min(end, max(0, -(-n0 // -k)))  # ceil(n0 / -k)
+        elif n0 <= 0:
+            end = 0
+    return end
 
 
 def pole_families(kernel, count):
@@ -249,11 +335,28 @@ def pole_families(kernel, count):
     """
     if count < 1:
         raise ParameterError("count must be >= 1", count=count)
-    right = _cluster(_raw_poles(kernel.up_left, "up_left", count, False),
-                     descending=False)
-    left = _cluster(_raw_poles(kernel.up_right, "up_right", count, True),
-                    descending=True)
-    return left, right
+    out = []
+    for side in ("left", "right"):
+        ladders = _pole_ladders(kernel, side, count)
+        # each ladder in ascending (Re, Im); leftward ones run backwards
+        runs = [[(loc.real, loc.imag, idx, l, loc)
+                 for _, _, idx, l, loc in _ladder_poles(lad)]
+                for lad in ladders]
+        if side == "left":
+            for run in runs:
+                run.reverse()
+        clusters = []
+        for _, _, idx, l, loc in heapq.merge(*runs):
+            src = (ladders[idx].family, idx, l)
+            if clusters and abs(loc - clusters[-1][0]) <= POLE_TOLERANCE:
+                clusters[-1][1].append(src)
+            else:
+                clusters.append([loc, [src]])
+        poles = [Pole(loc, len(srcs), tuple(srcs)) for loc, srcs in clusters]
+        if side == "left":
+            poles.reverse()
+        out.append(poles)
+    return tuple(out)
 
 
 def find_pole_collision(kernel, tol=POLE_TOLERANCE):
@@ -509,87 +612,40 @@ class EvalResult:
 # residues
 
 
-def _residue_term_log(kernel, family, idx, l, logz):
-    """(parity_sign, log_magnitude) of the residue of K(s) z^s at one pole."""
-    factors = kernel.up_left if family == "up_left" else kernel.up_right
-    f = factors[idx]
-    if family == "up_left":
-        s_p = (f.coeff + l) / f.mult
-        orient = -1.0
-    else:
-        s_p = (f.coeff - 1.0 - l) / f.mult
-        orient = +1.0
-    reduced_terms = []
-    for coeff, slope, sign in _signed_terms(kernel):
-        reduced_terms.append((coeff, slope, sign))
-    # drop the owning factor once
-    own = (f.coeff, -f.mult, +1) if family == "up_left" \
-        else (1.0 - f.coeff, f.mult, +1)
-    reduced_terms.remove(own)
+def _own_position(kernel, ladder):
+    """Where the factor owning ``ladder`` sits in _signed_terms order."""
+    return ladder.idx if ladder.rightward \
+        else len(kernel.up_left) + ladder.idx
+
+
+def _reduced_terms(kernel, ladder):
+    """_signed_terms without the factor that owns ``ladder``."""
+    terms = _signed_terms(kernel)
+    del terms[_own_position(kernel, ladder)]
+    return terms
+
+
+def _residue(reduced, ladder, l, s_p, shift):
+    """Residue of K(s) z^s at s_p, the pole l of ``ladder``.
+
+    ``reduced`` is _reduced_terms(kernel, ladder) and ``shift`` is
+    log(base) + log z.  A denominator gamma on a pole gives 0; a numerator
+    gamma on a pole raises PoleError.
+    """
     total = 0.0 + 0.0j
-    for coeff, slope, sign in reduced_terms:
+    for coeff, slope, sign in reduced:
         w = coeff + slope * s_p
-        rep = detect_pole(w)
-        if rep.is_pole:
+        if detect_pole(w).is_pole:
             if sign > 0:
                 raise PoleError("pole of another numerator factor at a "
                                 "residue location", s=s_p, argument=w)
-            return 1.0, _NEG_INF, s_p
+            return 0.0 + 0.0j
         total += sign * log_gamma_unchecked(w)
-    total += s_p * (kernel.base_log + logz)
-    total -= math.lgamma(l + 1) + math.log(f.mult)
-    parity = orient * (1.0 if l % 2 == 0 else -1.0)
-    return parity, total, s_p
-
-
-def _residue_value(kernel, family, idx, l, logz):
-    parity, logmag, _ = _residue_term_log(kernel, family, idx, l, logz)
-    if logmag.real == float("-inf"):
-        return 0.0 + 0.0j
-    return parity * complex(np.exp(logmag))
-
-
-def _ordered_pole_sources(kernel, side, n_max):
-    family = "up_left" if side == "right" else "up_right"
-    factors = kernel.up_left if side == "right" else kernel.up_right
-    items = []
-    for idx, f in enumerate(factors):
-        for l in range(n_max):
-            if side == "right":
-                loc = (f.coeff + l) / f.mult
-                key = (loc.real, loc.imag, idx)
-            else:
-                loc = (f.coeff - 1.0 - l) / f.mult
-                key = (-loc.real, loc.imag, idx)
-            items.append((key, complex(loc), family, idx, l))
-    items.sort(key=lambda it: it[0])
-    return items
-
-
-def _vanishing_ladders(kernel, family):
-    """Indices of the pole ladders of ``family`` whose residues all vanish.
-
-    A ladder's residues are exactly zero when a denominator gamma sits on a
-    pole at each of its poles: the gamma's argument starts at a non-positive
-    integer and moves by a non-positive integer from one pole to the next.
-    Such a ladder interleaved with a live one must not be summed: its zero
-    terms would count towards the stop rule and stand as the last term in
-    the error estimate.
-    """
-    dens = [(c, d) for c, d, sign in _signed_terms(kernel) if sign < 0]
-    out = []
-    for idx, f in enumerate(getattr(kernel, family)):
-        if family == "up_left":
-            s0, step = f.coeff / f.mult, 1.0 / f.mult
-        else:
-            s0, step = (f.coeff - 1.0) / f.mult, -1.0 / f.mult
-        for c, d in dens:
-            move = d * step
-            if round(move) <= 0 and abs(move - round(move)) <= POLE_TOLERANCE \
-                    and detect_pole(c + d * s0).is_pole:
-                out.append(idx)
-                break
-    return out
+    total += s_p * shift
+    total -= math.lgamma(l + 1) + math.log(ladder.mult)
+    parity = (-1.0 if ladder.rightward else 1.0) \
+        * (1.0 if l % 2 == 0 else -1.0)
+    return parity * complex(np.exp(total))
 
 
 def _mpmath():
@@ -600,68 +656,129 @@ def _mpmath():
     return mpmath
 
 
-def _residue_series_mp(kernel, z, side, n_max, tol, branch_k, dps):
+def _mp_number(x):
+    """The double ``x`` exactly, as an mpf when real (cheaper arithmetic)."""
+    return mpmath.mpf(x.real) if x.imag == 0 else mpmath.mpc(x.real, x.imag)
+
+
+def _mp_residues(kernel, ladder, shift):
+    """Residues of K(s) z^s along ``ladder`` in mpmath, for l = 0, 1, ...
+
+    The poles are the exact progression s_l = (origin +/- l) / mult, built
+    in mpmath from the kernel's parameters, as is every gamma argument.  A
+    term comes from gamma/rgamma at the ladder's first pole and after a zero
+    term.  When every other factor's argument moves by +/-1 from pole to
+    pole (multipliers equal to the ladder's), later terms follow from the
+    previous one through Gamma(w + 1) = w Gamma(w), with no gamma call.
+    A denominator gamma on a pole gives a zero term; a numerator gamma on a
+    pole raises HigherOrderPoleError.  Runs inside the caller's workdps.
+    """
+    own = _own_position(kernel, ladder)
+    step = 1 if ladder.rightward else -1
+    factors = kernel.up_left + kernel.up_right + kernel.down_left \
+        + kernel.down_right
+    args = []  # (coeff, slope, sign, move) of Gamma(coeff + slope*s)
+    for pos, (f, (_, slope, sign)) in enumerate(zip(factors,
+                                                    _signed_terms(kernel))):
+        if pos == own:
+            continue
+        # exact 1 - a for the Gamma(1 - a + alpha s) factors (slope > 0)
+        c = 1 - _mp_number(f.coeff) if slope > 0 else _mp_number(f.coeff)
+        move = step * (1 if slope > 0 else -1) \
+            if f.mult == ladder.mult else None
+        args.append((c, mpmath.mpf(slope), sign, move))
+    by_ratio = all(move is not None for *_, move in args)
+    origin = _mp_number(factors[own].coeff)
+    if not ladder.rightward:
+        origin -= 1
+    mult = mpmath.mpf(ladder.mult)
+    e_step = mpmath.exp(step * shift / mult)
+    orient = -1 if ladder.rightward else 1
+    term = None
+    for l in range(ladder.length):
+        if term and by_ratio:
+            # Gamma(w + 1) / Gamma(w) = w; Gamma(w - 1) / Gamma(w) = 1/(w - 1)
+            num = -e_step
+            den = mpmath.mpf(l)
+            for i, (_, _, sign, move) in enumerate(args):
+                w = ws[i]
+                if move > 0:
+                    ws[i] = w + 1
+                else:
+                    w = ws[i] = w - 1
+                if (move > 0) == (sign > 0):
+                    num *= w
+                else:
+                    den *= w
+            if not den:
+                raise HigherOrderPoleError(
+                    "residue location collides with another pole family",
+                    location=ladder.location(l))
+            term = term * num / den
+        else:
+            s = (origin + l if ladder.rightward else origin - l) / mult
+            ws = [coeff + slope * s for coeff, slope, _, _ in args]
+            value = mpmath.mpf(orient if l % 2 == 0 else -orient)
+            for w, (_, _, sign, _) in zip(ws, args):
+                if sign < 0:
+                    value *= mpmath.rgamma(w)
+                elif detect_pole(complex(w)).is_pole:
+                    raise HigherOrderPoleError(
+                        "residue location collides with another pole family",
+                        location=complex(s))
+                else:
+                    value *= mpmath.gamma(w)
+            term = value / mpmath.factorial(l) / mult * mpmath.exp(s * shift)
+        yield term
+
+
+def _residue_series_mp(kernel, ladders, finite, z, tol, branch_k, dps):
     """High-precision re-summation used when double arithmetic cancels."""
     with _MP_LOCK, _mpmath().workdps(dps):
-        zz = mpmath.mpmathify(complex(z))
-        logz = mpmath.log(zz) + 2j * mpmath.pi * branch_k
-        logbase = mpmath.log(mpmath.mpmathify(complex(kernel.base)))
-
-        def gam(c, d, s):
-            return mpmath.gamma(mpmath.mpmathify(complex(c))
-                                + mpmath.mpmathify(float(d)) * s)
-
+        shift = mpmath.log(mpmath.mpmathify(complex(z))) \
+            + 2j * mpmath.pi * branch_k \
+            + mpmath.log(mpmath.mpmathify(complex(kernel.base)))
+        runs = [_mp_residues(kernel, lad, shift) for lad in ladders]
         total = mpmath.mpc(0)
         ok = 0
         nterms = 0
-        last = mpmath.mpf(0)
-        for _, loc, family, idx, l in _ordered_pole_sources(kernel, side, n_max):
-            factors = kernel.up_left if family == "up_left" else kernel.up_right
-            f = factors[idx]
-            s_p = mpmath.mpmathify(complex(loc))
-            num = mpmath.mpc(1)
-            den = mpmath.mpc(1)
-            for j, g in enumerate(kernel.up_left):
-                if family == "up_left" and j == idx:
-                    continue
-                num *= gam(g.coeff, -g.mult, s_p)
-            for j, g in enumerate(kernel.up_right):
-                if family == "up_right" and j == idx:
-                    continue
-                num *= gam(1.0 - g.coeff, g.mult, s_p)
-            for g in kernel.down_left:
-                den *= gam(1.0 - g.coeff, g.mult, s_p)
-            for g in kernel.down_right:
-                den *= gam(g.coeff, -g.mult, s_p)
-            orient = -1 if family == "up_left" else 1
-            parity = orient * (1 if l % 2 == 0 else -1)
-            term = (parity * num / den / mpmath.factorial(l)
-                    / mpmath.mpf(f.mult)
-                    * mpmath.exp(s_p * (logz + logbase)))
+        last = 0.0
+        for _, _, idx, _, _ in _merged_poles(ladders):
+            term = next(runs[idx])
             total += term
             nterms += 1
-            last = abs(term)
+            # magnitudes in double suffice for the stop rule and estimate
+            last = abs(complex(term))
             if total != 0 and \
-                    last < tol * 1e-3 * max(abs(total), mpmath.mpf(1e-300)):
+                    last < tol * 1e-3 * max(abs(complex(total)), 1e-300):
                 ok += 1
                 if ok >= 3:
                     break
             else:
                 ok = 0
-        sign = -1.0 if side == "right" else 1.0
+        settled = ok >= 3
+        if finite and not settled:
+            settled, last = True, 0.0  # a complete sum has no tail
+        sign = -1.0 if ladders[0].rightward else 1.0
         value = complex(sign * total)
-        err = float(last) + 5e-16 * abs(value)
-        return value, err, nterms, ok >= 3
+        err = last + 5e-16 * abs(value)
+        return value, err, nterms, settled
+
+
+_RESIDUE_METHOD = {"left": "residues_left", "right": "residues_right"}
 
 
 def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     """Evaluate the contour integral by closing around one pole family.
 
     Closing right (around the right-opening poles) contributes -sum of
-    residues, closing left +sum.  Terms are accumulated in ladder order and
-    summation stops after three consecutive terms below tol * |partial|,
-    counted once the partial sum is nonzero; a series whose terms are all
-    exactly zero evaluates to an exact 0.
+    residues, closing left +sum.  Each numerator gamma of the family gives
+    a pole ladder of up to ``n_max`` poles, cut where a denominator gamma
+    makes its residues vanish for good; the ladders are merged lazily in
+    opening order, and a ladder pair sharing a pole is refused before
+    summing.  Summation stops after three consecutive terms below
+    tol * |partial|, counted once the partial sum is nonzero; a series
+    whose terms are all exactly zero evaluates to an exact 0.
     When alternating cancellation makes double precision insufficient the
     sum is redone with mpmath at a working precision sized to the measured
     condition number.
@@ -674,18 +791,22 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     if n_max <= 0:
         raise NonConvergentSeriesError("no residue terms accumulated",
                                        n_max=n_max)
-    sources = _ordered_pole_sources(kernel, side, n_max)
-    if not sources:
+    ladders = _pole_ladders(kernel, side, n_max)
+    if not ladders:
         raise NonConvergentSeriesError("no poles open on that side",
                                        side=side)
-    for i in range(1, len(sources)):
-        if abs(sources[i][1] - sources[i - 1][1]) <= POLE_TOLERANCE:
-            raise HigherOrderPoleError("coincident poles on the chosen side",
-                                       location=sources[i][1])
-    dead = _vanishing_ladders(kernel, sources[0][2])
-    if dead:
-        sources = [src for src in sources if src[3] not in dead]
+    for i, a in enumerate(ladders):
+        for b in ladders[i + 1:]:
+            loc = _coincident_pole(a, b)
+            if loc is not None:
+                raise HigherOrderPoleError("coincident poles on the chosen "
+                                           "side", location=loc)
+    ladders = [replace(lad, length=_live_length(kernel, lad))
+               for lad in ladders]
+    finite = all(lad.length < n_max for lad in ladders)
+    reduced = [_reduced_terms(kernel, lad) for lad in ladders]
     logz = complex(np.log(z)) + 2j * np.pi * branch_k
+    shift = kernel.base_log + logz
 
     total = 0.0 + 0.0j
     abs_sum = 0.0
@@ -693,9 +814,9 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     nterms = 0
     last = 0.0
     converged = False
-    for _, loc, family, idx, l in sources:
+    for _, _, idx, l, loc in _merged_poles(ladders):
         try:
-            term = _residue_value(kernel, family, idx, l, logz)
+            term = _residue(reduced[idx], ladders[idx], l, loc, shift)
         except PoleError as exc:
             raise HigherOrderPoleError(
                 "residue location collides with another pole family",
@@ -716,12 +837,15 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
                 break
         else:
             ok = 0
+    if finite and not converged:
+        # every ladder was cut: the sum is complete, with no tail
+        converged, last = True, 0.0
+    method = _RESIDUE_METHOD[side]
     if abs_sum == 0.0:
         # every term was exactly zero (or every ladder vanishes): terms
         # below the double range, or denominator gammas at the poles
         return EvalResult(value=0j, err_estimate=0.0, nodes_used=nterms,
-                          contour=None, method="residues_" + side,
-                          arg_branch=branch_k)
+                          contour=None, method=method, arg_branch=branch_k)
     if not converged:
         raise NonConvergentSeriesError("residue series did not settle",
                                        terms=nterms,
@@ -734,13 +858,12 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
         dps = 22 + int(math.log10(cancel)) + 6
         log.debug("residue series escalating to mpmath dps=%d", dps)
         value, err, nterms, settled = _residue_series_mp(
-            kernel, z, side, n_max, tol, branch_k, dps)
+            kernel, ladders, finite, z, tol, branch_k, dps)
         if not settled:
             raise NonConvergentSeriesError("residue series did not settle",
                                            terms=nterms)
     return EvalResult(value=value, err_estimate=float(err), nodes_used=nterms,
-                      contour=None, method="residues_" + side,
-                      arg_branch=branch_k)
+                      contour=None, method=method, arg_branch=branch_k)
 
 
 # --------------------------------------------------------------------------
@@ -813,9 +936,12 @@ def _detour_correction(kernel, contour, logz):
     pole routed left (bulge right) adds it.
     """
     total = 0.0 + 0.0j
+    shift = kernel.base_log + logz
     for det in contour.detours:
         family, idx, l = _locate_pole(kernel, det.center)
-        res = _residue_value(kernel, family, idx, l, logz)
+        ladder = _ladder(kernel, family, idx, l + 1)
+        res = _residue(_reduced_terms(kernel, ladder), ladder, l,
+                       ladder.location(l), shift)
         total += res if det.side == "right" else -res
     return total
 

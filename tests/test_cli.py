@@ -159,6 +159,13 @@ def test_usage_error_exit_code(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("tol", ["0", "-1e-10", "nan"])
+def test_nonpositive_tolerance_is_usage_error(capsys, tol):
+    code, _ = run_cli(capsys, "eval", "g", "--orders", "1,0,0,1", "--b", "0",
+                      "--z", "1", "--tol", tol)
+    assert code == 64
+
+
 def test_params_file_merging(capsys, tmp_path):
     blob = tmp_path / "params.json"
     blob.write_text(json.dumps({"num": [1, 1], "den": [2]}))

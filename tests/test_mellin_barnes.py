@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from scipy import special as sp
 
 from mbint import mellin_barnes as mb
 from mbint import verification
+from mbint.cgamma import POLE_TOLERANCE
 from mbint.errors import (ContourError, ConvergenceError,
                           HigherOrderPoleError, NonConvergentSeriesError,
                           ParameterError, PoleError)
-from mbint.special_functions import GParams, meijer_g, pfq
+from mbint.special_functions import GParams, HParams, meijer_g, pfq
 
 E_INV = 0.36787944117144233          # e^{-1}
 SQRT2_E2 = 0.19139299302082185       # sqrt(2) e^{-2}
@@ -225,6 +227,156 @@ def test_residue_series_underflowing_terms_are_exact_zero():
     res = meijer_g(GParams(1, 0, 0, 1, (), (2.0,)), 1e-200,
                    method="residues")
     assert res.value == 0.0 and res.err_estimate == 0.0
+
+
+def _sorted_pole_sources(kernel, side, n):
+    """Reference order: every pole of every ladder, sorted by (Re, Im,
+    factor index) moving rightward, (-Re, Im, factor index) leftward."""
+    family = "up_left" if side == "right" else "up_right"
+    items = []
+    for idx, f in enumerate(getattr(kernel, family)):
+        for l in range(n):
+            if side == "right":
+                loc = (f.coeff + l) / f.mult
+                key = (loc.real, loc.imag, idx)
+            else:
+                loc = (f.coeff - 1.0 - l) / f.mult
+                key = (-loc.real, loc.imag, idx)
+            items.append((key, (loc, family, idx, l)))
+    items.sort(key=lambda it: it[0])
+    return [src for _, src in items]
+
+
+def _merged_pole_sources(kernel, side, n):
+    ladders = mb._pole_ladders(kernel, side, n)
+    return [(loc, ladders[idx].family, idx, l)
+            for _, _, idx, l, loc in mb._merged_poles(ladders)]
+
+
+def test_lazy_ladder_merge_matches_sorted_reference():
+    interleaved_g = GParams(3, 2, 2, 3, (0.3, -0.2 + 0.1j),
+                            (0.1, 0.6 + 0.2j, 0.1 - 0.3j)).to_kernel()
+    unequal_h = HParams(2, 2, 2, 2, (0.4, 0.9), (0.2, 0.7),
+                        (1.5, 0.5), (2.0, 0.75)).to_kernel()
+    for kernel in (interleaved_g, unequal_h):
+        for side in ("left", "right"):
+            got = _merged_pole_sources(kernel, side, 60)
+            assert got == _sorted_pole_sources(kernel, side, 60)
+            assert len({src[2] for src in got[:12]}) > 1  # interleaved
+
+
+def _sorted_check_refuses(kernel, side, n):
+    """The eager rule: two neighbours of the sorted poles coincide."""
+    locs = [src[0] for src in _sorted_pole_sources(kernel, side, n)]
+    return any(abs(b - a) <= POLE_TOLERANCE for a, b in zip(locs, locs[1:]))
+
+
+def test_residue_series_refuses_what_the_sorted_check_refuses():
+    rng = random.Random(4)
+    coeffs = (0.0, 0.5, 1.0, 1.5, -1.0, 2.0, 0.25, 0.3 + 0.5j)
+    mults = (1.0, 2.0, 0.5, 1.5)
+    refusals = 0
+    for _ in range(300):
+        side = rng.choice(("left", "right"))
+        factors = tuple((rng.choice(coeffs), rng.choice(mults))
+                        for _ in range(rng.randint(2, 3)))
+        kernel = mb.MellinKernel(up_left=factors) if side == "right" \
+            else mb.MellinKernel(up_right=factors)
+        try:
+            mb.residue_series(kernel, 0.3 if side == "right" else 3.0, side,
+                              n_max=40)
+            refused = False
+        except HigherOrderPoleError:
+            refused = True
+        except NonConvergentSeriesError:
+            refused = False
+        assert refused == _sorted_check_refuses(kernel, side, 40), factors
+        refusals += refused
+    assert 30 < refusals < 270
+
+
+def test_residue_series_unequal_steps_collide_past_first_pole():
+    # poles l of Gamma(-s) and (1 + l')/2 of Gamma(1 - 2s) meet at s = 1,
+    # the second pole of each ladder
+    kernel = mb.MellinKernel(up_left=((0.0, 1.0), (1.0, 2.0)))
+    with pytest.raises(HigherOrderPoleError):
+        mb.residue_series(kernel, 0.3, "right")
+    assert mb._coincident_pole(*mb._pole_ladders(kernel, "right", 2)) == 1.0
+    assert mb._coincident_pole(*mb._pole_ladders(kernel, "right", 1)) is None
+
+
+def test_residue_series_draws_at_most_terms_plus_ladders(monkeypatch):
+    drawn = []
+    ladder_poles = mb._ladder_poles
+
+    def counting(ladder):
+        for item in ladder_poles(ladder):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(mb, "_ladder_poles", counting)
+    kernel = GParams(3, 0, 0, 3, (), (0.1, 0.4, 0.7)).to_kernel()
+    res = mb.residue_series(kernel, 0.5, "right", n_max=800, tol=1e-12)
+    assert res.nodes_used < 100
+    assert len(drawn) <= res.nodes_used + 3
+
+
+def test_residue_series_mp_resum_on_exact_poles():
+    # z^b e^{-z} at |z| = 18.6: the sum cancels by 1e8 and is redone in
+    # mpmath on the exact poles s = b + l; rounding them to double first
+    # moved the value by 5e-9 against an error estimate of 3e-23
+    res = meijer_g(GParams(1, 0, 0, 1, (), (-0.6,)), 18.6 - 0.29j,
+                   method="residues")
+    mpmath_value = 1.38237618500081669e-09 + 4.26640915640844945e-10j
+    assert abs(res.value - mpmath_value) <= res.err_estimate
+
+
+def test_residue_series_cut_ladder_against_mpmath():
+    # 1/Gamma(-s) vanishes at every pole s = -1 + l, l >= 1, of
+    # Gamma(-1 - s): that ladder ends after one term, and its zeros no
+    # longer stop the sum; the mpmath re-summation used to raise an untyped
+    # ValueError at those poles
+    res = meijer_g(GParams(2, 0, 1, 2, (0.0,), (-1.0, 0.5988884651138973)),
+                   6.11555929212626 + 1.6559993670513433j, method="residues")
+    mpmath_value = -0.000240671340042058075 - 0.00111908226828836324j
+    assert abs(res.value - mpmath_value) <= res.err_estimate
+
+
+def test_residue_series_mp_denominator_pole_is_zero_term():
+    # 1/Gamma(s) is zero at the first pole s = 0 of Gamma(-s); the mpmath
+    # re-summation used to raise an untyped ValueError there
+    res = meijer_g(GParams(2, 2, 2, 3, (0.050994901790387015,
+                                        -0.48411184871626034),
+                           (0.0, 1.4624756261929952, 1.0)),
+                   15.958894871120782 + 5.47783217880718j, method="residues")
+    mpmath_value = -0.0291922188269608118 + 0.0108340298893739165j
+    assert abs(res.value - mpmath_value) <= res.err_estimate
+
+
+def test_residue_series_mp_numerator_pole_is_typed():
+    # Gamma(s) has a pole at the first pole s = 0 of Gamma(-s) (a direct
+    # term); Gamma(2 - s) at its third, s = 2 (a term by recurrence)
+    for kernel in (mb.MellinKernel(up_left=((0.0, 1.0),),
+                                   up_right=((1.0, 1.0),)),
+                   mb.MellinKernel(up_left=((0.0, 1.0), (2.0, 1.0)))):
+        ladders = mb._pole_ladders(kernel, "right", 10)
+        with pytest.raises(HigherOrderPoleError):
+            mb._residue_series_mp(kernel, ladders, False, 0.5, 1e-12, 0, 30)
+
+
+def test_residue_series_finite_sum_settles():
+    # 1/Gamma(1 - s) vanishes at every pole s = l >= 1 of Gamma(-s), so the
+    # series is its first term: G^{1,0}_{1,1}(z | 1; 0) = 1 for |z| < 1
+    res = meijer_g(GParams(1, 0, 1, 1, (1.0,), (0.0,)), 0.012 - 0.074j,
+                   method="residues")
+    assert res.nodes_used == 1
+    assert abs(res.value - 1.0) <= res.err_estimate
+
+
+def test_residue_method_labels_are_shared():
+    first = mb.residue_series(k_exp(0.0), 1.0, "right")
+    again = mb.residue_series(k_exp(0.5), 2.0, "right")
+    assert first.method == "residues_right" and first.method is again.method
 
 
 def test_pole_families_count_validation():
