@@ -356,18 +356,10 @@ def _cmd_solve_fde(args):
         _parse_complex_list(args.q_coeffs))
     roots = fde.coefficient_roots(inst)
     p, q = len(roots.rho), len(roots.sigma)
-    form = _FORM_ALIASES[args.form]
-    if form == "rising":
-        m, n = 0, p
-    elif form == "reflected":
-        m, n = q, 0
-    else:
-        m = args.m if args.m is not None else q // 2
-        n = args.n if args.n is not None else p // 2
-    if args.m is not None:
-        m = args.m
-    if args.n is not None:
-        n = args.n
+    m, n = {"rising": (0, p), "reflected": (q, 0),
+            "split": (q // 2, p // 2)}[_FORM_ALIASES[args.form]]
+    m = m if args.m is None else args.m
+    n = n if args.n is None else args.n
     kernel = fde.gamma_quotient(roots, m=m, n=n)
     return {"command": "solve-fde",
             "rho": [_c(r) for r in roots.rho],

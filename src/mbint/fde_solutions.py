@@ -25,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyroots
+from .cgamma import POLE_TOLERANCE
 from .errors import ContourError, OrderError, ParameterError
 from .mellin_barnes import Contour, GammaFactor, MellinKernel, \
-    default_truncation, kernel_log_eval
+    contour_window, default_truncation, kernel_eval, kernel_log_eval
 
 CANCEL_TOL = 1e-12
 
@@ -128,10 +129,7 @@ def gamma_quotient(roots, m=0, n=None):
 
 def solution_value(kernel, x):
     """f(x) = exp(log kernel) evaluated at the difference-equation variable."""
-    value = kernel_log_eval(kernel, x)
-    if value.real == float("-inf"):
-        return 0.0 + 0.0j
-    return complex(np.exp(value))
+    return kernel_eval(kernel, x)
 
 
 def fde_ratio_residual(kernel, roots, x):
@@ -166,12 +164,12 @@ def inverse_transform_solution(rho, sigma, anchor):
         raise ParameterError("expected one fewer sigma than rho",
                              p=len(rho), q=len(sigma))
     anchor = float(anchor)
-    head = max(r.real for r in rho)
-    if anchor <= head:
-        raise ContourError("anchor must lie right of every numerator pole",
-                           anchor=anchor, max_re_rho=head)
     kernel = MellinKernel(
         up_right=tuple(GammaFactor(1.0 + r) for r in rho),
         down_left=tuple(GammaFactor(1.0 + s) for s in sigma))
+    head, _ = contour_window(kernel)
+    if anchor <= head + POLE_TOLERANCE:
+        raise ContourError("anchor must lie right of every numerator pole",
+                           anchor=anchor, max_re_rho=head)
     contour = Contour("vertical", anchor, default_truncation(kernel))
     return kernel, contour

@@ -18,7 +18,7 @@ import numpy as np
 from . import polyroots
 from .errors import (DegreeError, DivergenceError, ParameterError,
                      QuadratureError, RepeatedRootError)
-from .quadrature import integrate_adaptive
+from .quadrature import MAX_NODES, integrate_adaptive
 
 _NEAR_ONE = 1e-9
 
@@ -120,7 +120,7 @@ def solve_first_order_ode(a0, a1):
     return ClosedFormPsi(lam, tuple(factors))
 
 
-def laplace_transform(psi, x, tol=1e-10, t_max=None, max_nodes=200000):
+def laplace_transform(psi, x, tol=1e-10):
     """Adaptive quadrature of integral_0^T e^{-x t} psi(t) dt.
 
     T is sized so the exponential tail falls below ``tol`` relative to the
@@ -150,13 +150,11 @@ def laplace_transform(psi, x, tol=1e-10, t_max=None, max_nodes=200000):
         if tail < 0.25 * tol:
             break
         T *= 1.4
-    if t_max is not None:
-        T = min(T, float(t_max))
     tail = (envelope + 1.0) * np.exp(-rate * T) / rate
 
     total = 0.0 + 0.0j
     err = float(tail)
-    nodes_left = max_nodes
+    nodes_left = MAX_NODES
     split = 1.0 if T > 1.0 else T / 2.0
     if mu_star.real < 0.0:
         k = int(np.ceil(2.0 / (1.0 + mu_star.real))) + 1

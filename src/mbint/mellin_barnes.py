@@ -23,7 +23,6 @@ import functools
 import heapq
 import logging
 import math
-import os
 import threading
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -35,7 +34,7 @@ from .cgamma import (POLE_TOLERANCE, asymptotic_log_abs_gamma, detect_pole,
 from .errors import (ContourError, ConvergenceError, HigherOrderPoleError,
                      NonConvergentSeriesError, ParameterError, PoleError,
                      QuadratureError)
-from .quadrature import integrate_adaptive
+from .quadrature import MAX_NODES, integrate_adaptive
 
 log = logging.getLogger(__name__)
 
@@ -44,10 +43,6 @@ _T_MAX = 6000.0
 _NEG_INF = complex(float("-inf"), 0.0)
 _MP_LOCK = threading.Lock()  # mpmath precision context is process-global
 mpmath = None  # see _mpmath
-
-
-def _max_nodes_default():
-    return int(os.environ.get("MB_MAX_NODES", "200000"))
 
 
 @dataclass(frozen=True)
@@ -214,14 +209,15 @@ class Pole:
     sources: tuple  # of (family, factor_index, ladder_index)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)  # not frozen: a frozen __init__ costs 3x as much
 class _Ladder:
     """The poles of one numerator gamma: an arithmetic progression in s.
 
     Gamma(b - beta s) (family up_left) has the right-opening poles
     s_l = (b + l) / beta, Gamma(1 - a + alpha s) (up_right) the
     left-opening poles s_l = (a - 1 - l) / alpha, for 0 <= l < length;
-    ``origin`` is b or a - 1 and ``mult`` is beta or alpha.
+    ``origin`` is b or a - 1 and ``mult`` is beta or alpha.  The contour
+    code uses unbounded ladders (length math.inf).
     """
     family: str
     idx: int
@@ -238,18 +234,32 @@ class _Ladder:
             return (self.origin + l) / self.mult
         return (self.origin - l) / self.mult
 
+    def nearest(self, loc):
+        """The index l >= 0 whose pole lies nearest ``loc``."""
+        if self.rightward:
+            l = round((loc * self.mult - self.origin).real)
+        else:
+            l = round((self.origin - loc * self.mult).real)
+        return max(l, 0)
 
-def _ladder(kernel, family, idx, length):
-    f = getattr(kernel, family)[idx]
-    origin = f.coeff if family == "up_left" else f.coeff - 1.0
-    return _Ladder(family, idx, length, origin, f.mult)
+    def left_of(self, bound):
+        """The poles s_l of a rightward ladder with Re s_l < bound."""
+        l = 0
+        while l < self.length:
+            loc = self.location(l)
+            if loc.real >= bound:
+                return
+            yield loc
+            l += 1
 
 
 def _pole_ladders(kernel, side, length):
     """The ladders that closing the contour on ``side`` encircles."""
-    family = "up_left" if side == "right" else "up_right"
-    return [_ladder(kernel, family, idx, length)
-            for idx in range(len(getattr(kernel, family)))]
+    if side == "right":
+        return [_Ladder("up_left", idx, length, f.coeff, f.mult)
+                for idx, f in enumerate(kernel.up_left)]
+    return [_Ladder("up_right", idx, length, f.coeff - 1.0, f.mult)
+            for idx, f in enumerate(kernel.up_right)]
 
 
 def _ladder_poles(ladder):
@@ -363,25 +373,17 @@ def find_pole_collision(kernel, tol=POLE_TOLERANCE):
     """A point where the two opening families collide, or None.
 
     Only finitely many collisions are possible because right-opening
-    ladders increase in real part and left-opening ones decrease, so the
-    search is exact.
+    ladders increase in real part and left-opening ones decrease: walking
+    each right-opening ladder up to each left-opening head makes the
+    search exact.
     """
-    for bf in kernel.up_left:
-        for af in kernel.up_right:
-            head_gap = ((af.coeff - 1.0) / af.mult - bf.coeff / bf.mult).real
-            imag_gap = abs((bf.coeff / bf.mult).imag
-                           - ((af.coeff - 1.0) / af.mult).imag)
-            if imag_gap > tol:
-                continue
-            lim = bf.mult * head_gap
-            l1 = 0
-            while l1 <= lim + tol:
-                s = (bf.coeff + l1) / bf.mult
-                l2 = (af.coeff - 1.0) - af.mult * s
-                if abs(l2.imag) <= tol and l2.real >= -tol \
-                        and abs(l2.real - round(l2.real)) <= tol:
+    lefts = [(left, left.location(0).real + tol)
+             for left in _pole_ladders(kernel, "left", math.inf)]
+    for right in _pole_ladders(kernel, "right", math.inf):
+        for left, bound in lefts:
+            for s in right.left_of(bound):
+                if abs(left.location(left.nearest(s)) - s) <= tol:
                     return s
-                l1 += 1
     return None
 
 
@@ -451,12 +453,12 @@ def _algebraic_exponent(kernel, sigma):
 
 def contour_window(kernel):
     """Open strip (lo, hi) of anchors separating the two pole families."""
-    lo = -math.inf
-    hi = math.inf
-    for f in kernel.up_right:
-        lo = max(lo, ((f.coeff - 1.0) / f.mult).real)
-    for f in kernel.up_left:
-        hi = min(hi, (f.coeff / f.mult).real)
+    lo = max((lad.location(0).real
+              for lad in _pole_ladders(kernel, "left", math.inf)),
+             default=-math.inf)
+    hi = min((lad.location(0).real
+              for lad in _pole_ladders(kernel, "right", math.inf)),
+             default=math.inf)
     return lo, hi
 
 
@@ -465,21 +467,6 @@ def default_truncation(kernel):
     if kappa <= 0.05:
         return 120.0
     return float(min(max(30.0, 50.0 / kappa), 400.0))
-
-
-def _right_pole_res_in(kernel, lo, hi):
-    """Real parts of right-opening poles inside (lo, hi)."""
-    out = []
-    for f in kernel.up_left:
-        l = 0
-        while True:
-            re = ((f.coeff + l) / f.mult).real
-            if re >= hi:
-                break
-            if re > lo:
-                out.append(re)
-            l += 1
-    return sorted(set(out))
 
 
 @functools.lru_cache(maxsize=256)
@@ -512,34 +499,26 @@ def choose_contour(kernel):
 
     # empty window: anchor inside (lo, lo + 1], clear of every left-opening
     # pole, placed in the widest gap between right-opening abscissae
-    cuts = _right_pole_res_in(kernel, lo, lo + 1.0)
+    walked = [loc for lad in _pole_ladders(kernel, "right", math.inf)
+              for loc in lad.left_of(lo + 1.0)]
+    cuts = sorted({loc.real for loc in walked if loc.real > lo})
     bounds = [lo] + cuts + [lo + 1.0]
     widths = [bounds[i + 1] - bounds[i] for i in range(len(bounds) - 1)]
     i_best = int(np.argmax(widths))
     anchor = 0.5 * (bounds[i_best] + bounds[i_best + 1])
 
-    crossed = []
-    for idx, f in enumerate(kernel.up_left):
-        l = 0
-        while True:
-            loc = (f.coeff + l) / f.mult
-            if loc.real >= anchor:
-                break
-            crossed.append((complex(loc), idx, l))
-            l += 1
-    locs = [c[0] for c in crossed]
-    for i in range(len(locs)):
-        for j in range(i + 1, len(locs)):
-            if abs(locs[i] - locs[j]) <= POLE_TOLERANCE:
-                raise ContourError("crossed pole has order > 1; indentation "
-                                   "cannot disambiguate", location=locs[i])
+    crossed = [loc for loc in walked if loc.real < anchor]
     min_gap = math.inf
-    for i in range(len(locs)):
-        for j in range(i + 1, len(locs)):
-            min_gap = min(min_gap, abs(locs[i] - locs[j]))
-        min_gap = min(min_gap, abs(locs[i].real - anchor))
-    radius = min(0.25, 0.45 * min_gap) if locs else 0.25
-    detours = tuple(Detour(c[0], radius, "left") for c in crossed)
+    for i, loc in enumerate(crossed):
+        for other in crossed[i + 1:]:
+            gap = abs(loc - other)
+            if gap <= POLE_TOLERANCE:
+                raise ContourError("crossed pole has order > 1; indentation "
+                                   "cannot disambiguate", location=loc)
+            min_gap = min(min_gap, gap)
+        min_gap = min(min_gap, abs(loc.real - anchor))
+    radius = min(0.25, 0.45 * min_gap) if crossed else 0.25
+    detours = tuple(Detour(loc, radius, "left") for loc in crossed)
     return Contour("indented", float(anchor), trunc, detours)
 
 
@@ -938,8 +917,7 @@ def _detour_correction(kernel, contour, logz):
     total = 0.0 + 0.0j
     shift = kernel.base_log + logz
     for det in contour.detours:
-        family, idx, l = _locate_pole(kernel, det.center)
-        ladder = _ladder(kernel, family, idx, l + 1)
+        ladder, l = _locate_pole(kernel, det.center)
         res = _residue(_reduced_terms(kernel, ladder), ladder, l,
                        ladder.location(l), shift)
         total += res if det.side == "right" else -res
@@ -947,19 +925,17 @@ def _detour_correction(kernel, contour, logz):
 
 
 def _locate_pole(kernel, loc, tol=1e-7):
-    for idx, f in enumerate(kernel.up_left):
-        l = round((complex(loc) * f.mult - f.coeff).real)
-        if l >= 0 and abs((f.coeff + l) / f.mult - loc) < tol:
-            return "up_left", idx, int(l)
-    for idx, f in enumerate(kernel.up_right):
-        l = round((f.coeff - 1.0 - complex(loc) * f.mult).real)
-        if l >= 0 and abs((f.coeff - 1.0 - l) / f.mult - loc) < tol:
-            return "up_right", idx, int(l)
+    """(ladder, l): the numerator pole at ``loc``, right-opening first."""
+    for side in ("right", "left"):
+        for ladder in _pole_ladders(kernel, side, math.inf):
+            l = ladder.nearest(loc)
+            if abs(ladder.location(l) - loc) < tol:
+                return ladder, l
     raise ContourError("detour center is not a pole of the kernel",
                        location=loc)
 
 
-def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0, max_nodes=None):
+def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     """(1 / 2 pi i) * integral of K(s) z^s over the contour.
 
     The truncation height grows beyond ``contour.truncation`` when the
@@ -976,8 +952,6 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0, max_nodes=None):
                                z=z)
     if contour is None:
         contour = choose_contour(kernel)
-    if max_nodes is None:
-        max_nodes = _max_nodes_default()
     logz = complex(np.log(z)) + 2j * np.pi * branch_k
     sigma = contour.anchor
     T = _truncation_height(kernel, sigma, logz, tol, contour.truncation)
@@ -992,13 +966,13 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0, max_nodes=None):
     folded = _is_real_symmetric(kernel, z, branch_k) and not contour.detours
     if folded:
         quad = integrate_adaptive(integrand, 0.0, T, tol_rel=0.25 * tol,
-                                  max_nodes=max_nodes // 2,
+                                  max_nodes=MAX_NODES // 2,
                                   initial_panels=max(8, min(256, int(T / 4))))
         value = complex(quad.value).real / np.pi + 0.0j
         quad_err = quad.error / np.pi
     else:
         quad = integrate_adaptive(integrand, -T, T, tol_rel=0.25 * tol,
-                                  max_nodes=max_nodes,
+                                  max_nodes=MAX_NODES,
                                   initial_panels=max(8, min(512, int(T / 2))))
         value = quad.value / (2.0 * np.pi)
         quad_err = quad.error / (2.0 * np.pi)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_NODES = 200000  # default integrand evaluations per integral
+
 # QUADPACK dqk15 abscissae/weights on [-1, 1]
 _XGK = np.array([
     0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
@@ -68,8 +70,8 @@ def kronrod_panel(f, a, b):
     return complex(vk[0]), float(err[0])
 
 
-def integrate_adaptive(f, a, b, tol_abs=0.0, tol_rel=1e-10, max_nodes=200000,
-                       initial_panels=8):
+def integrate_adaptive(f, a, b, tol_abs=0.0, tol_rel=1e-10,
+                       max_nodes=MAX_NODES, initial_panels=8):
     """Integrate f over [a, b] to the requested absolute/relative target."""
     edges = np.linspace(a, b, initial_panels + 1)
     left, right = edges[:-1], edges[1:]

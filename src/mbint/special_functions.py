@@ -8,13 +8,13 @@ beyond the disk; both routes are implemented and cross-checked.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import mellin_barnes as mb
 from . import polyroots
-from .cgamma import POLE_TOLERANCE, detect_pole, log_gamma, pochhammer
+from .cgamma import detect_pole, log_gamma, pochhammer
 from .errors import (ConvergenceError, DivergentSeriesError,
                      InvalidDenominatorError, OrderError, ParameterError,
                      QuadratureError)
@@ -25,6 +25,14 @@ def _complex_tuple(values):
     return tuple(complex(v) for v in values)
 
 
+def _separated(kernel):
+    """``kernel``, refused when its two pole families share a pole."""
+    hit = mb.find_pole_collision(kernel)
+    if hit is not None:
+        raise ParameterError("pole families collide", location=hit)
+    return kernel
+
+
 @dataclass(frozen=True)
 class GParams:
     m: int
@@ -33,6 +41,7 @@ class GParams:
     q: int
     a: tuple = ()
     b: tuple = ()
+    _kernel: mb.MellinKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", _complex_tuple(self.a))
@@ -44,21 +53,14 @@ class GParams:
         if len(self.a) != self.p or len(self.b) != self.q:
             raise ParameterError("parameter vector lengths must match p, q",
                                  len_a=len(self.a), len_b=len(self.b))
-        for a_j in self.a[:self.n]:
-            for b_k in self.b[:self.m]:
-                diff = a_j - b_k
-                if abs(diff.imag) <= POLE_TOLERANCE and diff.real >= 0.5 \
-                        and abs(diff.real - round(diff.real)) <= POLE_TOLERANCE:
-                    raise ParameterError(
-                        "pole families collide: a_j - b_k is a positive "
-                        "integer", a=a_j, b=b_k)
-
-    def to_kernel(self):
-        return mb.MellinKernel(
+        object.__setattr__(self, "_kernel", _separated(mb.MellinKernel(
             up_left=tuple(mb.GammaFactor(bk) for bk in self.b[:self.m]),
             up_right=tuple(mb.GammaFactor(aj) for aj in self.a[:self.n]),
             down_left=tuple(mb.GammaFactor(bk) for bk in self.b[self.m:]),
-            down_right=tuple(mb.GammaFactor(aj) for aj in self.a[self.n:]))
+            down_right=tuple(mb.GammaFactor(aj) for aj in self.a[self.n:]))))
+
+    def to_kernel(self):
+        return self._kernel
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,7 @@ class HParams:
     b: tuple = ()
     alpha: tuple = ()
     beta: tuple = ()
+    _kernel: mb.MellinKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", _complex_tuple(self.a))
@@ -86,13 +89,7 @@ class HParams:
             raise ParameterError("parameter vector lengths must match p, q")
         if any(v <= 0 for v in self.alpha + self.beta):
             raise ParameterError("multipliers must be positive")
-        kernel = self.to_kernel()
-        hit = mb.find_pole_collision(kernel)
-        if hit is not None:
-            raise ParameterError("pole families collide", location=hit)
-
-    def to_kernel(self):
-        return mb.MellinKernel(
+        object.__setattr__(self, "_kernel", _separated(mb.MellinKernel(
             up_left=tuple(mb.GammaFactor(bk, bet) for bk, bet
                           in zip(self.b[:self.m], self.beta[:self.m])),
             up_right=tuple(mb.GammaFactor(aj, alp) for aj, alp
@@ -100,7 +97,10 @@ class HParams:
             down_left=tuple(mb.GammaFactor(bk, bet) for bk, bet
                             in zip(self.b[self.m:], self.beta[self.m:])),
             down_right=tuple(mb.GammaFactor(aj, alp) for aj, alp
-                             in zip(self.a[self.n:], self.alpha[self.n:])))
+                             in zip(self.a[self.n:], self.alpha[self.n:])))))
+
+    def to_kernel(self):
+        return self._kernel
 
 
 class PFQClass:
@@ -226,34 +226,30 @@ def _residue_side(kernel, z):
 
 def _evaluate_kernel(kernel, z, tol, method=None, branch_k=0):
     """Shared quadrature-first driver with a residue-series fallback."""
+    if method not in (None, "quad", "residues"):
+        raise ParameterError("method must be 'quad' or 'residues'",
+                             method=method)
     z = complex(z)
     if z == 0:
         raise ParameterError("argument must be nonzero")
+    side = _residue_side(kernel, z)
     if method == "residues":
-        side = _residue_side(kernel, z)
         if side is None:
             raise ConvergenceError("no residue side converges for this "
                                    "argument", z=z)
-        return mb.residue_series(kernel, z, side, n_max=800, tol=tol,
-                                 branch_k=branch_k)
-    cls = mb.convergence_class(kernel, z, branch_k)
-    if cls is mb.ConvergenceClass.DIVERGENT:
-        raise ConvergenceError("integral representation diverges", z=z)
-    if cls is mb.ConvergenceClass.CONDITIONAL and method is None:
-        side = _residue_side(kernel, z)
-        if side is not None:
-            return mb.residue_series(kernel, z, side, n_max=800, tol=tol,
-                                     branch_k=branch_k)
-    try:
-        return mb.integrate(kernel, z, tol=tol, branch_k=branch_k)
-    except QuadratureError:
-        if method == "quad":
-            raise
-        side = _residue_side(kernel, z)
-        if side is None:
-            raise
-        return mb.residue_series(kernel, z, side, n_max=800, tol=tol,
-                                 branch_k=branch_k)
+    else:
+        cls = mb.convergence_class(kernel, z, branch_k)
+        if cls is mb.ConvergenceClass.DIVERGENT:
+            raise ConvergenceError("integral representation diverges", z=z)
+        if cls is mb.ConvergenceClass.ABSOLUTE or method == "quad" \
+                or side is None:
+            try:
+                return mb.integrate(kernel, z, tol=tol, branch_k=branch_k)
+            except QuadratureError:
+                if method == "quad" or side is None:
+                    raise
+    return mb.residue_series(kernel, z, side, n_max=800, tol=tol,
+                             branch_k=branch_k)
 
 
 def meijer_g(params, z, tol=1e-10, method=None, branch_k=0):
@@ -265,9 +261,6 @@ def meijer_g(params, z, tol=1e-10, method=None, branch_k=0):
     """
     if not isinstance(params, GParams):
         raise ParameterError("expected GParams")
-    if method not in (None, "quad", "residues"):
-        raise ParameterError("method must be 'quad' or 'residues'",
-                             method=method)
     return _evaluate_kernel(params.to_kernel(), z, tol, method, branch_k)
 
 
@@ -275,9 +268,6 @@ def fox_h(params, z, tol=1e-10, method=None, branch_k=0):
     """H function: the G machinery with scaled gamma arguments."""
     if not isinstance(params, HParams):
         raise ParameterError("expected HParams")
-    if method not in (None, "quad", "residues"):
-        raise ParameterError("method must be 'quad' or 'residues'",
-                             method=method)
     return _evaluate_kernel(params.to_kernel(), z, tol, method, branch_k)
 
 

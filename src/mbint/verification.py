@@ -234,6 +234,38 @@ def suite_laplace(seed, n_samples=20):
     return checks
 
 
+def _ratio(gap, budget):
+    return gap / budget if budget else math.inf
+
+
+def contour_robustness(kernel, z, base):
+    """Acceptance criterion 10 on one kernel: (anchor ratio, truncation
+    ratio).
+
+    ``base`` is mb.integrate(kernel, z, tol=1e-10).  The anchor moves inside
+    the separation window (half a unit off a half-infinite one, a quarter
+    of a bounded one) and the truncation height doubles; each ratio is the
+    shift in value over the error estimates that must cover it, so both
+    stay below 1 when the estimates hold.
+    """
+    contour = base.contour
+    lo, hi = mb.contour_window(kernel)
+    if lo == -math.inf:
+        alt_anchor = contour.anchor - 0.5
+    elif hi == math.inf:
+        alt_anchor = contour.anchor + 0.5
+    else:
+        alt_anchor = contour.anchor + 0.25 * (hi - lo)
+    alt = mb.Contour("vertical", alt_anchor, contour.truncation)
+    moved = mb.integrate(kernel, z, contour=alt, tol=1e-10)
+    doubled = mb.Contour(contour.kind, contour.anchor,
+                         2.0 * contour.truncation, contour.detours)
+    tall = mb.integrate(kernel, z, contour=doubled, tol=1e-10)
+    return (_ratio(abs(base.value - moved.value),
+                   base.err_estimate + moved.err_estimate),
+            _ratio(abs(base.value - tall.value), base.err_estimate))
+
+
 def suite_mb(seed, n_samples=None):
     checks = []
     worst_pair = 0.0
@@ -246,30 +278,11 @@ def suite_mb(seed, n_samples=None):
         res = mb.residue_series(kernel, z, "right", n_max=800, tol=1e-12)
         gap = abs(quad.value - res.value)
         budget = 10.0 * (quad.err_estimate + res.err_estimate)
-        worst_pair = max(worst_pair, gap / budget if budget else math.inf)
+        worst_pair = max(worst_pair, _ratio(gap, budget))
 
-        base = mb.choose_contour(kernel)
-        lo, hi = mb.contour_window(kernel)
-        if lo == -math.inf:
-            alt_anchor = base.anchor - 0.5
-        elif hi == math.inf:
-            alt_anchor = base.anchor + 0.5
-        else:
-            alt_anchor = base.anchor + 0.25 * (hi - lo)
-        alt = mb.Contour("vertical", alt_anchor, base.truncation)
-        quad2 = mb.integrate(kernel, z, contour=alt, tol=1e-10)
-        gap = abs(quad.value - quad2.value)
-        budget = quad.err_estimate + quad2.err_estimate
-        worst_anchor = max(worst_anchor, gap / budget if budget else math.inf)
-
-        doubled = mb.Contour(quad.contour.kind, quad.contour.anchor,
-                             2.0 * quad.contour.truncation,
-                             quad.contour.detours)
-        quad3 = mb.integrate(kernel, z, contour=doubled, tol=1e-10)
-        gap = abs(quad.value - quad3.value)
-        worst_trunc = max(worst_trunc,
-                          gap / quad.err_estimate if quad.err_estimate
-                          else math.inf)
+        anchor, trunc = contour_robustness(kernel, z, quad)
+        worst_anchor = max(worst_anchor, anchor)
+        worst_trunc = max(worst_trunc, trunc)
 
         if complex(z).imag == 0.0 and all(
                 complex(v).imag == 0.0 for v in params.a + params.b):

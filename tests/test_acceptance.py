@@ -14,7 +14,7 @@ from mbint import cgamma, duality, fde_solutions as fde, laplace
 from mbint import mellin_barnes as mb
 from mbint import polyroots
 from mbint import special_functions as sf
-from mbint.verification import KERNEL_BANK
+from mbint.verification import KERNEL_BANK, contour_robustness
 
 
 def _criterion(num, desc, ok, detail=""):
@@ -223,24 +223,9 @@ def test_criterion_10_contour_robustness():
     for params, z in KERNEL_BANK:
         kernel = params.to_kernel()
         base = mb.integrate(kernel, z, tol=1e-10)
-        lo, hi = mb.contour_window(kernel)
-        if lo == -math.inf:
-            alt_anchor = base.contour.anchor - 0.5
-        elif hi == math.inf:
-            alt_anchor = base.contour.anchor + 0.5
-        else:
-            alt_anchor = base.contour.anchor + 0.25 * (hi - lo)
-        alt = mb.Contour("vertical", alt_anchor, base.contour.truncation)
-        moved = mb.integrate(kernel, z, contour=alt, tol=1e-10)
-        budget = base.err_estimate + moved.err_estimate
-        worst_anchor = max(worst_anchor,
-                           abs(base.value - moved.value) / budget)
-        doubled = mb.Contour(base.contour.kind, base.contour.anchor,
-                             2.0 * base.contour.truncation,
-                             base.contour.detours)
-        tall = mb.integrate(kernel, z, contour=doubled, tol=1e-10)
-        worst_trunc = max(worst_trunc,
-                          abs(base.value - tall.value) / base.err_estimate)
+        anchor, trunc = contour_robustness(kernel, z, base)
+        worst_anchor = max(worst_anchor, anchor)
+        worst_trunc = max(worst_trunc, trunc)
     _criterion(10, "anchor moves and doubled truncation stay within "
                    "reported error estimates (bank of 20)",
                worst_anchor < 1.0 and worst_trunc < 1.0,

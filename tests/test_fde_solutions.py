@@ -153,6 +153,11 @@ def test_inverse_transform_solution_matches_double_exponential():
 def test_inverse_transform_solution_anchor_precondition():
     with pytest.raises(ContourError):
         fde.inverse_transform_solution([0.0, 0.5], [1.0], anchor=0.3)
+    # an anchor on the head pole is refused, also where the kernel's pole
+    # (1 + rho) - 1 rounds below rho
+    for rho in (0.0, 0.553, 1.978, -0.431, 0.1):
+        with pytest.raises(ContourError):
+            fde.inverse_transform_solution([rho], [], anchor=rho)
 
 
 def test_inverse_transform_solution_structure():

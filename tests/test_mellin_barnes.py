@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import math
@@ -116,6 +117,138 @@ def test_choose_contour_collision_raises():
     kernel = mb.MellinKernel(up_left=((0.0, 1.0),), up_right=((1.0, 1.0),))
     with pytest.raises(ContourError):
         mb.choose_contour(kernel)
+
+
+def _eager_ladders(factors, rightward, n=40):
+    """The first n poles of each numerator gamma, as plain lists."""
+    if rightward:
+        return [[(f.coeff + l) / f.mult for l in range(n)] for f in factors]
+    return [[(f.coeff - 1.0 - l) / f.mult for l in range(n)] for f in factors]
+
+
+def _eager_collision(kernel):
+    """First right-opening pole (by factor, then pole) on a left-opening
+    ladder, taking the left-opening factors in order."""
+    lefts = _eager_ladders(kernel.up_right, False)
+    for right in _eager_ladders(kernel.up_left, True):
+        for left in lefts:
+            for s in right:
+                if min(abs(s - t) for t in left) <= POLE_TOLERANCE:
+                    return s
+    return None
+
+
+def _eager_contour(kernel):
+    """choose_contour's rule on eager pole lists: the contour, or the
+    reason for a refusal."""
+    if _eager_collision(kernel) is not None:
+        return "collision"
+    lefts = _eager_ladders(kernel.up_right, False)
+    rights = _eager_ladders(kernel.up_left, True)
+    lo = max((left[0].real for left in lefts), default=-math.inf)
+    hi = min((right[0].real for right in rights), default=math.inf)
+    trunc = mb.default_truncation(kernel)
+    if lo == -math.inf and hi == math.inf:
+        return mb.Contour("vertical", 0.0, trunc)
+    if lo + 1e-9 < hi:
+        anchor = hi - 0.5 if lo == -math.inf else \
+            lo + 0.5 if hi == math.inf else 0.5 * (lo + hi)
+        return mb.Contour("vertical", anchor, trunc)
+    poles = [s for right in rights for s in right if s.real < lo + 1.0]
+    bounds = [lo] + sorted({s.real for s in poles if s.real > lo}) \
+        + [lo + 1.0]
+    widths = [b - a for a, b in zip(bounds, bounds[1:])]
+    i = widths.index(max(widths))
+    anchor = 0.5 * (bounds[i] + bounds[i + 1])
+    crossed = [s for s in poles if s.real < anchor]
+    pairs = [abs(a - b) for i, a in enumerate(crossed) for b in crossed[i + 1:]]
+    if pairs and min(pairs) <= POLE_TOLERANCE:
+        return "order > 1"
+    gaps = pairs + [abs(s.real - anchor) for s in crossed]
+    radius = min(0.25, 0.45 * min(gaps)) if crossed else 0.25
+    return mb.Contour("indented", anchor, trunc,
+                      tuple(mb.Detour(s, radius, "left") for s in crossed))
+
+
+def _random_params(rng):
+    """(m, n, p, q, a, b, alpha, beta) on a quarter-integer lattice, so that
+    collisions, empty windows and shared poles occur."""
+    m, n = rng.randint(0, 3), rng.randint(0, 3)
+    q, p = m + rng.randint(0, 1), n + rng.randint(0, 1)
+
+    def param():
+        im = 0.0 if rng.random() < 0.85 else rng.choice((0.5, -0.25))
+        return complex(rng.randint(-12, 12) / 4, im)
+
+    unit = rng.random() < 0.5
+    mults = (1.0,) if unit else (0.5, 1.0, 1.5, 2.0, 3.0)
+    return (m, n, p, q, tuple(param() for _ in range(p)),
+            tuple(param() for _ in range(q)),
+            tuple(rng.choice(mults) for _ in range(p)),
+            tuple(rng.choice(mults) for _ in range(q)))
+
+
+def _kernel(m, n, a, b, alpha, beta):
+    return mb.MellinKernel(up_left=tuple(zip(b[:m], beta[:m])),
+                           up_right=tuple(zip(a[:n], alpha[:n])),
+                           down_left=tuple(zip(b[m:], beta[m:])),
+                           down_right=tuple(zip(a[n:], alpha[n:])))
+
+
+def test_contour_decisions_match_eager_reference():
+    rng = random.Random(5)
+    bank = [_random_params(rng) for _ in range(300)]
+    # an order-2 pole s = 1 left of the anchor 1.75, crossed by the line
+    bank.append((2, 1, 1, 2, (2.5,), (0.0, 1.0), (1.0,), (1.0, 1.0)))
+    outcomes = collections.Counter()
+    for m, n, p, q, a, b, alpha, beta in bank:
+        for kernel, make in (
+                (_kernel(m, n, a, b, alpha, beta),
+                 lambda: HParams(m, n, p, q, a, b, alpha, beta)),
+                (_kernel(m, n, a, b, (1.0,) * p, (1.0,) * q),
+                 lambda: GParams(m, n, p, q, a, b))):
+            lefts = _eager_ladders(kernel.up_right, False)
+            rights = _eager_ladders(kernel.up_left, True)
+            assert mb.contour_window(kernel) == (
+                max((left[0].real for left in lefts), default=-math.inf),
+                min((right[0].real for right in rights), default=math.inf))
+            assert mb.find_pole_collision(kernel) == _eager_collision(kernel)
+            expected = _eager_contour(kernel)
+            try:
+                got = mb.choose_contour(kernel)
+            except ContourError as exc:
+                got = "order > 1" if "order > 1" in str(exc) else "collision"
+            assert got == expected, kernel
+            try:
+                make()
+                refused = False
+            except ParameterError:
+                refused = True
+            assert refused == (expected == "collision"), kernel
+            outcomes[getattr(expected, "kind", expected)] += 1
+    assert len(outcomes) == 4, outcomes
+
+
+def test_integrate_detour_off_every_pole_raises():
+    # poles 0, 1, ... and 0.5, -0.5, ...; -1 and 1.5 would be pole -1 of
+    # either ladder
+    kernel = mb.MellinKernel(up_left=((0.0, 1.0),), up_right=((1.5, 1.0),))
+    for center in (0.3 + 0.1j, 1e-3, -1.0, 1.5):
+        contour = mb.Contour("indented", 0.75, 30.0,
+                             (mb.Detour(center, 0.1, "left"),))
+        with pytest.raises(ContourError):
+            mb.integrate(kernel, 0.5, contour=contour)
+
+
+def test_integrate_detour_around_left_opening_pole():
+    # G^{1,1}_{1,1}(z | 0; 0) = 1 / (1 + z): the line at -1.5 with the pole
+    # -1 of Gamma(1 + s) routed left of it
+    kernel = mb.MellinKernel(up_left=((0.0, 1.0),), up_right=((0.0, 1.0),))
+    contour = mb.Contour("indented", -1.5, 30.0,
+                         (mb.Detour(-1.0, 0.25, "right"),))
+    for z in (0.5, 0.3 + 0.4j):
+        res = mb.integrate(kernel, z, contour=contour, tol=1e-11)
+        assert abs(res.value - 1.0 / (1.0 + z)) < 1e-12
 
 
 def test_integrate_exponential_closed_form():

@@ -7,7 +7,8 @@ from mbint import mellin_barnes as mb
 from mbint import special_functions as sf
 from mbint import verification
 from mbint.errors import (ConvergenceError, DivergentSeriesError,
-                          InvalidDenominatorError, OrderError, ParameterError)
+                          InvalidDenominatorError, OrderError, ParameterError,
+                          QuadratureError)
 from mbint.fde_solutions import FirstOrderFDE
 
 TWO_LOG_TWO = 1.3862943611198906        # 2F1(1,1;2;1/2) = -log(1-z)/z
@@ -108,6 +109,19 @@ def test_gparams_invariants():
         sf.GParams(1, 1, 1, 1, (2.0,), (0.0,))      # a - b positive integer
     with pytest.raises(ParameterError):
         sf.GParams(1, 0, 0, 2, (), (0.0,))          # wrong vector length
+
+
+def test_meijer_g_node_budget_exhausted(monkeypatch):
+    # too few nodes for the first round: "quad" refuses, default routing
+    # falls back to the residue series
+    monkeypatch.setattr(mb, "MAX_NODES", 60)
+    params = sf.GParams(1, 0, 0, 1, (), (0.5,))
+    exact = math.sqrt(2.0) * math.exp(-2.0)
+    with pytest.raises(QuadratureError):
+        sf.meijer_g(params, 2.0, method="quad")
+    res = sf.meijer_g(params, 2.0)
+    assert res.method == "residues_right"
+    assert abs(res.value - exact) < 1e-10 * exact
 
 
 def test_pfq_via_g_matches_closed_forms():
