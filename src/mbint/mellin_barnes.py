@@ -91,17 +91,6 @@ class MellinKernel:
         """Principal branch of log(base); the recorded c^x branch choice."""
         return complex(np.log(complex(self.base)))
 
-    @property
-    def is_g(self):
-        return all(f.mult == 1.0 for f in self.up_left + self.up_right
-                   + self.down_left + self.down_right)
-
-    @property
-    def orders(self):
-        """(m, n, p, q) reconstructed from the factor-family sizes."""
-        m, n = len(self.up_left), len(self.up_right)
-        return (m, n, n + len(self.down_right), m + len(self.down_left))
-
     def simplify(self, tol=1e-12):
         """Cancel numerator/denominator factor pairs of identical shape.
 
@@ -170,6 +159,24 @@ def kernel_log_grid(kernel, s):
     return out
 
 
+def _log_gammas(terms, s):
+    """Sum of sign * log Gamma(coeff + slope*s) over ``terms``.
+
+    Raises PoleError when a numerator gamma (sign > 0) sits on a pole; a
+    denominator gamma on a pole makes the product zero, returned as None.
+    """
+    total = 0.0 + 0.0j
+    for coeff, slope, sign in terms:
+        w = coeff + slope * s
+        if detect_pole(w).is_pole:
+            if sign > 0:
+                raise PoleError("kernel evaluated at a numerator pole",
+                                s=s, argument=w)
+            return None
+        total += sign * log_gamma_unchecked(w)
+    return total
+
+
 def kernel_log_eval(kernel, s):
     """log K(s) for scalar s.
 
@@ -177,16 +184,9 @@ def kernel_log_eval(kernel, s):
     pole (a zero of the kernel) yields -inf instead.
     """
     s = complex(s)
-    total = 0.0 + 0.0j
-    for coeff, slope, sign in _signed_terms(kernel):
-        w = coeff + slope * s
-        report = detect_pole(w)
-        if report.is_pole:
-            if sign > 0:
-                raise PoleError("kernel evaluated at a numerator pole",
-                                s=s, argument=w)
-            return _NEG_INF
-        total += sign * log_gamma_unchecked(w)
+    total = _log_gammas(_signed_terms(kernel), s)
+    if total is None:
+        return _NEG_INF
     return total + s * kernel.base_log
 
 
@@ -270,15 +270,10 @@ def _ladder_poles(ladder):
     broken by factor index; (key, Im, idx, l) is unique per pole, so the
     merge never compares s_l itself.
     """
-    origin, mult, idx = ladder.origin, ladder.mult, ladder.idx
-    if ladder.rightward:
-        for l in range(ladder.length):
-            loc = (origin + l) / mult
-            yield loc.real, loc.imag, idx, l, loc
-    else:
-        for l in range(ladder.length):
-            loc = (origin - l) / mult
-            yield -loc.real, loc.imag, idx, l, loc
+    rightward, idx = ladder.rightward, ladder.idx
+    for l in range(ladder.length):
+        loc = ladder.location(l)
+        yield loc.real if rightward else -loc.real, loc.imag, idx, l, loc
 
 
 def _merged_poles(ladders):
@@ -591,42 +586,6 @@ class EvalResult:
 # residues
 
 
-def _own_position(kernel, ladder):
-    """Where the factor owning ``ladder`` sits in _signed_terms order."""
-    return ladder.idx if ladder.rightward \
-        else len(kernel.up_left) + ladder.idx
-
-
-def _reduced_terms(kernel, ladder):
-    """_signed_terms without the factor that owns ``ladder``."""
-    terms = _signed_terms(kernel)
-    del terms[_own_position(kernel, ladder)]
-    return terms
-
-
-def _residue(reduced, ladder, l, s_p, shift):
-    """Residue of K(s) z^s at s_p, the pole l of ``ladder``.
-
-    ``reduced`` is _reduced_terms(kernel, ladder) and ``shift`` is
-    log(base) + log z.  A denominator gamma on a pole gives 0; a numerator
-    gamma on a pole raises PoleError.
-    """
-    total = 0.0 + 0.0j
-    for coeff, slope, sign in reduced:
-        w = coeff + slope * s_p
-        if detect_pole(w).is_pole:
-            if sign > 0:
-                raise PoleError("pole of another numerator factor at a "
-                                "residue location", s=s_p, argument=w)
-            return 0.0 + 0.0j
-        total += sign * log_gamma_unchecked(w)
-    total += s_p * shift
-    total -= math.lgamma(l + 1) + math.log(ladder.mult)
-    parity = (-1.0 if ladder.rightward else 1.0) \
-        * (1.0 if l % 2 == 0 else -1.0)
-    return parity * complex(np.exp(total))
-
-
 def _mpmath():
     """The mpmath module, imported on first use (by the re-summation only)."""
     global mpmath
@@ -640,46 +599,79 @@ def _mp_number(x):
     return mpmath.mpf(x.real) if x.imag == 0 else mpmath.mpc(x.real, x.imag)
 
 
-def _mp_residues(kernel, ladder, shift):
-    """Residues of K(s) z^s along ``ladder`` in mpmath, for l = 0, 1, ...
+def _ladder_model(kernel, ladder, exact):
+    """(ladder, terms, moves): the other gamma factors along ``ladder``.
 
-    The poles are the exact progression s_l = (origin +/- l) / mult, built
-    in mpmath from the kernel's parameters, as is every gamma argument.  A
-    term comes from gamma/rgamma at the ladder's first pole and after a zero
-    term.  When every other factor's argument moves by +/-1 from pole to
-    pole (multipliers equal to the ladder's), later terms follow from the
-    previous one through Gamma(w + 1) = w Gamma(w), with no gamma call.
-    A denominator gamma on a pole gives a zero term; a numerator gamma on a
-    pole raises HigherOrderPoleError.  Runs inside the caller's workdps.
+    ``terms`` holds (coeff, slope, sign) of every factor but the one owning
+    the ladder, in _signed_terms order, and ``moves`` the step of each
+    one's argument from pole to pole: +/-1 when its multiplier equals the
+    ladder's, else None.  In double the numbers are _signed_terms' own.
+    With ``exact`` every coeff and slope, and the ladder's origin and
+    multiplier, are mpmath numbers built from the kernel's parameters, so
+    the poles ladder.location(l) are exact too.
     """
-    own = _own_position(kernel, ladder)
     step = 1 if ladder.rightward else -1
-    factors = kernel.up_left + kernel.up_right + kernel.down_left \
-        + kernel.down_right
-    args = []  # (coeff, slope, sign, move) of Gamma(coeff + slope*s)
-    for pos, (f, (_, slope, sign)) in enumerate(zip(factors,
-                                                    _signed_terms(kernel))):
-        if pos == own:
-            continue
+    own = ladder.idx if ladder.rightward \
+        else len(kernel.up_left) + ladder.idx
+    factors = list(kernel.up_left + kernel.up_right + kernel.down_left
+                   + kernel.down_right)
+    origin = factors.pop(own).coeff
+    terms = _signed_terms(kernel)
+    del terms[own]
+    moves = [step * (1 if slope > 0 else -1) if f.mult == ladder.mult
+             else None for f, (_, slope, _) in zip(factors, terms)]
+    if exact:
         # exact 1 - a for the Gamma(1 - a + alpha s) factors (slope > 0)
-        c = 1 - _mp_number(f.coeff) if slope > 0 else _mp_number(f.coeff)
-        move = step * (1 if slope > 0 else -1) \
-            if f.mult == ladder.mult else None
-        args.append((c, mpmath.mpf(slope), sign, move))
-    by_ratio = all(move is not None for *_, move in args)
-    origin = _mp_number(factors[own].coeff)
-    if not ladder.rightward:
-        origin -= 1
-    mult = mpmath.mpf(ladder.mult)
-    e_step = mpmath.exp(step * shift / mult)
-    orient = -1 if ladder.rightward else 1
+        terms = [(1 - _mp_number(f.coeff) if slope > 0
+                  else _mp_number(f.coeff), mpmath.mpf(slope), sign)
+                 for f, (_, slope, sign) in zip(factors, terms)]
+        origin = _mp_number(origin)
+        if not ladder.rightward:
+            origin -= 1
+        ladder = replace(ladder, origin=origin, mult=mpmath.mpf(ladder.mult))
+    return ladder, terms, moves
+
+
+def _log_residue(ladder, terms, l, shift):
+    """The residue at pole l of ``ladder`` in double, composed in log space
+    by _log_gammas and exponentiated once (see _ladder_residues)."""
+    s = ladder.location(l)
+    total = _log_gammas(terms, s)
+    if total is None:
+        return 0.0 + 0.0j
+    total += s * shift
+    total -= math.lgamma(l + 1) + math.log(ladder.mult)
+    parity = (-1.0 if ladder.rightward else 1.0) \
+        * (1.0 if l % 2 == 0 else -1.0)
+    return parity * complex(np.exp(total))
+
+
+def _ladder_residues(kernel, ladder, shift, exact=False):
+    """Residues of K(s) z^s at the poles l = 0, 1, ... of ``ladder``.
+
+    ``shift`` is log(base) + log z.  A numerator gamma on a pole raises
+    PoleError; a denominator gamma on a pole gives a zero term.  In double
+    every term is composed in log space.  With ``exact``, inside the
+    caller's workdps, a term comes from gamma/rgamma at the ladder's first
+    pole and after a zero term; when every other factor's argument moves
+    by +/-1 from pole to pole (multipliers equal to the ladder's), later
+    terms follow from the previous one through Gamma(w + 1) = w Gamma(w),
+    with no gamma call.
+    """
+    ladder, terms, moves = _ladder_model(kernel, ladder, exact)
+    step = 1 if ladder.rightward else -1
+    by_ratio = exact and None not in moves
+    if by_ratio:
+        e_step = mpmath.exp(step * shift / ladder.mult)
     term = None
     for l in range(ladder.length):
-        if term and by_ratio:
+        if not exact:
+            term = _log_residue(ladder, terms, l, shift)
+        elif term and by_ratio:
             # Gamma(w + 1) / Gamma(w) = w; Gamma(w - 1) / Gamma(w) = 1/(w - 1)
             num = -e_step
             den = mpmath.mpf(l)
-            for i, (_, _, sign, move) in enumerate(args):
+            for i, ((_, _, sign), move) in enumerate(zip(terms, moves)):
                 w = ws[i]
                 if move > 0:
                     ws[i] = w + 1
@@ -690,61 +682,70 @@ def _mp_residues(kernel, ladder, shift):
                 else:
                     den *= w
             if not den:
-                raise HigherOrderPoleError(
-                    "residue location collides with another pole family",
-                    location=ladder.location(l))
+                raise PoleError("numerator gamma on a pole at a residue "
+                                "location")
             term = term * num / den
         else:
-            s = (origin + l if ladder.rightward else origin - l) / mult
-            ws = [coeff + slope * s for coeff, slope, _, _ in args]
-            value = mpmath.mpf(orient if l % 2 == 0 else -orient)
-            for w, (_, _, sign, _) in zip(ws, args):
+            s = ladder.location(l)
+            ws = [coeff + slope * s for coeff, slope, _ in terms]
+            term = mpmath.mpf(-step if l % 2 == 0 else step)
+            for w, (_, _, sign) in zip(ws, terms):
                 if sign < 0:
-                    value *= mpmath.rgamma(w)
+                    term *= mpmath.rgamma(w)
                 elif detect_pole(complex(w)).is_pole:
-                    raise HigherOrderPoleError(
-                        "residue location collides with another pole family",
-                        location=complex(s))
+                    raise PoleError("numerator gamma on a pole at a residue "
+                                    "location", argument=complex(w))
                 else:
-                    value *= mpmath.gamma(w)
-            term = value / mpmath.factorial(l) / mult * mpmath.exp(s * shift)
+                    term *= mpmath.gamma(w)
+            term = term / mpmath.factorial(l) / ladder.mult \
+                * mpmath.exp(s * shift)
         yield term
 
 
-def _residue_series_mp(kernel, ladders, finite, z, tol, branch_k, dps):
-    """High-precision re-summation used when double arithmetic cancels."""
-    with _MP_LOCK, _mpmath().workdps(dps):
-        shift = mpmath.log(mpmath.mpmathify(complex(z))) \
-            + 2j * mpmath.pi * branch_k \
-            + mpmath.log(mpmath.mpmathify(complex(kernel.base)))
-        runs = [_mp_residues(kernel, lad, shift) for lad in ladders]
-        total = mpmath.mpc(0)
-        ok = 0
-        nterms = 0
-        last = 0.0
-        for _, _, idx, _, _ in _merged_poles(ladders):
+def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
+    """The residue sum over ``ladders``, merged lazily in opening order.
+
+    Returns (total, abs_sum, last, nterms, converged).  Summation stops
+    after three consecutive terms below tol * |partial|, counted once the
+    partial sum is nonzero; ``last`` is the magnitude of the last term.
+    Ladders all cut short of ``budget`` give a complete sum, with no tail.
+    """
+    runs = [_ladder_residues(kernel, lad, shift, exact) for lad in ladders]
+    total = 0
+    abs_sum = 0.0
+    ok = 0
+    nterms = 0
+    last = 0.0
+    for _, _, idx, _, loc in _merged_poles(ladders):
+        try:
             term = next(runs[idx])
-            total += term
-            nterms += 1
-            # magnitudes in double suffice for the stop rule and estimate
-            last = abs(complex(term))
-            if total != 0 and \
-                    last < tol * 1e-3 * max(abs(complex(total)), 1e-300):
-                ok += 1
-                if ok >= 3:
-                    break
-            else:
-                ok = 0
-        settled = ok >= 3
-        if finite and not settled:
-            settled, last = True, 0.0  # a complete sum has no tail
-        sign = -1.0 if ladders[0].rightward else 1.0
-        value = complex(sign * total)
-        err = last + 5e-16 * abs(value)
-        return value, err, nterms, settled
+        except PoleError as exc:
+            raise HigherOrderPoleError(
+                "residue location collides with another pole family",
+                location=loc) from exc
+        total += term
+        # magnitudes in double suffice for the stop rule and the estimate
+        last = abs(complex(term))
+        abs_sum += last
+        nterms += 1
+        if not math.isfinite(last):
+            raise NonConvergentSeriesError("residue terms overflow",
+                                           terms=nterms)
+        # structurally zero leading terms (a denominator gamma at a pole)
+        # say nothing about convergence while the partial sum is still zero
+        if total != 0 and last < tol * max(abs(complex(total)), 1e-300):
+            ok += 1
+            if ok >= 3:
+                return total, abs_sum, last, nterms, True
+        else:
+            ok = 0
+    if all(lad.length < budget for lad in ladders):
+        return total, abs_sum, 0.0, nterms, True
+    return total, abs_sum, last, nterms, False
 
 
 _RESIDUE_METHOD = {"left": "residues_left", "right": "residues_right"}
+_EXACT_BUDGET = 4  # the exact pass's ladders: this many times n_max poles
 
 
 def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
@@ -759,8 +760,9 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     tol * |partial|, counted once the partial sum is nonzero; a series
     whose terms are all exactly zero evaluates to an exact 0.
     When alternating cancellation makes double precision insufficient the
-    sum is redone with mpmath at a working precision sized to the measured
-    condition number.
+    same residues are summed again in mpmath, at a working precision sized
+    to the measured condition number, on ladders of up to
+    _EXACT_BUDGET * n_max poles under a 1000x stricter stop rule.
     """
     z = complex(z)
     if z == 0:
@@ -782,43 +784,9 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
                                            "side", location=loc)
     ladders = [replace(lad, length=_live_length(kernel, lad))
                for lad in ladders]
-    finite = all(lad.length < n_max for lad in ladders)
-    reduced = [_reduced_terms(kernel, lad) for lad in ladders]
     logz = complex(np.log(z)) + 2j * np.pi * branch_k
-    shift = kernel.base_log + logz
-
-    total = 0.0 + 0.0j
-    abs_sum = 0.0
-    ok = 0
-    nterms = 0
-    last = 0.0
-    converged = False
-    for _, _, idx, l, loc in _merged_poles(ladders):
-        try:
-            term = _residue(reduced[idx], ladders[idx], l, loc, shift)
-        except PoleError as exc:
-            raise HigherOrderPoleError(
-                "residue location collides with another pole family",
-                location=loc) from exc
-        total += term
-        last = abs(term)
-        abs_sum += last
-        nterms += 1
-        if not math.isfinite(last):
-            raise NonConvergentSeriesError("residue terms overflow",
-                                           terms=nterms)
-        # structurally zero leading terms (a denominator gamma at a pole)
-        # say nothing about convergence while the partial sum is still zero
-        if total != 0 and last < tol * max(abs(total), 1e-300):
-            ok += 1
-            if ok >= 3:
-                converged = True
-                break
-        else:
-            ok = 0
-    if finite and not converged:
-        # every ladder was cut: the sum is complete, with no tail
-        converged, last = True, 0.0
+    total, abs_sum, last, nterms, converged = _sum_residues(
+        kernel, ladders, kernel.base_log + logz, tol, n_max)
     method = _RESIDUE_METHOD[side]
     if abs_sum == 0.0:
         # every term was exactly zero (or every ladder vanishes): terms
@@ -836,13 +804,23 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     if err > tol * max(abs(value), 1e-300) and cancel > 1e3:
         dps = 22 + int(math.log10(cancel)) + 6
         log.debug("residue series escalating to mpmath dps=%d", dps)
-        value, err, nterms, settled = _residue_series_mp(
-            kernel, ladders, finite, z, tol, branch_k, dps)
-        if not settled:
+        budget = _EXACT_BUDGET * n_max
+        ladders = [replace(lad, length=_live_length(kernel, lad))
+                   for lad in _pole_ladders(kernel, side, budget)]
+        with _MP_LOCK, _mpmath().workdps(dps):
+            shift = mpmath.log(mpmath.mpmathify(z)) \
+                + 2j * mpmath.pi * branch_k \
+                + mpmath.log(mpmath.mpmathify(complex(kernel.base)))
+            total, _, last, nterms, converged = _sum_residues(
+                kernel, ladders, shift, tol * 1e-3, budget, exact=True)
+            value = complex(sign * total)
+        err = last + 5e-16 * abs(value)
+        if not converged:
             raise NonConvergentSeriesError("residue series did not settle",
                                            terms=nterms)
     return EvalResult(value=value, err_estimate=float(err), nodes_used=nterms,
                       contour=None, method=method, arg_branch=branch_k)
+
 
 
 # --------------------------------------------------------------------------
@@ -918,8 +896,8 @@ def _detour_correction(kernel, contour, logz):
     shift = kernel.base_log + logz
     for det in contour.detours:
         ladder, l = _locate_pole(kernel, det.center)
-        res = _residue(_reduced_terms(kernel, ladder), ladder, l,
-                       ladder.location(l), shift)
+        ladder, terms, _ = _ladder_model(kernel, ladder, exact=False)
+        res = _log_residue(ladder, terms, l, shift)
         total += res if det.side == "right" else -res
     return total
 
@@ -958,6 +936,8 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     T = max(T, contour.truncation)
     used = contour if T == contour.truncation \
         else replace(contour, truncation=float(T))
+    # composed before the quadrature, so a bad detour is refused at once
+    correction = _detour_correction(kernel, contour, logz)
 
     def integrand(y):
         s = sigma + 1j * np.asarray(y, dtype=np.float64)
@@ -978,7 +958,7 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
         quad_err = quad.error / (2.0 * np.pi)
     tail = _tail_bound(kernel, sigma, T, logz)
     if contour.detours:
-        value = value + _detour_correction(kernel, used, logz)
+        value = value + correction
     err = quad_err + tail
     if not quad.converged and err > 25.0 * tol * max(abs(value), 1e-300):
         raise QuadratureError("node budget exhausted before reaching the "

@@ -1,6 +1,7 @@
 import collections
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 import random
@@ -229,10 +230,14 @@ def test_contour_decisions_match_eager_reference():
     assert len(outcomes) == 4, outcomes
 
 
-def test_integrate_detour_off_every_pole_raises():
+def test_integrate_detour_off_every_pole_raises(monkeypatch):
     # poles 0, 1, ... and 0.5, -0.5, ...; -1 and 1.5 would be pole -1 of
     # either ladder
     kernel = mb.MellinKernel(up_left=((0.0, 1.0),), up_right=((1.5, 1.0),))
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran before the detour was refused")
+
+    monkeypatch.setattr(mb, "integrate_adaptive", no_quadrature)
     for center in (0.3 + 0.1j, 1e-3, -1.0, 1.5):
         contour = mb.Contour("indented", 0.75, 30.0,
                              (mb.Detour(center, 0.1, "left"),))
@@ -493,8 +498,46 @@ def test_residue_series_mp_numerator_pole_is_typed():
                                    up_right=((1.0, 1.0),)),
                    mb.MellinKernel(up_left=((0.0, 1.0), (2.0, 1.0)))):
         ladders = mb._pole_ladders(kernel, "right", 10)
-        with pytest.raises(HigherOrderPoleError):
-            mb._residue_series_mp(kernel, ladders, False, 0.5, 1e-12, 0, 30)
+        with mb._mpmath().workdps(30), pytest.raises(HigherOrderPoleError):
+            mb._sum_residues(kernel, ladders, mb.mpmath.log(0.5), 1e-15, 10,
+                             exact=True)
+
+
+def test_residue_series_double_and_exact_terms_agree():
+    # the two passes share one term model: the first 30 residues in merge
+    # order agree, on interleaved complex ladders and on unequal multipliers
+    interleaved_g = GParams(3, 2, 2, 3, (0.3, -0.2 + 0.1j),
+                            (0.1, 0.6 + 0.2j, 0.1 - 0.3j)).to_kernel()
+    unequal_h = HParams(2, 2, 2, 2, (0.4, 0.9), (0.2, 0.7),
+                        (1.5, 0.5), (2.0, 0.8)).to_kernel()
+    z = 0.3 - 0.2j
+    for kernel in (interleaved_g, unequal_h):
+        ladders = mb._pole_ladders(kernel, "right", 40)
+        merged = list(itertools.islice(mb._merged_poles(ladders), 30))
+        runs = [mb._ladder_residues(kernel, lad, kernel.base_log
+                                    + complex(np.log(z))) for lad in ladders]
+        double = [next(runs[idx]) for _, _, idx, _, _ in merged]
+        with mb._mpmath().workdps(30):
+            shift = mb.mpmath.log(z) + mb.mpmath.log(kernel.base)
+            runs = [mb._ladder_residues(kernel, lad, shift, exact=True)
+                    for lad in ladders]
+            exact = [complex(next(runs[idx])) for _, _, idx, _, _ in merged]
+        assert len({idx for _, _, idx, _, _ in merged}) > 1
+        for d, e in zip(double, exact):
+            assert abs(d - e) <= 1e-12 * abs(e)
+
+
+def test_residue_series_exact_pass_has_its_own_budget():
+    # G^{1,0}_{1,1}(z | a; b) = z^b (1 - z)^{a-b-1} / Gamma(a - b): the
+    # double pass settles within n_max = 800 poles, the mpmath re-summation
+    # (1000x stricter) needs 920
+    res = meijer_g(GParams(1, 0, 1, 1, (-0.19981391900622214,),
+                           (1.8923459603939832,)),
+                   -0.8040259380530045 + 0.5091693353898146j,
+                   method="residues")
+    mpmath_value = -0.0219669160206466763 + 0.0136463720794265117j
+    assert res.nodes_used > 800
+    assert abs(res.value - mpmath_value) <= res.err_estimate
 
 
 def test_residue_series_finite_sum_settles():
