@@ -56,14 +56,6 @@ class FirstOrderFDE:
     def lead_q(self):
         return self.q_poly[-1]
 
-    @property
-    def deg_p(self):
-        return len(self.p_poly) - 1
-
-    @property
-    def deg_q(self):
-        return len(self.q_poly) - 1
-
     @classmethod
     def from_coefficient_columns(cls, col0, col1):
         """Build from the matrix columns a[h][0] and a[h][1].

@@ -25,7 +25,14 @@ _NEAR_ONE = 1e-9
 
 @dataclass(frozen=True)
 class ClosedFormPsi:
-    """psi(t) = normalization * e^{lambda t} * prod (1 - e^{-t}/z_i)^{mu_i}."""
+    """psi(t) = normalization * e^{lambda t} * prod (1 - e^{-t}/z_i)^{mu_i}.
+
+    A root within _NEAR_ONE of 1 is stored as exactly 1: its factor
+    vanishes at t = 0, so singular_exponent counts its power and psi is
+    evaluated as (1 - e^{-t})^{mu}, not as (t + eps)^{mu} for the root's
+    rounding error eps, which would move the transform by about
+    eps^{1 + mu}.
+    """
 
     exponent_lambda: complex
     factors: tuple  # of (root z_i, power mu_i), all z_i distinct
@@ -35,7 +42,8 @@ class ClosedFormPsi:
         object.__setattr__(self, "exponent_lambda",
                            complex(self.exponent_lambda))
         object.__setattr__(self, "factors",
-                           tuple((complex(z), complex(mu))
+                           tuple((1.0 + 0.0j if abs(z - 1.0) < _NEAR_ONE
+                                  else complex(z), complex(mu))
                                  for z, mu in self.factors))
         object.__setattr__(self, "normalization",
                            complex(self.normalization))
@@ -60,9 +68,8 @@ class ClosedFormPsi:
         return replace(self, exponent_lambda=self.exponent_lambda - 1.0)
 
     def singular_exponent(self):
-        """Sum of powers over factors vanishing at t = 0 (roots near 1)."""
-        return sum((mu for z, mu in self.factors if abs(z - 1.0) < _NEAR_ONE),
-                   0.0 + 0.0j)
+        """Sum of powers over factors vanishing at t = 0 (roots at 1)."""
+        return sum((mu for z, mu in self.factors if z == 1.0), 0.0 + 0.0j)
 
     def to_json(self):
         return {"lambda": [self.exponent_lambda.real, self.exponent_lambda.imag],

@@ -709,6 +709,9 @@ def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
     after three consecutive terms below tol * |partial|, counted once the
     partial sum is nonzero; ``last`` is the magnitude of the last term.
     Ladders all cut short of ``budget`` give a complete sum, with no tail.
+    A ladder of ``budget`` poles that draws its last one before the stop
+    rule settles ends the sum unconverged: the other ladders' terms say
+    nothing about its tail.
     """
     runs = [_ladder_residues(kernel, lad, shift, exact) for lad in ladders]
     total = 0
@@ -716,7 +719,7 @@ def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
     ok = 0
     nterms = 0
     last = 0.0
-    for _, _, idx, _, loc in _merged_poles(ladders):
+    for _, _, idx, l, loc in _merged_poles(ladders):
         try:
             term = next(runs[idx])
         except PoleError as exc:
@@ -739,6 +742,8 @@ def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
                 return total, abs_sum, last, nterms, True
         else:
             ok = 0
+        if l == budget - 1:
+            return total, abs_sum, last, nterms, False
     if all(lad.length < budget for lad in ladders):
         return total, abs_sum, 0.0, nterms, True
     return total, abs_sum, last, nterms, False

@@ -1,9 +1,9 @@
 """Polynomial helpers and complex root finding.
 
 Coefficients are ascending (c[k] multiplies x**k) everywhere in this
-package.  Root finding runs simultaneous Aberth-Ehrlich iteration with a
-companion-matrix fallback; results are verified by reconstructing the
-polynomial from its roots.
+package.  Roots are the eigenvalues of the companion matrix (np.roots),
+which is backward stable (Edelman & Murakami, Math. Comp. 64, 1995);
+every result is verified by reconstructing the polynomial from its roots.
 """
 
 import numpy as np
@@ -19,10 +19,6 @@ def trim(coeffs):
     while len(c) > 1 and c[-1] == 0:
         c.pop()
     return np.asarray(c, dtype=np.complex128)
-
-
-def degree(coeffs):
-    return len(trim(coeffs)) - 1
 
 
 def polyval(coeffs, x):
@@ -65,38 +61,6 @@ def shift(coeffs, offset):
     return out
 
 
-def _aberth(coeffs, tol=1e-13, max_iters=120):
-    c = np.asarray(coeffs, dtype=np.complex128)
-    n = len(c) - 1
-    monic = c / c[-1]
-    dmonic = polyder(monic)
-    center = -monic[-2] / n
-    radius = 1.0 + float(np.max(np.abs(monic[:-1])))
-    angles = 2.0 * np.pi * (np.arange(n) + 0.25) / n + 0.4
-    z = center + radius * np.exp(1j * angles)
-    for _ in range(max_iters):
-        p = polyval(monic, z)
-        dp = polyval(dmonic, z)
-        dp = np.where(dp == 0, 1e-300, dp)
-        newton = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        denom = 1.0 - newton * inv.sum(axis=1)
-        denom = np.where(denom == 0, 1e-300, denom)
-        step = newton / denom
-        z = z - step
-        if np.max(np.abs(step)) < tol * (1.0 + np.max(np.abs(z))):
-            return z, True
-    return z, False
-
-
-def _companion(coeffs):
-    c = np.asarray(coeffs, dtype=np.complex128)
-    return np.roots(c[::-1])
-
-
 def _sorted(roots):
     r = np.asarray(roots, dtype=np.complex128)
     order = np.lexsort((r.imag, r.real))
@@ -109,11 +73,11 @@ def _reconstruction_residual(coeffs, roots):
     return float(np.max(np.abs(rebuilt - coeffs)) / scale)
 
 
-def roots(coeffs, residual_tol=RESIDUAL_TOL):
+def roots(coeffs):
     """All roots of the polynomial, sorted by (Re, Im).
 
-    Raises RootFindingError when neither Aberth iteration nor the companion
-    matrix reproduces the coefficients within ``residual_tol``.
+    Raises RootFindingError when the companion-matrix eigenvalues do not
+    reproduce the coefficients within RESIDUAL_TOL.
     """
     c = trim(coeffs)
     n = len(c) - 1
@@ -121,12 +85,9 @@ def roots(coeffs, residual_tol=RESIDUAL_TOL):
         return np.zeros(0, dtype=np.complex128)
     if n == 1:
         return np.array([-c[0] / c[1]], dtype=np.complex128)
-    z, converged = _aberth(c)
-    if converged and _reconstruction_residual(c, z) <= residual_tol:
-        return _sorted(z)
-    z = _companion(c)
+    z = np.roots(c[::-1])
     res = _reconstruction_residual(c, z)
-    if res <= residual_tol:
-        return _sorted(z)
-    raise RootFindingError("root finding failed to reproduce coefficients",
-                           residual=res, degree=n)
+    if not res <= RESIDUAL_TOL:  # a NaN residual fails too
+        raise RootFindingError("root finding failed to reproduce "
+                               "coefficients", residual=res, degree=n)
+    return _sorted(z)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -95,6 +96,37 @@ def test_transform_endpoint_singularity_substitution():
     got = laplace.laplace_transform(psi, 1.5, tol=1e-9)
     oracle = beta_gamma_ratio(1.5, beta)
     assert abs(got - oracle) / abs(oracle) < 1e-6
+
+
+def test_root_near_one_is_the_endpoint():
+    # a rounded root 1 + 2e-16 is the endpoint: psi ~ t^mu, not (t + 2e-16)^mu
+    near = laplace.ClosedFormPsi(0.3, ((1.0 + 2e-16, -0.5), (3.0j, 0.7)))
+    exact = laplace.ClosedFormPsi(0.3, ((1.0, -0.5), (3.0j, 0.7)))
+    assert near.factors == exact.factors
+    assert near.singular_exponent() == exact.singular_exponent() == -0.5
+    for t in (1e-15, 1e-12, 1e-8, 0.5):
+        assert near(t) == exact(t)
+
+
+def test_transform_with_rounded_endpoint_root():
+    # A1 = (u - 1)(u - r): the computed root at u = 1 is off by about 1e-16,
+    # which moved the transform by 3e-8 when psi was evaluated at it
+    r = 0.9502149828372805 + 3.7270979601380425j
+    mu1 = -0.5266690493233277
+    mu2 = -0.37735582080602614 + 0.1898081820264611j
+    lam = -0.3277971123652784
+    x = 2.6895520721973813 - 0.007123370713692956j
+    a1 = polyroots.from_roots([1.0, r])
+    a0 = (-lam * a1 + mu1 * polyroots.from_roots([0.0, r])
+          + mu2 * polyroots.from_roots([0.0, 1.0]))
+    psi = laplace.solve_first_order_ode(a0, a1)
+    got = laplace.laplace_transform(psi, x, tol=1e-9)
+    # u = e^{-t}: the transform is a beta-type integral over [0, 1]
+    with mpmath.workdps(30):
+        oracle = complex(mpmath.quad(
+            lambda u: u ** (x - lam - 1) * (1 - u) ** mu1
+            * (1 - u / r) ** mu2, [0, 1]))
+    assert abs(got - oracle) < 1e-9 * abs(oracle)
 
 
 def test_transform_divergence_guards():

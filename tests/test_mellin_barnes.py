@@ -540,6 +540,23 @@ def test_residue_series_exact_pass_has_its_own_budget():
     assert abs(res.value - mpmath_value) <= res.err_estimate
 
 
+def test_residue_series_exhausted_ladder_is_unconverged():
+    # at n_max = 100 the ladder of Gamma(0.5 - 2s) (pole spacing 0.5) draws
+    # its last pole at Re s = 49.75 before the sum settles; the sum used to
+    # go on over the ladder of spacing 2 alone and return 1.08e10 - 8.35e9i
+    # with an estimate of 0.06
+    kernel = mb.MellinKernel(
+        up_left=((0.5, 2.0), (1.0, 0.5)),
+        up_right=((-1.0, 0.75), (1.4623975207975812, 3.0), (-1.0, 2.0)),
+        down_left=((0.8224900809798221, 3.0), (1.0, 0.5)))
+    z = -1.6078 + 0.0736j
+    with pytest.raises(NonConvergentSeriesError):
+        mb.residue_series(kernel, z, "right", n_max=100)
+    res = mb.residue_series(kernel, z, "right", n_max=800)
+    quad_value = 0.08863959673171083 + 0.0521756812012628j  # integrate
+    assert abs(res.value - quad_value) < 1e-12 * abs(quad_value)
+
+
 def test_residue_series_finite_sum_settles():
     # 1/Gamma(1 - s) vanishes at every pole s = l >= 1 of Gamma(-s), so the
     # series is its first term: G^{1,0}_{1,1}(z | 1; 0) = 1 for |z| < 1

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from mbint import polyroots
+from mbint.errors import RootFindingError
 
 
 def test_roots_of_constructed_polynomials():
@@ -46,3 +48,10 @@ def test_shift_identity():
     x = 0.37 + 0.21j
     assert abs(polyroots.polyval(shifted, x)
                - polyroots.polyval(coeffs, x + 1.0)) < 1e-12
+
+
+def test_failed_reconstruction_raises(monkeypatch):
+    # eigenvalues that do not rebuild the coefficients are refused
+    monkeypatch.setattr(np, "roots", lambda c: np.array([1.0, 3.0]))
+    with pytest.raises(RootFindingError):
+        polyroots.roots([2.0, -3.0, 1.0])  # (x-1)(x-2)
