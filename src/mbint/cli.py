@@ -395,14 +395,19 @@ def _cmd_pochhammer_check(args):
 
 
 def _cmd_dump_integrand(args):
+    if args.points < 2:
+        raise ParameterError("--points must be at least 2",
+                             points=args.points)
     params = _g_params_from_args(args)
     z = _parse_complex(args.z)
+    if z == 0:
+        raise ParameterError("argument must be nonzero")
     kernel = params.to_kernel()
     contour = mb.choose_contour(kernel)
     T = contour.truncation
-    ys = np.linspace(-T, T, max(2, args.points))
+    ys = np.linspace(-T, T, args.points)
     s = contour.anchor + 1j * ys
-    logz = np.log(z) if z != 0 else 0.0
+    logz = np.log(z)
     with np.errstate(all="ignore"):
         vals = np.exp(mb.kernel_log_grid(kernel, s) + s * logz)
     with open(args.out, "w", newline="") as fh:

@@ -24,7 +24,7 @@ import heapq
 import logging
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -76,6 +76,8 @@ class MellinKernel:
     down_left: tuple = ()
     down_right: tuple = ()
     base: complex = 1.0
+    # principal branch of log(base); the recorded c^x branch choice
+    base_log: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "up_left", _factors(self.up_left))
@@ -85,11 +87,7 @@ class MellinKernel:
         object.__setattr__(self, "base", complex(self.base))
         if self.base == 0:
             raise ParameterError("kernel base must be nonzero")
-
-    @property
-    def base_log(self):
-        """Principal branch of log(base); the recorded c^x branch choice."""
-        return complex(np.log(complex(self.base)))
+        object.__setattr__(self, "base_log", complex(np.log(self.base)))
 
     def simplify(self, tol=1e-12):
         """Cancel numerator/denominator factor pairs of identical shape.
@@ -139,6 +137,19 @@ def _signed_terms(kernel):
     return terms
 
 
+@functools.lru_cache(maxsize=256)
+def _stacked_terms(kernel):
+    """The (coeff, slope, sign) columns of _signed_terms as (k, 1) arrays,
+    built once per kernel; None for a kernel without gamma factors."""
+    terms = _signed_terms(kernel)
+    if not terms:
+        return None
+    cols = tuple(np.array(col)[:, None] for col in zip(*terms))
+    for col in cols:
+        col.flags.writeable = False  # shared by every caller of the kernel
+    return cols
+
+
 def kernel_log_grid(kernel, s):
     """Vectorized log of the kernel; no pole checks (see log_gamma_grid).
 
@@ -147,13 +158,13 @@ def kernel_log_grid(kernel, s):
     """
     s = np.asarray(s, dtype=np.complex128)
     out = np.zeros(s.shape, dtype=np.complex128)
-    terms = _signed_terms(kernel)
-    if terms:
-        coeff, slope, sign = (np.array(col) for col in zip(*terms))
-        args = coeff[:, None] + slope[:, None] * s.ravel()
+    stacked = _stacked_terms(kernel)
+    if stacked is not None:
+        coeff, slope, sign = stacked
+        args = coeff + slope * s.ravel()
         logs = log_gamma_grid(args).reshape(args.shape)
         # rows added in _signed_terms order, equal to one call per factor
-        out = out + (sign[:, None] * logs).sum(axis=0).reshape(s.shape)
+        out = out + (sign * logs).sum(axis=0).reshape(s.shape)
     if kernel.base != 1.0:
         out = out + s * kernel.base_log
     return out
@@ -374,7 +385,11 @@ def find_pole_collision(kernel, tol=POLE_TOLERANCE):
     """
     lefts = [(left, left.location(0).real + tol)
              for left in _pole_ladders(kernel, "left", math.inf)]
-    for right in _pole_ladders(kernel, "right", math.inf):
+    rights = _pole_ladders(kernel, "right", math.inf)
+    if min((r.location(0).real for r in rights), default=math.inf) \
+            >= max((bound for _, bound in lefts), default=-math.inf):
+        return None  # separable: no right-opening pole left of a bound
+    for right in rights:
         for left, bound in lefts:
             for s in right.left_of(bound):
                 if abs(left.location(left.nearest(s)) - s) <= tol:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
@@ -140,3 +141,65 @@ def test_asymptotic_error_small_and_decreasing():
 def test_asymptotic_domain_error():
     with pytest.raises(DomainError):
         cgamma.asymptotic_log_abs_gamma(1.0, 0.5)
+
+
+def _adversarial_grid():
+    """Seeded points where the grid path can go wrong.
+
+    Reflected points (Re z < 0.5), the lower half plane, heights up to
+    3000, the negative real axis with both signs of a zero imaginary part,
+    and |z| in the thousands, where the Lanczos sum is within 1% of 1 and
+    the real part of its log is a small difference.
+    """
+    rng = np.random.default_rng(21)
+    pts = np.concatenate([
+        rng.uniform(-60.0, 0.5, 300) + 1j * rng.uniform(-3000, 3000, 300),
+        rng.uniform(-12.0, 0.5, 300) + 1j * rng.uniform(-4.0, 4.0, 300),
+        rng.uniform(0.5, 40.0, 200) - 1j * rng.uniform(0.0, 60.0, 200),
+        rng.uniform(300.0, 3000.0, 200)
+        * np.exp(1j * rng.uniform(-np.pi, np.pi, 200)),
+    ])
+    upper = rng.uniform(-40.0, 30.0, 200) + 0.0j
+    lower = upper.copy()
+    lower.imag = -0.0
+    pts = np.concatenate([pts, upper, lower])
+    keep = np.abs(pts - np.round(pts.real)) > 1e-3  # clear of the poles
+    return pts[keep]
+
+
+def test_log_gamma_grid_against_mpmath():
+    pts = _adversarial_grid()
+    got = cgamma.log_gamma_grid(pts)
+    with mpmath.workdps(30):
+        for z, g in zip(pts, got):
+            ref = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
+            assert abs(g - ref) <= 1e-13 * max(1.0, abs(ref)), z
+
+
+def test_log_gamma_grid_matches_scalar_branch():
+    # the same branch of the imaginary part, not merely equal mod 2 pi
+    pts = _adversarial_grid()
+    got = cgamma.log_gamma_grid(pts)
+    for z, g in zip(pts, got):
+        ref = cgamma.log_gamma_unchecked(z)
+        assert abs(g.imag - ref.imag) <= 1e-12 * max(1.0, abs(ref)), z
+
+
+def test_log_gamma_grid_conjugate_symmetry_bitwise():
+    pts = _adversarial_grid()
+    pts = pts[pts.imag != 0.0]
+    lhs = cgamma.log_gamma_grid(pts.conj())
+    rhs = cgamma.log_gamma_grid(pts).conj()
+    assert np.array_equal(lhs.view(np.uint64), rhs.view(np.uint64))
+
+
+def test_log_gamma_grid_shapes():
+    pts = _adversarial_grid()[:120]
+    flat = cgamma.log_gamma_grid(pts)
+    assert flat.shape == pts.shape
+    grid = cgamma.log_gamma_grid(pts.reshape(8, 15))
+    assert grid.shape == (8, 15)
+    assert np.array_equal(grid.ravel().view(np.uint64), flat.view(np.uint64))
+    # a 0-d input comes back as one value (atleast_1d), equal to the 1-d one
+    one = cgamma.log_gamma_grid(pts[7])
+    assert one.shape == (1,) and one[0] == flat[7]

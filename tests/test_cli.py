@@ -114,6 +114,32 @@ def test_dump_integrand_csv(capsys, tmp_path):
     assert len(lines) == 33
 
 
+def test_dump_integrand_refuses_zero_argument(capsys, tmp_path):
+    # as `eval g --z 0` does: z^s has no value at z = 0
+    out = tmp_path / "dump.csv"
+    code, obj = run_json(capsys, "dump-integrand", "--orders", "1,0,0,1",
+                         "--b", "0", "--z", "0", "--out", str(out))
+    assert code == 2
+    assert obj["error"]["code"] == "parameter_error"
+    assert not out.exists()
+    code, obj = run_json(capsys, "eval", "g", "--orders", "1,0,0,1",
+                         "--b", "0", "--z", "0")
+    assert code == 2
+    assert obj["error"]["code"] == "parameter_error"
+
+
+@pytest.mark.parametrize("points", ["1", "0", "-3"])
+def test_dump_integrand_refuses_fewer_than_two_points(capsys, tmp_path,
+                                                      points):
+    out = tmp_path / "dump.csv"
+    code, obj = run_json(capsys, "dump-integrand", "--orders", "1,0,0,1",
+                         "--b", "0", "--z", "1", "--out", str(out),
+                         "--points", points)
+    assert code == 2
+    assert obj["error"]["code"] == "parameter_error"
+    assert not out.exists()
+
+
 def test_verify_suite_passes(capsys):
     code, obj = run_json(capsys, "verify", "--suite", "duality",
                          "--seed", "7")

@@ -38,6 +38,46 @@ def test_kernel_log_eval_empty_kernel_is_zero():
         assert mb.kernel_log_eval(kernel, s) == 0.0
 
 
+def test_kernel_log_grid_empty_kernel_is_s_base_log():
+    s = 0.3 + 1j * np.linspace(-20.0, 20.0, 41)
+    base = 2.5 - 1.0j
+    got = mb.kernel_log_grid(mb.MellinKernel(base=base), s)
+    assert np.array_equal(got, s * np.log(base))
+    assert not mb.kernel_log_grid(mb.MellinKernel(), s).any()
+
+
+def test_kernel_base_log_is_a_plain_value():
+    kernel = mb.MellinKernel(up_left=((0.5, 1.0),), base=-2.0 + 0.5j)
+    assert kernel.base_log == complex(np.log(complex(-2.0 + 0.5j)))
+    same = mb.MellinKernel(up_left=((0.5, 1.0),), base=-2.0 + 0.5j)
+    assert same == kernel and hash(same) == hash(kernel)
+    assert "base_log" not in repr(kernel) and "base_log" not in kernel.to_json()
+    copied = pickle.loads(pickle.dumps(kernel))
+    assert copied == kernel and copied.base_log == kernel.base_log
+    moved = dataclasses.replace(kernel, base=3.0)
+    assert moved.base_log == complex(np.log(3.0))
+
+
+def test_equal_params_give_bitwise_equal_kernel_grids():
+    s = 0.2 + 1j * np.linspace(-40.0, 40.0, 301)
+    one = GParams(2, 2, 2, 2, (0.3, -0.2), (0.1, 0.6)).to_kernel()
+    two = GParams(2, 2, 2, 2, [0.3, -0.2], [0.1, 0.6]).to_kernel()
+    assert one is not two and one == two
+    assert np.array_equal(mb.kernel_log_grid(one, s).view(np.uint64),
+                          mb.kernel_log_grid(two, s).view(np.uint64))
+
+
+def test_equal_kernels_share_stacked_terms():
+    one = GParams(2, 1, 2, 3, (0.3, -0.4), (0.1, 0.6, 1.2)).to_kernel()
+    two = GParams(2, 1, 2, 3, (0.3, -0.4), (0.1, 0.6, 1.2)).to_kernel()
+    assert one is not two
+    stacked = mb._stacked_terms(one)
+    assert mb._stacked_terms(two) is stacked
+    assert all(not col.flags.writeable and col.shape == (5, 1)
+               for col in stacked)
+    assert mb._stacked_terms(mb.MellinKernel(base=2.0)) is None
+
+
 def test_kernel_log_eval_single_factor_at_unit_argument():
     kernel = k_exp(b=1.7)
     assert abs(mb.kernel_log_eval(kernel, 0.7)) < 1e-13  # Gamma(1) = 1
