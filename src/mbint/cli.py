@@ -377,9 +377,11 @@ def _cmd_pochhammer_check(args):
                              "(two-row matrix)", rows=matrix.ode_order + 1)
     x = _parse_complex(args.x)
     psi = laplace.solve_first_order_ode(matrix.row(0), matrix.row(1))
+    transforms = {}
 
     def f(xx):
-        return laplace.laplace_transform(psi, xx, tol=args.tol)
+        transforms[xx] = laplace.laplace_transform(psi, xx, tol=args.tol)
+        return transforms[xx]
 
     residual = laplace.fde_numeric_residual(matrix, f, x)
     out = {"command": "pochhammer-check", "x": _c(x),
@@ -388,7 +390,7 @@ def _cmd_pochhammer_check(args):
         beta = args.beta
         oracle = complex(np.exp(log_gamma(x) + log_gamma(beta)
                                 - log_gamma(x + beta)))
-        got = f(x)
+        got = transforms[x]  # the residual's f(x + 0)
         out["beta_oracle_rel_err"] = abs(got - oracle) / abs(oracle)
         out["beta"] = beta
     return out

@@ -127,13 +127,30 @@ def solve_first_order_ode(a0, a1):
     return ClosedFormPsi(lam, tuple(factors))
 
 
+def _graded_edges(alpha, tol):
+    """Panel edges [0, 2^-J, ..., 1/2, 1] for a head integrand ~ s^alpha.
+
+    The innermost panel holds about 2^{-J (1 + alpha)} <= tol of the head,
+    so one round resolves the endpoint that bisection from equal panels
+    would reach one halving per round.
+    """
+    levels = int(np.ceil(np.log(tol) / ((1.0 + alpha) * np.log(0.5))))
+    levels = min(max(levels, 3), 60)
+    return np.concatenate(([0.0], 0.5 ** np.arange(levels, -1, -1)))
+
+
 def laplace_transform(psi, x, tol=1e-10):
     """Adaptive quadrature of integral_0^T e^{-x t} psi(t) dt.
 
     T is sized so the exponential tail falls below ``tol`` relative to the
     running value (Re x > Re lambda is required for the tail to close).
-    An integrable endpoint singularity t^mu with -1 < Re mu < 0 is flattened
-    by the substitution t = s^k on the first unit interval.
+    The head [0, 1] and the body [1, T] are integrated separately.  An
+    integrable endpoint singularity psi ~ t^mu with -1 < Re mu < 0 is
+    flattened by the substitution t = s^k, which leaves the head integrand
+    ~ s^alpha with alpha = k (1 + Re mu) - 1 >= 1 (otherwise alpha = Re mu);
+    a singular head (mu != 0) then opens on panels graded geometrically
+    toward 0 (_graded_edges), a smooth one on 8 equal panels, as the body
+    does.
     """
     x = complex(x)
     lam = complex(psi.exponent_lambda)
@@ -162,25 +179,26 @@ def laplace_transform(psi, x, tol=1e-10):
     total = 0.0 + 0.0j
     err = float(tail)
     nodes_left = MAX_NODES
-    split = 1.0 if T > 1.0 else T / 2.0
+    split = 1.0
+    head_integrand, alpha = integrand, mu_star.real
     if mu_star.real < 0.0:
         k = int(np.ceil(2.0 / (1.0 + mu_star.real))) + 1
+        alpha = k * (1.0 + mu_star.real) - 1.0
 
-        def flattened(s):
+        def head_integrand(s):
             s = np.asarray(s, dtype=np.float64)
             t = s ** k
             return integrand(t) * k * s ** (k - 1)
 
-        head = integrate_adaptive(flattened, 0.0, split ** (1.0 / k),
-                                  tol_rel=0.25 * tol, max_nodes=nodes_left // 2)
-    else:
-        head = integrate_adaptive(integrand, 0.0, split,
-                                  tol_rel=0.25 * tol, max_nodes=nodes_left // 2)
+    edges = np.linspace(0.0, split, 9) if mu_star == 0.0 \
+        else _graded_edges(alpha, tol)
+    head = integrate_adaptive(head_integrand, edges, tol_rel=0.25 * tol,
+                              max_nodes=nodes_left // 2)
     total += head.value
     err += head.error
     nodes_left -= head.nodes
-    body = integrate_adaptive(integrand, split, T, tol_rel=0.25 * tol,
-                              max_nodes=nodes_left)
+    body = integrate_adaptive(integrand, np.linspace(split, T, 9),
+                              tol_rel=0.25 * tol, max_nodes=nodes_left)
     total += body.value
     err += body.error
     if err > 25.0 * tol * max(abs(total), 1e-300):

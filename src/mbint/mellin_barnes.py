@@ -447,16 +447,20 @@ class Contour:
 
 def decay_rate(kernel):
     """Exponential decay rate kappa of |K| along a vertical line."""
+    return _decay_rate(_signed_terms(kernel))
+
+
+def _decay_rate(terms):
     total = 0.0
-    for _, slope, sign in _signed_terms(kernel):
+    for _, slope, sign in terms:
         total += sign * abs(slope)
     return 0.5 * np.pi * total
 
 
-def _algebraic_exponent(kernel, sigma):
+def _algebraic_exponent(terms, sigma):
     """Coefficient of log|y| in log|K(sigma + iy)| for large |y|."""
     total = 0.0
-    for coeff, slope, sign in _signed_terms(kernel):
+    for coeff, slope, sign in terms:
         total += sign * ((coeff + slope * sigma).real - 0.5)
     return total
 
@@ -568,7 +572,7 @@ def convergence_class(kernel, z, branch_k=0):
         sigma = choose_contour(kernel).anchor
     except ContourError:
         sigma = 0.0
-    if _algebraic_exponent(kernel, sigma) < -1e-12:
+    if _algebraic_exponent(_signed_terms(kernel), sigma) < -1e-12:
         return ConvergenceClass.CONDITIONAL
     return ConvergenceClass.DIVERGENT
 
@@ -847,11 +851,12 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
 # contour quadrature
 
 
-def _log_mag_estimate(kernel, sigma, y, logz):
-    """Asymptotic log|K(sigma + iy) z^s| used for truncation bounds."""
+def _log_mag_estimate(kernel, terms, sigma, y, logz):
+    """Asymptotic log|K(sigma + iy) z^s| used for truncation bounds;
+    ``terms`` are the kernel's _signed_terms."""
     total = sigma * logz.real - y * (logz.imag + kernel.base_log.imag) \
         + sigma * kernel.base_log.real
-    for coeff, slope, sign in _signed_terms(kernel):
+    for coeff, slope, sign in terms:
         a = (complex(coeff) + slope * sigma).real
         eta = complex(coeff).imag + slope * y
         if abs(eta) < 1.0:
@@ -871,18 +876,18 @@ def _is_real_symmetric(kernel, z, branch_k):
                + kernel.down_left + kernel.down_right)
 
 
-def _tail_bound(kernel, sigma, T, logz):
-    kappa = decay_rate(kernel)
+def _tail_bound(kernel, terms, sigma, T, logz):
+    kappa = _decay_rate(terms)
     arg_eff = logz.imag + kernel.base_log.imag
     bound = 0.0
     for direction in (+1.0, -1.0):
         rate = kappa + direction * arg_eff
-        mag = math.exp(min(_log_mag_estimate(kernel, sigma, direction * T,
-                                             logz), 700.0))
+        mag = math.exp(min(_log_mag_estimate(kernel, terms, sigma,
+                                             direction * T, logz), 700.0))
         if rate > 1e-3:
             bound += mag / rate
         else:
-            omega = _algebraic_exponent(kernel, sigma)
+            omega = _algebraic_exponent(terms, sigma)
             if omega < -1.0:
                 bound += mag * T / (-omega - 1.0)
             else:
@@ -890,16 +895,16 @@ def _tail_bound(kernel, sigma, T, logz):
     return bound / (2.0 * np.pi)
 
 
-def _truncation_height(kernel, sigma, logz, tol, t_min):
+def _truncation_height(kernel, terms, sigma, logz, tol, t_min):
     ref = -math.inf
     for y in (1.5, 3.0, 6.0, 12.0):
-        ref = max(ref, _log_mag_estimate(kernel, sigma, y, logz),
-                  _log_mag_estimate(kernel, sigma, -y, logz))
+        ref = max(ref, _log_mag_estimate(kernel, terms, sigma, y, logz),
+                  _log_mag_estimate(kernel, terms, sigma, -y, logz))
     target = ref + math.log(max(tol, 1e-16)) - 4.6
     T = max(t_min, 8.0)
     while T < _T_MAX:
-        if _log_mag_estimate(kernel, sigma, T, logz) <= target and \
-                _log_mag_estimate(kernel, sigma, -T, logz) <= target:
+        if _log_mag_estimate(kernel, terms, sigma, T, logz) <= target and \
+                _log_mag_estimate(kernel, terms, sigma, -T, logz) <= target:
             break
         T *= 1.5
     return T
@@ -952,7 +957,9 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
         contour = choose_contour(kernel)
     logz = complex(np.log(z)) + 2j * np.pi * branch_k
     sigma = contour.anchor
-    T = _truncation_height(kernel, sigma, logz, tol, contour.truncation)
+    terms = _signed_terms(kernel)
+    T = _truncation_height(kernel, terms, sigma, logz, tol,
+                           contour.truncation)
     T = max(T, contour.truncation)
     used = contour if T == contour.truncation \
         else replace(contour, truncation=float(T))
@@ -965,18 +972,18 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
 
     folded = _is_real_symmetric(kernel, z, branch_k) and not contour.detours
     if folded:
-        quad = integrate_adaptive(integrand, 0.0, T, tol_rel=0.25 * tol,
-                                  max_nodes=MAX_NODES // 2,
-                                  initial_panels=max(8, min(256, int(T / 4))))
+        edges = np.linspace(0.0, T, max(8, min(256, int(T / 4))) + 1)
+        quad = integrate_adaptive(integrand, edges, tol_rel=0.25 * tol,
+                                  max_nodes=MAX_NODES // 2)
         value = complex(quad.value).real / np.pi + 0.0j
         quad_err = quad.error / np.pi
     else:
-        quad = integrate_adaptive(integrand, -T, T, tol_rel=0.25 * tol,
-                                  max_nodes=MAX_NODES,
-                                  initial_panels=max(8, min(512, int(T / 2))))
+        edges = np.linspace(-T, T, max(8, min(512, int(T / 2))) + 1)
+        quad = integrate_adaptive(integrand, edges, tol_rel=0.25 * tol,
+                                  max_nodes=MAX_NODES)
         value = quad.value / (2.0 * np.pi)
         quad_err = quad.error / (2.0 * np.pi)
-    tail = _tail_bound(kernel, sigma, T, logz)
+    tail = _tail_bound(kernel, terms, sigma, T, logz)
     if contour.detours:
         value = value + correction
     err = quad_err + tail

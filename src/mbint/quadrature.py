@@ -3,11 +3,11 @@
 The integrand must accept a real numpy array of abscissae and return complex
 values of the same shape, elementwise.  Refinement runs in rounds, and each
 round makes a single call of the integrand on the nodes of all its panels:
-the first round evaluates the initial panels, and each later round bisects
-every panel whose estimate |K15 - G7| exceeds an equal share of the target
-(target / number of panels), the worst panels first when the node budget
-cannot take them all.  The final sum runs in interval order, so results are
-deterministic and independent of the refinement history.
+the first round evaluates the caller's opening panels, and each later round
+bisects every panel whose estimate |K15 - G7| exceeds an equal share of the
+target (target / number of panels), the worst panels first when the node
+budget cannot take them all.  The final sum runs in interval order, so
+results are deterministic and independent of the refinement history.
 """
 
 from dataclasses import dataclass
@@ -70,13 +70,20 @@ def kronrod_panel(f, a, b):
     return complex(vk[0]), float(err[0])
 
 
-def integrate_adaptive(f, a, b, tol_abs=0.0, tol_rel=1e-10,
-                       max_nodes=MAX_NODES, initial_panels=8):
-    """Integrate f over [a, b] to the requested absolute/relative target."""
-    edges = np.linspace(a, b, initial_panels + 1)
+def integrate_adaptive(f, edges, tol_abs=0.0, tol_rel=1e-10,
+                       max_nodes=MAX_NODES):
+    """Integrate f over [edges[0], edges[-1]] to the requested
+    absolute/relative target.
+
+    ``edges`` (increasing) are the opening panels' endpoints: the first
+    round evaluates every panel [edges[i], edges[i + 1]].  A mesh graded
+    toward a singular endpoint resolves it there at once, where bisection
+    from equal panels would take one round per halving.
+    """
+    edges = np.asarray(edges, dtype=float)
     left, right = edges[:-1], edges[1:]
     vals, errs = kronrod_panels(f, left, right)
-    nodes = 15 * initial_panels
+    nodes = 15 * left.size
     while True:
         target = max(tol_abs, tol_rel * abs(vals.sum()))
         room = (max_nodes - nodes) // 30

@@ -98,6 +98,51 @@ def test_transform_endpoint_singularity_substitution():
     assert abs(got - oracle) / abs(oracle) < 1e-6
 
 
+@pytest.mark.parametrize("beta", [0.05, 0.5, 1.17, 1.5, 2.3])
+@pytest.mark.parametrize("x", [1.5, 0.7 + 2.0j])
+def test_transform_matches_mpmath_beta(beta, x):
+    # B(x, beta) = int_0^inf e^{-xt} (1 - e^{-t})^{beta - 1} dt, with
+    # mu* = beta - 1 from -0.95 (flattened by t = s^k) to 1.3 (graded head
+    # on t itself), held to the requested tolerance
+    psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
+    got = laplace.laplace_transform(psi, x, tol=1e-9)
+    with mpmath.workdps(30):
+        oracle = complex(mpmath.beta(x, beta))
+    assert abs(got - oracle) <= 1e-9 * abs(oracle)
+
+
+def test_singular_head_converges_in_its_opening_round(monkeypatch):
+    # psi ~ t^0.17: equal opening panels reach t = 0 one halving per round
+    rounds = []
+    integrate_adaptive = laplace.integrate_adaptive
+
+    def counted(f, edges, **kwargs):
+        calls = []
+
+        def g(t):
+            calls.append(np.size(t))
+            return f(t)
+        res = integrate_adaptive(g, edges, **kwargs)
+        rounds.append(len(calls))
+        return res
+    monkeypatch.setattr(laplace, "integrate_adaptive", counted)
+    psi = laplace.solve_first_order_ode((0.0, -0.17), (1.0, -1.0))
+    laplace.laplace_transform(psi, 1.5, tol=1e-9)
+    assert rounds[0] == 1
+
+
+def test_graded_head_edges():
+    edges = laplace._graded_edges(0.17, 1e-10)
+    levels = len(edges) - 2
+    assert edges[0] == 0.0 and edges[-1] == 1.0
+    assert np.array_equal(edges[1:], 0.5 ** np.arange(levels, -1, -1))
+    # the fewest halvings that bring the innermost panel's share of t^0.17
+    # to tol
+    assert edges[1] ** 1.17 <= 1e-10 < edges[2] ** 1.17
+    assert len(laplace._graded_edges(50.0, 1e-10)) == 3 + 2
+    assert len(laplace._graded_edges(0.0, 1e-300)) == 60 + 2
+
+
 def test_root_near_one_is_the_endpoint():
     # a rounded root 1 + 2e-16 is the endpoint: psi ~ t^mu, not (t + 2e-16)^mu
     near = laplace.ClosedFormPsi(0.3, ((1.0 + 2e-16, -0.5), (3.0j, 0.7)))

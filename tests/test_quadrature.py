@@ -1,7 +1,7 @@
 import numpy as np
 
 from mbint import mellin_barnes as mb
-from mbint import quadrature
+from mbint import laplace, quadrature
 from mbint.cgamma import log_gamma_grid
 from mbint.special_functions import GParams, HParams
 
@@ -14,6 +14,10 @@ def counting(f):
         sizes.append(np.size(x))
         return f(x)
     return wrapped, sizes
+
+
+# 8 equal opening panels on [-1, 2]
+EIGHT_PANELS = np.linspace(-1.0, 2.0, 9)
 
 
 def peaked(x, eps=1e-3):
@@ -40,14 +44,13 @@ def test_one_panel_exact_to_degree_22():
     exact = poly.integ()(b) - poly.integ()(a)
     value, _ = quadrature.kronrod_panel(poly, a, b)
     assert abs(value - exact) < 1e-13 * abs(exact)
-    one = quadrature.integrate_adaptive(poly, a, b, max_nodes=15,
-                                        initial_panels=1)
+    one = quadrature.integrate_adaptive(poly, [a, b], max_nodes=15)
     assert one.nodes == 15
     assert one.value == value
 
 
 def test_peaked_integrand_closed_form():
-    res = quadrature.integrate_adaptive(peaked, -1.0, 2.0, tol_rel=1e-12)
+    res = quadrature.integrate_adaptive(peaked, EIGHT_PANELS, tol_rel=1e-12)
     exact = peaked_exact(-1.0, 2.0)
     assert res.converged
     assert abs(res.value - exact) < 1e-12 * abs(exact)
@@ -55,7 +58,8 @@ def test_peaked_integrand_closed_form():
 
 
 def test_oscillatory_integrand_closed_form():
-    res = quadrature.integrate_adaptive(oscillatory, 0.0, 10.0,
+    res = quadrature.integrate_adaptive(oscillatory,
+                                        np.linspace(0.0, 10.0, 9),
                                         tol_rel=1e-12)
     exact = oscillatory_exact(0.0, 10.0)
     assert res.converged
@@ -64,7 +68,7 @@ def test_oscillatory_integrand_closed_form():
 
 def test_node_budget_is_respected():
     f, sizes = counting(peaked)
-    res = quadrature.integrate_adaptive(f, -1.0, 2.0, tol_rel=1e-12,
+    res = quadrature.integrate_adaptive(f, EIGHT_PANELS, tol_rel=1e-12,
                                         max_nodes=200)
     assert not res.converged
     assert res.nodes <= 200
@@ -75,7 +79,7 @@ def test_node_budget_is_respected():
 
 def test_budget_below_first_round_stops_after_it():
     f, sizes = counting(peaked)
-    res = quadrature.integrate_adaptive(f, -1.0, 2.0, tol_rel=1e-12,
+    res = quadrature.integrate_adaptive(f, EIGHT_PANELS, tol_rel=1e-12,
                                         max_nodes=100)
     assert not res.converged
     assert res.nodes == 120
@@ -84,7 +88,7 @@ def test_budget_below_first_round_stops_after_it():
 
 def test_nan_estimate_stops_at_once():
     f, sizes = counting(lambda x: np.full(np.shape(x), np.nan + 0j))
-    res = quadrature.integrate_adaptive(f, 0.0, 1.0)
+    res = quadrature.integrate_adaptive(f, np.linspace(0.0, 1.0, 9))
     assert not res.converged
     assert res.nodes == 120
     assert sizes == [120]
@@ -92,8 +96,7 @@ def test_nan_estimate_stops_at_once():
 
 def test_integrand_called_once_per_round():
     f, sizes = counting(peaked)
-    res = quadrature.integrate_adaptive(f, -1.0, 2.0, tol_rel=1e-12,
-                                        initial_panels=8)
+    res = quadrature.integrate_adaptive(f, EIGHT_PANELS, tol_rel=1e-12)
     assert sizes[0] == 8 * 15
     assert all(n > 0 and n % 30 == 0 for n in sizes[1:])
     assert sum(sizes) == res.nodes
@@ -103,14 +106,50 @@ def test_integrand_called_once_per_round():
 
 
 def test_results_are_bit_reproducible():
-    first = quadrature.integrate_adaptive(peaked, -1.0, 2.0, tol_rel=1e-12)
-    again = quadrature.integrate_adaptive(peaked, -1.0, 2.0, tol_rel=1e-12)
+    first = quadrature.integrate_adaptive(peaked, EIGHT_PANELS, tol_rel=1e-12)
+    again = quadrature.integrate_adaptive(peaked, EIGHT_PANELS, tol_rel=1e-12)
     assert first == again
     kernel = GParams(2, 2, 2, 2, (0.3, -0.2), (0.1, 0.6)).to_kernel()
     one = mb.integrate(kernel, 0.7 + 0.2j)
     two = mb.integrate(kernel, 0.7 + 0.2j)
     assert (one.value, one.err_estimate, one.nodes_used) \
         == (two.value, two.err_estimate, two.nodes_used)
+
+
+def test_equal_panel_edges_reproduce_pinned_results():
+    # float.hex of what integrate_adaptive(peaked, -1.0, 2.0, tol_rel=1e-12,
+    # initial_panels=n) returned before the opening panels became an
+    # argument: explicit linspace edges give the same bits
+    pinned = {8: ("0x1.8882f70572944p+11", "0x1.8882f70572944p+12",
+                  "0x1.4a5953ad2432ap-31", 1230),
+              3: ("0x1.8882f70572944p+11", "0x1.8882f70572944p+12",
+                  "0x1.9b8e8fd3b203fp-32", 1335)}
+    for panels, (re, im, err, nodes) in pinned.items():
+        res = quadrature.integrate_adaptive(
+            peaked, np.linspace(-1.0, 2.0, panels + 1), tol_rel=1e-12)
+        assert res.value == complex(float.fromhex(re), float.fromhex(im))
+        assert res.error == float.fromhex(err)
+        assert res.nodes == nodes
+
+
+def test_graded_opening_resolves_algebraic_endpoint_in_one_round():
+    # t^0.17 on [0, 1]: bisection from 8 equal panels halves the panel at
+    # t = 0 once per round; the graded mesh is that ladder built at once
+    def power(t):
+        return t ** 0.17 + 0.0j
+    exact = 1.0 / 1.17
+    tol = 1e-10
+    f, equal_sizes = counting(power)
+    equal = quadrature.integrate_adaptive(f, np.linspace(0.0, 1.0, 9),
+                                          tol_rel=tol)
+    f, graded_sizes = counting(power)
+    graded = quadrature.integrate_adaptive(
+        f, laplace._graded_edges(0.17, tol), tol_rel=tol)
+    for res in (equal, graded):
+        assert res.converged
+        assert abs(res.value - exact) < tol * exact
+    assert len(graded_sizes) == 1 and len(equal_sizes) >= 15
+    assert graded.nodes < 0.75 * equal.nodes
 
 
 def _per_factor_log_grid(kernel, s):
