@@ -179,7 +179,7 @@ def laplace_transform(psi, x, tol=1e-10):
     total = 0.0 + 0.0j
     err = float(tail)
     nodes_left = MAX_NODES
-    split = 1.0
+    # head [0, 1] and body [1, T]; t = s^k maps [0, 1] onto itself
     head_integrand, alpha = integrand, mu_star.real
     if mu_star.real < 0.0:
         k = int(np.ceil(2.0 / (1.0 + mu_star.real))) + 1
@@ -190,14 +190,14 @@ def laplace_transform(psi, x, tol=1e-10):
             t = s ** k
             return integrand(t) * k * s ** (k - 1)
 
-    edges = np.linspace(0.0, split, 9) if mu_star == 0.0 \
+    edges = np.linspace(0.0, 1.0, 9) if mu_star == 0.0 \
         else _graded_edges(alpha, tol)
     head = integrate_adaptive(head_integrand, edges, tol_rel=0.25 * tol,
                               max_nodes=nodes_left // 2)
     total += head.value
     err += head.error
     nodes_left -= head.nodes
-    body = integrate_adaptive(integrand, np.linspace(split, T, 9),
+    body = integrate_adaptive(integrand, np.linspace(1.0, T, 9),
                               tol_rel=0.25 * tol, max_nodes=nodes_left)
     total += body.value
     err += body.error
