@@ -174,12 +174,14 @@ def pochhammer(alpha, n):
 
 
 def asymptotic_log_abs_gamma(a, eta):
-    """Leading-order estimate of log |Gamma(a + i eta)| for large |eta|.
+    """Leading-order estimate of log |Gamma(a + i eta)| for large |eta|,
+    elementwise over arrays that broadcast together.
 
     Meaningful only away from the real axis; |eta| < 1 is rejected.
     """
-    a = float(a)
-    eta = float(eta)
-    if abs(eta) < 1.0:
-        raise DomainError("asymptotic estimate requires |eta| >= 1", eta=eta)
-    return (a - 0.5) * np.log(abs(eta)) - 0.5 * np.pi * abs(eta) + _HALF_LOG_2PI
+    a = np.asarray(a, dtype=float)
+    eta = np.abs(np.asarray(eta, dtype=float))
+    if (eta < 1.0).any():
+        raise DomainError("asymptotic estimate requires |eta| >= 1",
+                          eta=float(eta.min()))
+    return (a - 0.5) * np.log(eta) - 0.5 * np.pi * eta + _HALF_LOG_2PI

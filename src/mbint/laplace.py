@@ -21,6 +21,7 @@ from .errors import (DegreeError, DivergenceError, ParameterError,
 from .quadrature import MAX_NODES, integrate_adaptive
 
 _NEAR_ONE = 1e-9
+_NEAR_INTEGER = 1e-9
 
 
 @dataclass(frozen=True)
@@ -148,9 +149,9 @@ def laplace_transform(psi, x, tol=1e-10):
     integrable endpoint singularity psi ~ t^mu with -1 < Re mu < 0 is
     flattened by the substitution t = s^k, which leaves the head integrand
     ~ s^alpha with alpha = k (1 + Re mu) - 1 >= 1 (otherwise alpha = Re mu);
-    a singular head (mu != 0) then opens on panels graded geometrically
-    toward 0 (_graded_edges), a smooth one on 8 equal panels, as the body
-    does.
+    a singular head then opens on panels graded geometrically toward 0
+    (_graded_edges).  A head analytic at 0 (mu a nonnegative integer, to
+    _NEAR_INTEGER) opens on 8 equal panels, as the body does.
     """
     x = complex(x)
     lam = complex(psi.exponent_lambda)
@@ -190,7 +191,10 @@ def laplace_transform(psi, x, tol=1e-10):
             t = s ** k
             return integrand(t) * k * s ** (k - 1)
 
-    edges = np.linspace(0.0, 1.0, 9) if mu_star == 0.0 \
+    # psi ~ t^mu* is analytic at t = 0 when mu* is a nonnegative integer
+    n = round(mu_star.real)
+    analytic = n >= 0 and abs(mu_star - n) < _NEAR_INTEGER
+    edges = np.linspace(0.0, 1.0, 9) if analytic \
         else _graded_edges(alpha, tol)
     head = integrate_adaptive(head_integrand, edges, tol_rel=0.25 * tol,
                               max_nodes=nodes_left // 2)

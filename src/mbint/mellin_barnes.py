@@ -34,7 +34,7 @@ from .cgamma import (POLE_TOLERANCE, asymptotic_log_abs_gamma, detect_pole,
 from .errors import (ContourError, ConvergenceError, HigherOrderPoleError,
                      NonConvergentSeriesError, ParameterError, PoleError,
                      QuadratureError)
-from .quadrature import MAX_NODES, integrate_adaptive
+from .quadrature import MAX_NODES, integrate_adaptive, panel_nodes
 
 log = logging.getLogger(__name__)
 
@@ -851,63 +851,63 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
 # contour quadrature
 
 
-def _log_mag_estimate(kernel, terms, sigma, y, logz):
-    """Asymptotic log|K(sigma + iy) z^s| used for truncation bounds;
-    ``terms`` are the kernel's _signed_terms."""
+def _log_mag_estimate(kernel, sigma, y, logz):
+    """Asymptotic log|K(sigma + iy) z^s| at every height of the array ``y``,
+    used for truncation bounds."""
     total = sigma * logz.real - y * (logz.imag + kernel.base_log.imag) \
         + sigma * kernel.base_log.real
-    for coeff, slope, sign in terms:
-        a = (complex(coeff) + slope * sigma).real
-        eta = complex(coeff).imag + slope * y
-        if abs(eta) < 1.0:
-            eta = math.copysign(1.0, eta if eta != 0.0 else 1.0)
-        total += sign * asymptotic_log_abs_gamma(a, eta)
+    stacked = _stacked_terms(kernel)
+    if stacked is None:
+        return total
+    coeff, slope, sign = stacked
+    # asymptotic_log_abs_gamma needs |eta| >= 1: smaller ones count as 1
+    eta = np.maximum(np.abs(coeff.imag + slope * y), 1.0)
+    logs = sign * asymptotic_log_abs_gamma((coeff + slope * sigma).real, eta)
+    for row in logs:  # factor by factor, in _signed_terms order
+        total = total + row
     return total
 
 
-def _is_real_symmetric(kernel, z, branch_k):
-    z = complex(z)
-    if z.imag != 0.0 or z.real <= 0.0 or branch_k != 0:
-        return False
-    if kernel.base.imag != 0.0 or kernel.base.real <= 0.0:
-        return False
-    return all(complex(f.coeff).imag == 0.0
-               for f in kernel.up_left + kernel.up_right
-               + kernel.down_left + kernel.down_right)
+_REF_HEIGHTS = np.array([1.5, -1.5, 3.0, -3.0, 6.0, -6.0, 12.0, -12.0])
 
 
-def _tail_bound(kernel, terms, sigma, T, logz):
+def _truncation(kernel, terms, sigma, logz, tol, t_min):
+    """(T, tail): the truncation height and a bound on the integral beyond.
+
+    T is the first of the heights max(t_min, 8) * 1.5^k below _T_MAX where
+    the estimated |K z^s| at +T and -T is at most tol e^-4.6 times the
+    largest at the reference heights +/-1.5, 3, 6, 12, else the first
+    height past _T_MAX.  All of them are estimated in one pass; the tail
+    bound reads its magnitudes at +/-T from the same pass.
+    """
+    heights = [max(t_min, 8.0)]
+    while heights[-1] < _T_MAX:
+        heights.append(heights[-1] * 1.5)
+    h = np.array(heights)
+    est = _log_mag_estimate(kernel, sigma,
+                            np.concatenate((_REF_HEIGHTS, h, -h)), logz)
+    ref, above, below = np.split(est, (8, 8 + h.size))
+    target = ref.max() + math.log(max(tol, 1e-16)) - 4.6
+    fits = (above <= target) & (below <= target)
+    fits[-1] = True
+    k = int(fits.argmax())
+    T = heights[k]
+
     kappa = _decay_rate(terms)
     arg_eff = logz.imag + kernel.base_log.imag
-    bound = 0.0
-    for direction in (+1.0, -1.0):
+    tail = 0.0
+    for direction, log_mag in ((+1.0, above[k]), (-1.0, below[k])):
         rate = kappa + direction * arg_eff
-        mag = math.exp(min(_log_mag_estimate(kernel, terms, sigma,
-                                             direction * T, logz), 700.0))
+        mag = math.exp(min(log_mag, 700.0))
         if rate > 1e-3:
-            bound += mag / rate
+            tail += mag / rate
         else:
             omega = _algebraic_exponent(terms, sigma)
             if omega < -1.0:
-                bound += mag * T / (-omega - 1.0)
+                tail += mag * T / (-omega - 1.0)
             else:
-                return math.inf
-    return bound / (2.0 * np.pi)
-
-
-def _truncation_height(kernel, terms, sigma, logz, tol, t_min):
-    ref = -math.inf
-    for y in (1.5, 3.0, 6.0, 12.0):
-        ref = max(ref, _log_mag_estimate(kernel, terms, sigma, y, logz),
-                  _log_mag_estimate(kernel, terms, sigma, -y, logz))
-    target = ref + math.log(max(tol, 1e-16)) - 4.6
-    T = max(t_min, 8.0)
-    while T < _T_MAX:
-        if _log_mag_estimate(kernel, terms, sigma, T, logz) <= target and \
-                _log_mag_estimate(kernel, terms, sigma, -T, logz) <= target:
-            break
-        T *= 1.5
-    return T
+                return T, math.inf
+    return T, tail / (2.0 * np.pi)
 
 
 def _detour_correction(kernel, contour, logz):
@@ -938,6 +938,41 @@ def _locate_pole(kernel, loc, tol=1e-7):
                        location=loc)
 
 
+def _conjugate_symmetric(kernel):
+    """K(conj s) = conj K(s): real gamma coefficients and a real positive
+    base (the multipliers are real already)."""
+    return kernel.base.imag == 0.0 and kernel.base.real > 0.0 and all(
+        f.coeff.imag == 0.0 for f in kernel.up_left + kernel.up_right
+        + kernel.down_left + kernel.down_right)
+
+
+def _opening_edges(T, folded):
+    """Equal opening panels, one per 2 units of line length: 8 to 256 of
+    them on [0, T] when ``folded``, else 8 to 512 on [-T, T]."""
+    if folded:
+        return np.linspace(0.0, T, max(8, min(256, int(T / 2))) + 1)
+    return np.linspace(-T, T, max(8, min(512, int(T))) + 1)
+
+
+# at most 8 x 512 panels x 15 nodes x 16 bytes = 0.98 MB of cached grids
+_OPENING_GRIDS = 8
+
+
+@functools.lru_cache(maxsize=_OPENING_GRIDS)
+def _opening_log_grid(kernel, sigma, T, folded):
+    """kernel_log_grid on the nodes of the opening panels (_opening_edges)
+    of the line sigma + iy.
+
+    The grid depends on the line, not on z: it is built once per key and
+    shared, read-only, by every integral over that line.
+    """
+    edges = _opening_edges(T, folded)
+    s = sigma + 1j * panel_nodes(edges[:-1], edges[1:])
+    logs = kernel_log_grid(kernel, s)
+    logs.flags.writeable = False
+    return logs
+
+
 def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     """(1 / 2 pi i) * integral of K(s) z^s over the contour.
 
@@ -945,6 +980,20 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     asymptotic tail estimate requires it for the requested tolerance; the
     contour actually used is recorded in the result.  z^s uses the
     principal branch of arg z shifted by 2 pi * branch_k.
+
+    A conjugate-symmetric kernel (_conjugate_symmetric) on a line without
+    detours is folded onto 0 <= y <= T, for any z and branch: with
+    L = log K(sigma + iy), the integrand there is
+    e^{L + s log z} + e^{conj L + conj(s) log z}, the nodes sigma +/- iy
+    together, so each log-gamma point serves two nodes of the full line.
+    ``nodes_used`` counts the quadrature nodes of the line integrated:
+    on the folded line one node stands for that pair.  The line opens on
+    equal panels, one per 2 units of its length, between 8 and 256
+    (folded) or 512; the kernel's logs on those opening nodes come from a
+    cache of 8 grids keyed on (kernel, sigma, T, folded), which fix the
+    panel count, and every z on the same line shares their read-only
+    arrays.  Refinement rounds evaluate the kernel afresh, one
+    kernel_log_grid call per round.
     """
     z = complex(z)
     if z == 0:
@@ -957,36 +1006,33 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
         contour = choose_contour(kernel)
     logz = complex(np.log(z)) + 2j * np.pi * branch_k
     sigma = contour.anchor
-    terms = _signed_terms(kernel)
-    T = _truncation_height(kernel, terms, sigma, logz, tol,
-                           contour.truncation)
-    T = max(T, contour.truncation)
+    T, tail = _truncation(kernel, _signed_terms(kernel), sigma, logz, tol,
+                          contour.truncation)
     used = contour if T == contour.truncation \
         else replace(contour, truncation=float(T))
     # composed before the quadrature, so a bad detour is refused at once
     correction = _detour_correction(kernel, contour, logz)
+    folded = not contour.detours and _conjugate_symmetric(kernel)
 
-    def integrand(y):
-        s = sigma + 1j * np.asarray(y, dtype=np.float64)
-        return np.exp(kernel_log_grid(kernel, s) + s * logz)
+    def integrand(y, logs=None):
+        s = sigma + 1j * y
+        if logs is None:
+            logs = kernel_log_grid(kernel, s)
+        out = np.exp(logs + s * logz)
+        if folded:
+            out += np.exp(logs.conj() + s.conj() * logz)
+        return out
 
-    folded = _is_real_symmetric(kernel, z, branch_k) and not contour.detours
-    if folded:
-        edges = np.linspace(0.0, T, max(8, min(256, int(T / 4))) + 1)
-        quad = integrate_adaptive(integrand, edges, tol_rel=0.25 * tol,
-                                  max_nodes=MAX_NODES // 2)
-        value = complex(quad.value).real / np.pi + 0.0j
-        quad_err = quad.error / np.pi
-    else:
-        edges = np.linspace(-T, T, max(8, min(512, int(T / 2))) + 1)
-        quad = integrate_adaptive(integrand, edges, tol_rel=0.25 * tol,
-                                  max_nodes=MAX_NODES)
-        value = quad.value / (2.0 * np.pi)
-        quad_err = quad.error / (2.0 * np.pi)
-    tail = _tail_bound(kernel, terms, sigma, T, logz)
+    edges = _opening_edges(T, folded)
+    opening = integrand(panel_nodes(edges[:-1], edges[1:]),
+                        _opening_log_grid(kernel, sigma, T, folded))
+    quad = integrate_adaptive(integrand, edges, tol_rel=0.25 * tol,
+                              max_nodes=MAX_NODES // 2 if folded
+                              else MAX_NODES, opening=opening)
+    value = quad.value / (2.0 * np.pi)
+    err = quad.error / (2.0 * np.pi) + tail
     if contour.detours:
         value = value + correction
-    err = quad_err + tail
     if not quad.converged and err > 25.0 * tol * max(abs(value), 1e-300):
         raise QuadratureError("node budget exhausted before reaching the "
                               "requested tolerance",

@@ -48,14 +48,23 @@ class QuadResult:
     converged: bool
 
 
-def kronrod_panels(f, a, b):
-    """K15 values and |K15 - G7| estimates on the panels [a[i], b[i]].
-
-    Evaluates f once, on the 15 nodes of every panel.
-    """
+def panel_nodes(a, b):
+    """The 15 Kronrod abscissae of every panel [a[i], b[i]], panel by panel."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fx = f((mid[:, None] + half[:, None] * NODES).ravel()).reshape(-1, 15)
+    return (mid[:, None] + half[:, None] * NODES).ravel()
+
+
+def kronrod_panels(f, a, b, fx=None):
+    """K15 values and |K15 - G7| estimates on the panels [a[i], b[i]].
+
+    Evaluates f once, on the 15 nodes of every panel (panel_nodes), unless
+    the caller passes those values as ``fx``.
+    """
+    if fx is None:
+        fx = f(panel_nodes(a, b))
+    fx = fx.reshape(-1, 15)
+    half = 0.5 * (b - a)
     # elementwise products, not BLAS `@`: the sums keep one fixed order, and
     # the first BLAS call would add to the resident memory
     vk = half * (fx * KRONROD_W).sum(axis=1)
@@ -71,18 +80,20 @@ def kronrod_panel(f, a, b):
 
 
 def integrate_adaptive(f, edges, tol_abs=0.0, tol_rel=1e-10,
-                       max_nodes=MAX_NODES):
+                       max_nodes=MAX_NODES, opening=None):
     """Integrate f over [edges[0], edges[-1]] to the requested
     absolute/relative target.
 
     ``edges`` (increasing) are the opening panels' endpoints: the first
     round evaluates every panel [edges[i], edges[i + 1]].  A mesh graded
     toward a singular endpoint resolves it there at once, where bisection
-    from equal panels would take one round per halving.
+    from equal panels would take one round per halving.  ``opening`` is f
+    on the opening nodes, panel_nodes(edges[:-1], edges[1:]), when the
+    caller has it already; f is then called by refinement rounds only.
     """
     edges = np.asarray(edges, dtype=float)
     left, right = edges[:-1], edges[1:]
-    vals, errs = kronrod_panels(f, left, right)
+    vals, errs = kronrod_panels(f, left, right, opening)
     nodes = 15 * left.size
     while True:
         target = max(tol_abs, tol_rel * abs(vals.sum()))

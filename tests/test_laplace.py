@@ -131,6 +131,29 @@ def test_singular_head_converges_in_its_opening_round(monkeypatch):
     assert rounds[0] == 1
 
 
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+def test_analytic_head_opens_on_equal_panels(monkeypatch, beta):
+    # mu* = beta - 1 a positive integer: psi = (1 - e^{-t})^{beta - 1} is
+    # analytic at t = 0, and 8 equal panels take it in one round
+    runs = []
+    integrate_adaptive = laplace.integrate_adaptive
+
+    def recorded(f, edges, **kwargs):
+        res = integrate_adaptive(f, edges, **kwargs)
+        runs.append((np.asarray(edges), res.nodes))
+        return res
+    monkeypatch.setattr(laplace, "integrate_adaptive", recorded)
+    psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
+    assert psi.singular_exponent() == beta - 1.0
+    got = laplace.laplace_transform(psi, 1.5, tol=1e-9)
+    head_edges, head_nodes = runs[0]
+    assert np.array_equal(head_edges, np.linspace(0.0, 1.0, 9))
+    assert head_nodes == 120
+    with mpmath.workdps(30):
+        oracle = complex(mpmath.beta(1.5, beta))
+    assert abs(got - oracle) <= 1e-9 * abs(oracle)
+
+
 def test_graded_head_edges():
     edges = laplace._graded_edges(0.17, 1e-10)
     levels = len(edges) - 2

@@ -1,3 +1,4 @@
+import cmath
 import collections
 import copy
 import dataclasses
@@ -6,12 +7,13 @@ import math
 import pickle
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sp
 
+from mbint import cgamma, verification
 from mbint import mellin_barnes as mb
-from mbint import verification
 from mbint.cgamma import POLE_TOLERANCE
 from mbint.errors import (ContourError, ConvergenceError,
                           HigherOrderPoleError, NonConvergentSeriesError,
@@ -682,3 +684,198 @@ def test_contour_detour_disks_must_be_disjoint():
 def test_conjugate_symmetry_real_kernel():
     res = mb.integrate(k_exp(0.5), 2.0, tol=1e-11)
     assert res.value.imag == 0.0
+
+
+def _slater_g30(b, z, branch_k):
+    """G^{3,0}_{0,3}(z e^{2 pi i k} | b) by Slater's sum, in mpmath: only
+    the powers z^{b_h} see the branch, the 0F2 factors are entire."""
+    with mpmath.workdps(30):
+        logz = mpmath.log(mpmath.mpc(z)) + 2j * mpmath.pi * branch_k
+        total = 0
+        for h, bh in enumerate(b):
+            others = [bj for j, bj in enumerate(b) if j != h]
+            total += mpmath.fprod(mpmath.gamma(bj - bh) for bj in others) \
+                * mpmath.exp(bh * logz) \
+                * mpmath.hyper([], [1 + bh - bj for bj in others],
+                               -mpmath.mpc(z))
+        return complex(total)
+
+
+def _h10(b, beta, z, branch_k):
+    """H^{1,0}_{0,1}(z e^{2 pi i k} | (b, beta)) = z^{b/beta} e^{-z^{1/beta}}
+    / beta, in mpmath."""
+    with mpmath.workdps(30):
+        logz = mpmath.log(mpmath.mpc(z)) + 2j * mpmath.pi * branch_k
+        return complex(mpmath.exp(b / beta * logz - mpmath.exp(logz / beta))
+                       / beta)
+
+
+def _meijerg(m, n, a, b, z):
+    with mpmath.workdps(30):
+        return complex(mpmath.meijerg([a[:n], a[n:]], [b[:m], b[m:]],
+                                      mpmath.mpc(z)))
+
+
+_B3 = (0.1, 0.4, 0.75)
+_H10 = HParams(1, 0, 0, 1, (), (0.4,), (), (3.0,))  # kappa = 1.5 pi
+# (params, z, branch_k, oracle): real G and H kernels at complex z, on
+# either branch and with |arg| of the effective argument near kappa
+FOLD_CASES = [
+    (GParams(2, 2, 2, 2, (0.3, 0.8), (0.1, 0.6)), 0.7 + 0.2j, 0,
+     lambda: _meijerg(2, 2, (0.3, 0.8), (0.1, 0.6), 0.7 + 0.2j)),
+    # kappa = pi, arg z = 0.95 pi
+    (GParams(2, 0, 0, 2, (), (0.25, 0.75)), cmath.rect(2.0, 0.95 * math.pi),
+     0, lambda: _meijerg(2, 0, (), (0.25, 0.75),
+                         cmath.rect(2.0, 0.95 * math.pi))),
+    # kappa = 1.5 pi, effective arguments 1.2 pi and -1.3 pi
+    (GParams(3, 0, 0, 3, (), _B3), cmath.rect(0.8, -0.8 * math.pi), 1,
+     lambda: _slater_g30(_B3, cmath.rect(0.8, -0.8 * math.pi), 1)),
+    (GParams(3, 0, 0, 3, (), _B3), cmath.rect(1.5, 0.7 * math.pi), -1,
+     lambda: _slater_g30(_B3, cmath.rect(1.5, 0.7 * math.pi), -1)),
+    (_H10, cmath.rect(2.0, -0.9 * math.pi), 1,
+     lambda: _h10(0.4, 3.0, cmath.rect(2.0, -0.9 * math.pi), 1)),
+    (_H10, cmath.rect(0.5, 0.8 * math.pi), -1,
+     lambda: _h10(0.4, 3.0, cmath.rect(0.5, 0.8 * math.pi), -1)),
+    (_H10, cmath.rect(3.0, 0.6), 0,
+     lambda: _h10(0.4, 3.0, cmath.rect(3.0, 0.6), 0)),
+]
+
+
+def _line_signs(monkeypatch):
+    """Record, per kernel_log_grid call, whether every node has Im s >= 0."""
+    signs = []
+    kernel_log_grid = mb.kernel_log_grid
+
+    def recorded(kernel, s):
+        signs.append(bool((np.imag(s) >= 0.0).all()))
+        return kernel_log_grid(kernel, s)
+    monkeypatch.setattr(mb, "kernel_log_grid", recorded)
+    mb._opening_log_grid.cache_clear()
+    return signs
+
+
+@pytest.mark.parametrize("params, z, branch_k, oracle", FOLD_CASES)
+def test_folded_line_matches_full_line_and_oracle(monkeypatch, params, z,
+                                                  branch_k, oracle):
+    kernel = params.to_kernel()
+    signs = _line_signs(monkeypatch)
+    folded = mb.integrate(kernel, z, branch_k=branch_k)
+    assert signs and all(signs)  # the nodes sigma + iy, y >= 0, only
+    monkeypatch.setattr(mb, "_conjugate_symmetric", lambda kernel: False)
+    full = mb.integrate(kernel, z, branch_k=branch_k)
+    assert abs(folded.value - full.value) \
+        <= folded.err_estimate + full.err_estimate
+    assert abs(folded.value - oracle()) <= folded.err_estimate
+
+
+def test_fold_needs_real_parameters_and_no_detours(monkeypatch):
+    signs = _line_signs(monkeypatch)
+    # a complex coefficient, a negative base: the full line
+    for kernel, z in (
+            (mb.MellinKernel(up_left=((0.3 + 0.2j, 1.0),)), 0.6 + 0.1j),
+            (mb.MellinKernel(up_left=((0.3, 1.0), (0.6, 1.0)), base=-2.0),
+             0.6 - 0.5j)):
+        del signs[:]
+        res = mb.integrate(kernel, z)
+        assert not signs[0] and res.nodes_used > 0
+    # Gamma(-s) Gamma(s - 0.5) is real but its contour is indented
+    kernel = mb.MellinKernel(up_left=((0.0, 1.0),), up_right=((1.5, 1.0),))
+    del signs[:]
+    res = mb.integrate(kernel, 0.3)
+    assert res.contour.detours and not signs[0]
+    assert abs(res.value - sp.gamma(-0.5) * 1.3 ** 0.5) <= res.err_estimate
+
+
+def _bits(res):
+    return (res.value.real.hex(), res.value.imag.hex(),
+            res.err_estimate.hex(), res.nodes_used, res.contour)
+
+
+def test_opening_grid_cache_is_shared_read_only_and_invisible():
+    one = GParams(2, 2, 2, 2, (0.3, 0.8), (0.1, 0.6)).to_kernel()
+    two = GParams(2, 2, 2, 2, [0.3, 0.8], [0.1, 0.6]).to_kernel()
+    assert one is not two
+    mb._opening_log_grid.cache_clear()
+    cold = mb.integrate(one, 0.7 + 0.2j)
+    assert mb._opening_log_grid.cache_info().currsize == 1
+    warm = mb.integrate(two, 0.7 + 0.2j)
+    info = mb._opening_log_grid.cache_info()
+    assert info.currsize == 1 and info.hits == 1
+    assert warm == cold and _bits(warm) == _bits(cold)
+    # another z on the same line reads the same entry
+    other = mb.integrate(two, 0.5 - 0.3j)
+    assert other.contour == cold.contour
+    assert mb._opening_log_grid.cache_info().hits == 2
+    # the entry: folded, one panel per 2 units of [0, T]
+    T = cold.contour.truncation
+    key = (cold.contour.anchor, T, True)
+    grid = mb._opening_log_grid(one, *key)
+    assert mb._opening_log_grid(two, *key) is grid
+    assert mb._opening_log_grid.cache_info().currsize == 1
+    assert not grid.flags.writeable and grid.size == 15 * int(T / 2)
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
+
+
+def test_opening_grid_cache_stays_within_a_megabyte():
+    # the largest opening: the full line on 512 panels
+    kernel = mb.MellinKernel(up_left=((0.3 + 0.2j, 1.0),))
+    assert len(mb._opening_edges(600.0, False)) == 512 + 1
+    assert len(mb._opening_edges(600.0, True)) == 256 + 1
+    largest = mb._opening_log_grid(kernel, -0.5, 600.0, False)
+    maxsize = mb._opening_log_grid.cache_info().maxsize
+    assert maxsize * largest.nbytes <= 1_000_000
+
+
+def _scalar_log_mag(kernel, sigma, y, logz):
+    """_log_mag_estimate one height and one factor at a time."""
+    total = sigma * logz.real - y * (logz.imag + kernel.base_log.imag) \
+        + sigma * kernel.base_log.real
+    for coeff, slope, sign in mb._signed_terms(kernel):
+        eta = complex(coeff).imag + slope * y
+        if abs(eta) < 1.0:
+            eta = math.copysign(1.0, eta if eta != 0.0 else 1.0)
+        a = (complex(coeff) + slope * sigma).real
+        total += sign * cgamma.asymptotic_log_abs_gamma(a, eta)
+    return total
+
+
+def _scalar_truncation_height(kernel, sigma, logz, tol, t_min):
+    ref = max(_scalar_log_mag(kernel, sigma, y, logz)
+              for y in (1.5, -1.5, 3.0, -3.0, 6.0, -6.0, 12.0, -12.0))
+    target = ref + math.log(max(tol, 1e-16)) - 4.6
+    T = max(t_min, 8.0)
+    while T < mb._T_MAX:
+        if _scalar_log_mag(kernel, sigma, T, logz) <= target and \
+                _scalar_log_mag(kernel, sigma, -T, logz) <= target:
+            break
+        T *= 1.5
+    return T
+
+
+def test_truncation_matches_scalar_reference_bitwise():
+    rng = random.Random(11)
+
+    def family(k):
+        return tuple((complex(rng.uniform(-2.0, 3.0),
+                              rng.choice((0.0, rng.uniform(-2.0, 2.0)))),
+                      rng.choice((1.0, rng.uniform(0.2, 3.0))))
+                     for _ in range(k))
+    for _ in range(300):
+        kernel = mb.MellinKernel(
+            family(rng.randint(0, 3)), family(rng.randint(0, 3)),
+            family(rng.randint(0, 2)), family(rng.randint(0, 2)),
+            rng.choice((1.0, 2.5, complex(rng.uniform(-2, 2),
+                                          rng.uniform(-2, 2)))))
+        sigma = rng.uniform(-3.0, 3.0)
+        logz = complex(np.log(complex(rng.uniform(-5, 5), rng.uniform(-5, 5))))
+        tol = 10.0 ** rng.uniform(-14.0, -3.0)
+        t_min = rng.choice((30.0, 45.0, rng.uniform(5.0, 400.0)))
+        heights = np.array([1.5, -7.25, 30.0, -675.0])
+        assert np.array_equal(
+            mb._log_mag_estimate(kernel, sigma, heights, logz),
+            [_scalar_log_mag(kernel, sigma, y, logz) for y in heights])
+        T, _ = mb._truncation(kernel, mb._signed_terms(kernel), sigma, logz,
+                              tol, t_min)
+        assert T == _scalar_truncation_height(kernel, sigma, logz, tol,
+                                              t_min)

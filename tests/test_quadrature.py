@@ -177,8 +177,9 @@ def test_stacked_kernel_log_grid_matches_per_factor_sum():
 
 
 def test_integrate_makes_one_log_gamma_call_per_round(monkeypatch):
-    grid_sizes, gamma_sizes = [], []
+    grid_sizes, gamma_sizes, round_sizes = [], [], []
     kernel_log_grid = mb.kernel_log_grid
+    kronrod_panels = quadrature.kronrod_panels
 
     def counted_grid(kernel, s):
         grid_sizes.append(np.size(s))
@@ -187,11 +188,27 @@ def test_integrate_makes_one_log_gamma_call_per_round(monkeypatch):
     def counted_gamma(z):
         gamma_sizes.append(np.size(z))
         return log_gamma_grid(z)
+
+    def counted_round(f, a, b, fx=None):
+        round_sizes.append(15 * np.size(a))
+        return kronrod_panels(f, a, b, fx)
     monkeypatch.setattr(mb, "kernel_log_grid", counted_grid)
     monkeypatch.setattr(mb, "log_gamma_grid", counted_gamma)
+    monkeypatch.setattr(quadrature, "kronrod_panels", counted_round)
+    mb._opening_log_grid.cache_clear()
     kernel = GParams(2, 2, 2, 2, (0.3, -0.2), (0.1, 0.6)).to_kernel()
     res = mb.integrate(kernel, 0.7 + 0.2j)
-    # one kernel grid per round, its four gamma factors stacked in one call
+    # one kernel grid per round, the opening round's included, its four
+    # gamma factors stacked in one call
+    assert grid_sizes == round_sizes and len(round_sizes) > 1
     assert sum(grid_sizes) == res.nodes_used
-    assert 1 < len(grid_sizes) < res.nodes_used // 60
     assert gamma_sizes == [4 * n for n in grid_sizes]
+    # the opening grid is built once per (kernel, sigma, T): a later call
+    # on the same line, at any z, makes one call per refinement round only
+    for z in (0.7 + 0.2j, 0.4 - 0.5j):
+        del grid_sizes[:], gamma_sizes[:], round_sizes[:]
+        again = mb.integrate(kernel, z)
+        assert again.contour == res.contour
+        assert grid_sizes == round_sizes[1:] and len(round_sizes) > 1
+        assert sum(round_sizes) == again.nodes_used
+        assert gamma_sizes == [4 * n for n in grid_sizes]
