@@ -30,8 +30,6 @@ from .errors import ContourError, OrderError, ParameterError
 from .mellin_barnes import Contour, GammaFactor, MellinKernel, \
     contour_window, default_truncation, kernel_eval, kernel_log_eval
 
-CANCEL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class FirstOrderFDE:
@@ -100,7 +98,7 @@ def gamma_quotient(roots, m=0, n=None):
     n of the rho roots appear as rising numerator factors and the rest as
     reflected denominator ones; m of the sigma roots appear reflected in the
     numerator, the rest rising in the denominator.  Coincident rho/sigma
-    pairs (within CANCEL_TOL) cancel exactly.
+    pairs (within 1e-12, MellinKernel.simplify) cancel exactly.
     """
     p = len(roots.rho)
     q = len(roots.sigma)
@@ -116,7 +114,7 @@ def gamma_quotient(roots, m=0, n=None):
         down_left=tuple(GammaFactor(1.0 + s) for s in roots.sigma[m:]),
         down_right=tuple(GammaFactor(1.0 + r) for r in roots.rho[n:]),
         base=c)
-    return kernel.simplify(CANCEL_TOL)
+    return kernel.simplify()
 
 
 def solution_value(kernel, x):

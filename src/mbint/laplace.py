@@ -11,6 +11,7 @@ then produces a solution of the dual difference equation, which
 fde_numeric_residual verifies directly against the coefficient matrix.
 """
 
+import cmath
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import polyroots
 from .errors import (DegreeError, DivergenceError, ParameterError,
                      QuadratureError, RepeatedRootError)
-from .quadrature import MAX_NODES, integrate_adaptive
+from .quadrature import MAX_NODES, check_tolerance, integrate_adaptive
 
 _NEAR_ONE = 1e-9
 _NEAR_INTEGER = 1e-9
@@ -154,6 +155,9 @@ def laplace_transform(psi, x, tol=1e-10):
     _NEAR_INTEGER) opens on 8 equal panels, as the body does.
     """
     x = complex(x)
+    if not cmath.isfinite(x):
+        raise ParameterError("transform argument must be finite", x=x)
+    check_tolerance(tol)
     lam = complex(psi.exponent_lambda)
     rate = x.real - lam.real
     if rate <= 0:

@@ -19,6 +19,7 @@ indented) line, with residue summation over either pole family available as
 an independent route.
 """
 
+import cmath
 import functools
 import heapq
 import logging
@@ -34,7 +35,8 @@ from .cgamma import (POLE_TOLERANCE, asymptotic_log_abs_gamma, detect_pole,
 from .errors import (ContourError, ConvergenceError, HigherOrderPoleError,
                      NonConvergentSeriesError, ParameterError, PoleError,
                      QuadratureError)
-from .quadrature import MAX_NODES, integrate_adaptive, panel_nodes
+from .quadrature import (MAX_NODES, check_tolerance, integrate_adaptive,
+                         panel_nodes)
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +44,7 @@ _EPS = np.finfo(float).eps
 _T_MAX = 6000.0
 _NEG_INF = complex(float("-inf"), 0.0)
 _MP_LOCK = threading.Lock()  # mpmath precision context is process-global
+_CANCEL_TOL = 1e-12  # MellinKernel.simplify's parameter match
 mpmath = None  # see _mpmath
 
 
@@ -53,6 +56,9 @@ class GammaFactor:
     def __post_init__(self):
         object.__setattr__(self, "coeff", complex(self.coeff))
         object.__setattr__(self, "mult", float(self.mult))
+        if not (cmath.isfinite(self.coeff) and math.isfinite(self.mult)):
+            raise ParameterError("gamma-factor parameters must be finite",
+                                 coeff=self.coeff, mult=self.mult)
         if self.mult <= 0:
             raise ParameterError("gamma-factor multiplier must be positive",
                                  mult=self.mult)
@@ -85,16 +91,17 @@ class MellinKernel:
         object.__setattr__(self, "down_left", _factors(self.down_left))
         object.__setattr__(self, "down_right", _factors(self.down_right))
         object.__setattr__(self, "base", complex(self.base))
-        if self.base == 0:
-            raise ParameterError("kernel base must be nonzero")
+        if self.base == 0 or not cmath.isfinite(self.base):
+            raise ParameterError("kernel base must be finite and nonzero",
+                                 base=self.base)
         object.__setattr__(self, "base_log", complex(np.log(self.base)))
 
-    def simplify(self, tol=1e-12):
+    def simplify(self):
         """Cancel numerator/denominator factor pairs of identical shape.
 
         Gamma(1 - a + alpha s) against Gamma(1 - b + beta s) and
         Gamma(b - beta s) against Gamma(a - alpha s), whenever the
-        parameters agree within ``tol``; the represented function is
+        parameters agree within 1e-12; the represented function is
         unchanged because the cancelled factors are equal.
         """
         def cancel(num, den):
@@ -102,8 +109,8 @@ class MellinKernel:
             kept = []
             for f in num:
                 hit = next((g for g in den
-                            if abs(g.coeff - f.coeff) < tol
-                            and abs(g.mult - f.mult) < tol), None)
+                            if abs(g.coeff - f.coeff) < _CANCEL_TOL
+                            and abs(g.mult - f.mult) < _CANCEL_TOL), None)
                 if hit is not None:
                     den.remove(hit)
                 else:
@@ -175,16 +182,20 @@ def _log_gammas(terms, s):
 
     Raises PoleError when a numerator gamma (sign > 0) sits on a pole; a
     denominator gamma on a pole makes the product zero, returned as None.
+    A complex ``s`` is composed in double, an mpmath one (with mpmath
+    ``terms``, see _ladder_model) by mpmath.loggamma.
     """
+    loggamma = log_gamma_unchecked if isinstance(s, complex) \
+        else mpmath.loggamma
     total = 0.0 + 0.0j
     for coeff, slope, sign in terms:
         w = coeff + slope * s
         if detect_pole(w).is_pole:
             if sign > 0:
                 raise PoleError("kernel evaluated at a numerator pole",
-                                s=s, argument=w)
+                                s=complex(s), argument=complex(w))
             return None
-        total += sign * log_gamma_unchecked(w)
+        total += sign * loggamma(w)
     return total
 
 
@@ -224,13 +235,14 @@ class Pole:
 class _Ladder:
     """The poles of one numerator gamma: an arithmetic progression in s.
 
-    Gamma(b - beta s) (family up_left) has the right-opening poles
-    s_l = (b + l) / beta, Gamma(1 - a + alpha s) (up_right) the
-    left-opening poles s_l = (a - 1 - l) / alpha, for 0 <= l < length;
-    ``origin`` is b or a - 1 and ``mult`` is beta or alpha.  The contour
-    code uses unbounded ladders (length math.inf).
+    s_l = (origin + step * l) / mult for 0 <= l < length.  Gamma(b - beta s)
+    (family up_left) has the right-opening poles, step +1 from origin b;
+    Gamma(1 - a + alpha s) (up_right) the left-opening ones, step -1 from
+    origin a - 1; ``mult`` is beta or alpha, and ``idx`` the factor's index
+    in its family.  The contour code uses unbounded ladders (length
+    math.inf).
     """
-    family: str
+    step: int
     idx: int
     length: int
     origin: complex
@@ -238,20 +250,18 @@ class _Ladder:
 
     @property
     def rightward(self):
-        return self.family == "up_left"
+        return self.step > 0
+
+    @property
+    def family(self):
+        return "up_left" if self.step > 0 else "up_right"
 
     def location(self, l):
-        if self.rightward:
-            return (self.origin + l) / self.mult
-        return (self.origin - l) / self.mult
+        return (self.origin + self.step * l) / self.mult
 
     def nearest(self, loc):
         """The index l >= 0 whose pole lies nearest ``loc``."""
-        if self.rightward:
-            l = round((loc * self.mult - self.origin).real)
-        else:
-            l = round((self.origin - loc * self.mult).real)
-        return max(l, 0)
+        return max(round(self.step * (loc * self.mult - self.origin).real), 0)
 
     def left_of(self, bound):
         """The poles s_l of a rightward ladder with Re s_l < bound."""
@@ -267,24 +277,24 @@ class _Ladder:
 def _pole_ladders(kernel, side, length):
     """The ladders that closing the contour on ``side`` encircles."""
     if side == "right":
-        return [_Ladder("up_left", idx, length, f.coeff, f.mult)
+        return [_Ladder(1, idx, length, f.coeff, f.mult)
                 for idx, f in enumerate(kernel.up_left)]
-    return [_Ladder("up_right", idx, length, f.coeff - 1.0, f.mult)
+    return [_Ladder(-1, idx, length, f.coeff - 1.0, f.mult)
             for idx, f in enumerate(kernel.up_right)]
 
 
 def _ladder_poles(ladder):
     """(key, Im s_l, idx, l, s_l) for l = 0, 1, ..., in ladder order.
 
-    The key is Re s_l on a rightward ladder and -Re s_l on a leftward one,
-    so merging a family's ladders lists its poles in opening order, ties
-    broken by factor index; (key, Im, idx, l) is unique per pole, so the
-    merge never compares s_l itself.
+    The key is step * Re s_l (Re s_l rightward, -Re s_l leftward), so
+    merging a family's ladders lists its poles in opening order, ties
+    broken by Im s_l, then by factor index; (key, Im, idx, l) is unique per
+    pole, so the merge never compares s_l itself.
     """
-    rightward, idx = ladder.rightward, ladder.idx
+    step, idx = ladder.step, ladder.idx
     for l in range(ladder.length):
         loc = ladder.location(l)
-        yield loc.real if rightward else -loc.real, loc.imag, idx, l, loc
+        yield step * loc.real, loc.imag, idx, l, loc
 
 
 def _merged_poles(ladders):
@@ -299,33 +309,31 @@ def _coincident_pole(a, b):
     if a.mult == b.mult:
         # s_l - s'_l' depends on j = l - l' alone: only the j nearest the
         # gap between the origins can bring two poles together
-        gap = (a.origin - b.origin).real
-        j = round(-gap if a.rightward else gap)
+        j = round(a.step * (b.origin - a.origin).real)
         if abs(j) >= n:
             return None
         l = max(j, 0)
         loc = b.location(l - j)
         return loc if abs(a.location(l) - loc) <= POLE_TOLERANCE else None
     # unequal steps: every pole of a against the nearest pole of b
-    sign = 1.0 if a.rightward else -1.0
-    sa = (a.origin + sign * np.arange(n)) / a.mult
-    lb = np.clip(np.rint(sign * (sa * b.mult - b.origin).real), 0, n - 1)
-    sb = (b.origin + sign * lb) / b.mult
+    sa = (a.origin + a.step * np.arange(n)) / a.mult
+    lb = np.clip(np.rint(a.step * (sa * b.mult - b.origin).real), 0, n - 1)
+    sb = (b.origin + a.step * lb) / b.mult
     hit = np.flatnonzero(np.abs(sa - sb) <= POLE_TOLERANCE)
     return complex(sa[hit[0]]) if hit.size else None
 
 
 def _live_length(kernel, ladder):
-    """The index from which every residue on ``ladder`` vanishes, else its
-    length.
+    """The index from which every residue on ``ladder`` vanishes, else
+    math.inf.
 
     A denominator gamma whose argument moves by a non-positive integer from
     pole to pole sits on a pole at every pole of the ladder from the first
     one where its argument is a non-positive integer.
     """
-    step = (1.0 if ladder.rightward else -1.0) / ladder.mult
+    step = ladder.step / ladder.mult
     s0 = ladder.origin / ladder.mult
-    end = ladder.length
+    end = math.inf
     for coeff, slope, sign in _signed_terms(kernel):
         move = slope * step
         k = round(move)
@@ -346,36 +354,29 @@ def pole_families(kernel, count):
 
     Returns (left_opening, right_opening); left-opening poles come from the
     Gamma(1 - a + alpha s) factors and are listed moving leftward,
-    right-opening ones from Gamma(b - beta s), moving rightward.  Poles
-    where distinct factors collide carry order > 1.
+    right-opening ones from Gamma(b - beta s), moving rightward, in the
+    order the residue route draws them (_merged_poles): poles with equal
+    real parts by ascending Im.  Poles where distinct factors collide
+    carry order > 1.
     """
     if count < 1:
         raise ParameterError("count must be >= 1", count=count)
     out = []
     for side in ("left", "right"):
         ladders = _pole_ladders(kernel, side, count)
-        # each ladder in ascending (Re, Im); leftward ones run backwards
-        runs = [[(loc.real, loc.imag, idx, l, loc)
-                 for _, _, idx, l, loc in _ladder_poles(lad)]
-                for lad in ladders]
-        if side == "left":
-            for run in runs:
-                run.reverse()
         clusters = []
-        for _, _, idx, l, loc in heapq.merge(*runs):
+        for _, _, idx, l, loc in _merged_poles(ladders):
             src = (ladders[idx].family, idx, l)
             if clusters and abs(loc - clusters[-1][0]) <= POLE_TOLERANCE:
                 clusters[-1][1].append(src)
             else:
                 clusters.append([loc, [src]])
-        poles = [Pole(loc, len(srcs), tuple(srcs)) for loc, srcs in clusters]
-        if side == "left":
-            poles.reverse()
-        out.append(poles)
+        out.append([Pole(loc, len(srcs), tuple(srcs))
+                    for loc, srcs in clusters])
     return tuple(out)
 
 
-def find_pole_collision(kernel, tol=POLE_TOLERANCE):
+def find_pole_collision(kernel):
     """A point where the two opening families collide, or None.
 
     Only finitely many collisions are possible because right-opening
@@ -383,7 +384,7 @@ def find_pole_collision(kernel, tol=POLE_TOLERANCE):
     each right-opening ladder up to each left-opening head makes the
     search exact.
     """
-    lefts = [(left, left.location(0).real + tol)
+    lefts = [(left, left.location(0).real + POLE_TOLERANCE)
              for left in _pole_ladders(kernel, "left", math.inf)]
     rights = _pole_ladders(kernel, "right", math.inf)
     if min((r.location(0).real for r in rights), default=math.inf) \
@@ -392,7 +393,7 @@ def find_pole_collision(kernel, tol=POLE_TOLERANCE):
     for right in rights:
         for left, bound in lefts:
             for s in right.left_of(bound):
-                if abs(left.location(left.nearest(s)) - s) <= tol:
+                if abs(left.location(left.nearest(s)) - s) <= POLE_TOLERANCE:
                     return s
     return None
 
@@ -447,20 +448,16 @@ class Contour:
 
 def decay_rate(kernel):
     """Exponential decay rate kappa of |K| along a vertical line."""
-    return _decay_rate(_signed_terms(kernel))
-
-
-def _decay_rate(terms):
     total = 0.0
-    for _, slope, sign in terms:
+    for _, slope, sign in _signed_terms(kernel):
         total += sign * abs(slope)
     return 0.5 * np.pi * total
 
 
-def _algebraic_exponent(terms, sigma):
+def _algebraic_exponent(kernel, sigma):
     """Coefficient of log|y| in log|K(sigma + iy)| for large |y|."""
     total = 0.0
-    for coeff, slope, sign in terms:
+    for coeff, slope, sign in _signed_terms(kernel):
         total += sign * ((coeff + slope * sigma).real - 0.5)
     return total
 
@@ -572,7 +569,7 @@ def convergence_class(kernel, z, branch_k=0):
         sigma = choose_contour(kernel).anchor
     except ContourError:
         sigma = 0.0
-    if _algebraic_exponent(_signed_terms(kernel), sigma) < -1e-12:
+    if _algebraic_exponent(kernel, sigma) < -1e-12:
         return ConvergenceClass.CONDITIONAL
     return ConvergenceClass.DIVERGENT
 
@@ -627,66 +624,63 @@ def _ladder_model(kernel, ladder, exact):
     ladder's, else None.  In double the numbers are _signed_terms' own.
     With ``exact`` every coeff and slope, and the ladder's origin and
     multiplier, are mpmath numbers built from the kernel's parameters, so
-    the poles ladder.location(l) are exact too.
+    the poles ladder.location(l) are exact too: the origin is
+    step * coeff of the owning factor's own term.
     """
-    step = 1 if ladder.rightward else -1
-    own = ladder.idx if ladder.rightward \
-        else len(kernel.up_left) + ladder.idx
-    factors = list(kernel.up_left + kernel.up_right + kernel.down_left
-                   + kernel.down_right)
-    origin = factors.pop(own).coeff
+    # _signed_terms lists the up_right factors right after the up_left ones
+    own = ladder.idx + (ladder.step < 0) * len(kernel.up_left)
+    factors = kernel.up_left + kernel.up_right + kernel.down_left \
+        + kernel.down_right
     terms = _signed_terms(kernel)
-    del terms[own]
-    moves = [step * (1 if slope > 0 else -1) if f.mult == ladder.mult
+    moves = [ladder.step * (1 if slope > 0 else -1) if f.mult == ladder.mult
              else None for f, (_, slope, _) in zip(factors, terms)]
     if exact:
         # exact 1 - a for the Gamma(1 - a + alpha s) factors (slope > 0)
         terms = [(1 - _mp_number(f.coeff) if slope > 0
                   else _mp_number(f.coeff), mpmath.mpf(slope), sign)
                  for f, (_, slope, sign) in zip(factors, terms)]
-        origin = _mp_number(origin)
-        if not ladder.rightward:
-            origin -= 1
-        ladder = replace(ladder, origin=origin, mult=mpmath.mpf(ladder.mult))
+        ladder = replace(ladder, origin=ladder.step * terms[own][0],
+                         mult=mpmath.mpf(ladder.mult))
+    del terms[own], moves[own]
     return ladder, terms, moves
 
 
 def _log_residue(ladder, terms, l, shift):
-    """The residue at pole l of ``ladder`` in double, composed in log space
-    by _log_gammas and exponentiated once (see _ladder_residues)."""
+    """The residue at pole l of ``ladder``, composed in log space by
+    _log_gammas and exponentiated once: in double, or in mpmath when the
+    ladder's numbers are mpmath's (see _ladder_model)."""
     s = ladder.location(l)
     total = _log_gammas(terms, s)
     if total is None:
         return 0.0 + 0.0j
     total += s * shift
-    total -= math.lgamma(l + 1) + math.log(ladder.mult)
-    parity = (-1.0 if ladder.rightward else 1.0) \
-        * (1.0 if l % 2 == 0 else -1.0)
-    return parity * complex(np.exp(total))
+    parity = -ladder.step if l % 2 == 0 else ladder.step
+    if isinstance(s, complex):
+        total -= math.lgamma(l + 1) + math.log(ladder.mult)
+        return parity * complex(np.exp(total))
+    total -= mpmath.loggamma(l + 1) + mpmath.log(ladder.mult)
+    return parity * mpmath.exp(total)
 
 
 def _ladder_residues(kernel, ladder, shift, exact=False):
     """Residues of K(s) z^s at the poles l = 0, 1, ... of ``ladder``.
 
     ``shift`` is log(base) + log z.  A numerator gamma on a pole raises
-    PoleError; a denominator gamma on a pole gives a zero term.  In double
-    every term is composed in log space.  With ``exact``, inside the
-    caller's workdps, a term comes from gamma/rgamma at the ladder's first
-    pole and after a zero term; when every other factor's argument moves
-    by +/-1 from pole to pole (multipliers equal to the ladder's), later
-    terms follow from the previous one through Gamma(w + 1) = w Gamma(w),
-    with no gamma call.
+    PoleError; a denominator gamma on a pole gives a zero term.  Every term
+    is composed in log space by _log_residue, in double or, with ``exact``
+    and inside the caller's workdps, in mpmath.  One exception, in mpmath
+    only: when every other factor's argument moves by +/-1 from pole to
+    pole (multipliers equal to the ladder's), each term after the first
+    (and after a zero term) follows from the previous one through
+    Gamma(w + 1) = w Gamma(w), with no gamma call.
     """
     ladder, terms, moves = _ladder_model(kernel, ladder, exact)
-    step = 1 if ladder.rightward else -1
     by_ratio = exact and None not in moves
     if by_ratio:
-        e_step = mpmath.exp(step * shift / ladder.mult)
+        e_step = mpmath.exp(ladder.step * shift / ladder.mult)
     term = None
     for l in range(ladder.length):
-        if not exact:
-            term = _log_residue(ladder, terms, l, shift)
-        elif term and by_ratio:
+        if by_ratio and term:
             # Gamma(w + 1) / Gamma(w) = w; Gamma(w - 1) / Gamma(w) = 1/(w - 1)
             num = -e_step
             den = mpmath.mpf(l)
@@ -705,19 +699,10 @@ def _ladder_residues(kernel, ladder, shift, exact=False):
                                 "location")
             term = term * num / den
         else:
-            s = ladder.location(l)
-            ws = [coeff + slope * s for coeff, slope, _ in terms]
-            term = mpmath.mpf(-step if l % 2 == 0 else step)
-            for w, (_, _, sign) in zip(ws, terms):
-                if sign < 0:
-                    term *= mpmath.rgamma(w)
-                elif detect_pole(complex(w)).is_pole:
-                    raise PoleError("numerator gamma on a pole at a residue "
-                                    "location", argument=complex(w))
-                else:
-                    term *= mpmath.gamma(w)
-            term = term / mpmath.factorial(l) / ladder.mult \
-                * mpmath.exp(s * shift)
+            term = _log_residue(ladder, terms, l, shift)
+            if by_ratio:
+                s = ladder.location(l)
+                ws = [coeff + slope * s for coeff, slope, _ in terms]
         yield term
 
 
@@ -768,6 +753,16 @@ def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
     return total, abs_sum, last, nterms, False
 
 
+def _checked_argument(z, tol):
+    """complex(z) for a finite nonzero z (else ConvergenceError), with
+    ``tol`` a positive finite number (else ParameterError)."""
+    z = complex(z)
+    if z == 0 or not cmath.isfinite(z):
+        raise ConvergenceError("argument must be finite and nonzero", z=z)
+    check_tolerance(tol)
+    return z
+
+
 _RESIDUE_METHOD = {"left": "residues_left", "right": "residues_right"}
 _EXACT_BUDGET = 4  # the exact pass's ladders: this many times n_max poles
 
@@ -788,9 +783,7 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     to the measured condition number, on ladders of up to
     _EXACT_BUDGET * n_max poles under a 1000x stricter stop rule.
     """
-    z = complex(z)
-    if z == 0:
-        raise ConvergenceError("argument must be nonzero")
+    z = _checked_argument(z, tol)
     if side not in ("left", "right"):
         raise ParameterError("side must be 'left' or 'right'", side=side)
     if n_max <= 0:
@@ -806,11 +799,12 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
             if loc is not None:
                 raise HigherOrderPoleError("coincident poles on the chosen "
                                            "side", location=loc)
-    ladders = [replace(lad, length=_live_length(kernel, lad))
-               for lad in ladders]
+    cuts = [_live_length(kernel, lad) for lad in ladders]
     logz = complex(np.log(z)) + 2j * np.pi * branch_k
     total, abs_sum, last, nterms, converged = _sum_residues(
-        kernel, ladders, kernel.base_log + logz, tol, n_max)
+        kernel, [replace(lad, length=min(cut, n_max))
+                 for lad, cut in zip(ladders, cuts)],
+        kernel.base_log + logz, tol, n_max)
     method = _RESIDUE_METHOD[side]
     if abs_sum == 0.0:
         # every term was exactly zero (or every ladder vanishes): terms
@@ -829,8 +823,8 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
         dps = 22 + int(math.log10(cancel)) + 6
         log.debug("residue series escalating to mpmath dps=%d", dps)
         budget = _EXACT_BUDGET * n_max
-        ladders = [replace(lad, length=_live_length(kernel, lad))
-                   for lad in _pole_ladders(kernel, side, budget)]
+        ladders = [replace(lad, length=min(cut, budget))
+                   for lad, cut in zip(ladders, cuts)]
         with _MP_LOCK, _mpmath().workdps(dps):
             shift = mpmath.log(mpmath.mpmathify(z)) \
                 + 2j * mpmath.pi * branch_k \
@@ -871,7 +865,7 @@ def _log_mag_estimate(kernel, sigma, y, logz):
 _REF_HEIGHTS = np.array([1.5, -1.5, 3.0, -3.0, 6.0, -6.0, 12.0, -12.0])
 
 
-def _truncation(kernel, terms, sigma, logz, tol, t_min):
+def _truncation(kernel, sigma, logz, tol, t_min):
     """(T, tail): the truncation height and a bound on the integral beyond.
 
     T is the first of the heights max(t_min, 8) * 1.5^k below _T_MAX where
@@ -893,7 +887,7 @@ def _truncation(kernel, terms, sigma, logz, tol, t_min):
     k = int(fits.argmax())
     T = heights[k]
 
-    kappa = _decay_rate(terms)
+    kappa = decay_rate(kernel)
     arg_eff = logz.imag + kernel.base_log.imag
     tail = 0.0
     for direction, log_mag in ((+1.0, above[k]), (-1.0, below[k])):
@@ -902,7 +896,7 @@ def _truncation(kernel, terms, sigma, logz, tol, t_min):
         if rate > 1e-3:
             tail += mag / rate
         else:
-            omega = _algebraic_exponent(terms, sigma)
+            omega = _algebraic_exponent(kernel, sigma)
             if omega < -1.0:
                 tail += mag * T / (-omega - 1.0)
             else:
@@ -995,9 +989,7 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     arrays.  Refinement rounds evaluate the kernel afresh, one
     kernel_log_grid call per round.
     """
-    z = complex(z)
-    if z == 0:
-        raise ConvergenceError("argument must be nonzero")
+    z = _checked_argument(z, tol)
     cls = convergence_class(kernel, z, branch_k)
     if cls is ConvergenceClass.DIVERGENT:
         raise ConvergenceError("contour integral diverges for this argument",
@@ -1006,8 +998,7 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
         contour = choose_contour(kernel)
     logz = complex(np.log(z)) + 2j * np.pi * branch_k
     sigma = contour.anchor
-    T, tail = _truncation(kernel, _signed_terms(kernel), sigma, logz, tol,
-                          contour.truncation)
+    T, tail = _truncation(kernel, sigma, logz, tol, contour.truncation)
     used = contour if T == contour.truncation \
         else replace(contour, truncation=float(T))
     # composed before the quadrature, so a bad detour is refused at once

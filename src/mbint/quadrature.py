@@ -10,9 +10,13 @@ budget cannot take them all.  The final sum runs in interval order, so
 results are deterministic and independent of the refinement history.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ParameterError
 
 MAX_NODES = 200000  # default integrand evaluations per integral
 
@@ -38,6 +42,15 @@ NODES = np.concatenate([-_XGK[:7], _XGK[::-1]])
 KRONROD_W = np.concatenate([_WGK[:7], _WGK[::-1]])
 GAUSS_W = np.zeros(15)
 GAUSS_W[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])
+
+
+def check_tolerance(tol):
+    """Refuse (ParameterError) a ``tol`` that is not a positive finite
+    number."""
+    if not (isinstance(tol, numbers.Real) and tol > 0
+            and math.isfinite(tol)):
+        raise ParameterError("tolerance must be a positive finite number",
+                             tol=tol)
 
 
 @dataclass
@@ -79,10 +92,10 @@ def kronrod_panel(f, a, b):
     return complex(vk[0]), float(err[0])
 
 
-def integrate_adaptive(f, edges, tol_abs=0.0, tol_rel=1e-10,
-                       max_nodes=MAX_NODES, opening=None):
-    """Integrate f over [edges[0], edges[-1]] to the requested
-    absolute/relative target.
+def integrate_adaptive(f, edges, tol_rel=1e-10, max_nodes=MAX_NODES,
+                       opening=None):
+    """Integrate f over [edges[0], edges[-1]] to the requested relative
+    target.
 
     ``edges`` (increasing) are the opening panels' endpoints: the first
     round evaluates every panel [edges[i], edges[i + 1]].  A mesh graded
@@ -96,7 +109,7 @@ def integrate_adaptive(f, edges, tol_abs=0.0, tol_rel=1e-10,
     vals, errs = kronrod_panels(f, left, right, opening)
     nodes = 15 * left.size
     while True:
-        target = max(tol_abs, tol_rel * abs(vals.sum()))
+        target = tol_rel * abs(vals.sum())
         room = (max_nodes - nodes) // 30
         toterr = errs.sum()
         if toterr <= target or room <= 0 or not np.isfinite(toterr):
@@ -122,5 +135,5 @@ def integrate_adaptive(f, edges, tol_abs=0.0, tol_rel=1e-10,
     order = np.argsort(left, kind="stable")
     value = complex(vals[order].sum())
     error = float(errs[order].sum())
-    converged = error <= max(tol_abs, tol_rel * abs(value))
+    converged = error <= tol_rel * abs(value)
     return QuadResult(value, error, nodes, converged)

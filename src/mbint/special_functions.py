@@ -7,6 +7,7 @@ function of orders (1, p; p, q+1) at argument -z, which extends the series
 beyond the disk; both routes are implemented and cross-checked.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -19,6 +20,7 @@ from .errors import (ConvergenceError, DivergentSeriesError,
                      InvalidDenominatorError, OrderError, ParameterError,
                      QuadratureError)
 from .fde_solutions import coefficient_roots
+from .quadrature import check_tolerance
 
 
 def _complex_tuple(values):
@@ -230,8 +232,9 @@ def _evaluate_kernel(kernel, z, tol, method=None, branch_k=0):
         raise ParameterError("method must be 'quad' or 'residues'",
                              method=method)
     z = complex(z)
-    if z == 0:
-        raise ParameterError("argument must be nonzero")
+    if z == 0 or not cmath.isfinite(z):
+        raise ParameterError("argument must be finite and nonzero", z=z)
+    check_tolerance(tol)
     side = _residue_side(kernel, z)
     if method == "residues":
         if side is None:

@@ -175,3 +175,12 @@ def test_inverse_transform_solution_length_mismatch():
 def test_lead_zero_rejected():
     with pytest.raises(ParameterError):
         fde.FirstOrderFDE((0.0,), (1.0, 2.0))
+
+
+def test_gamma_quotient_refuses_non_finite_roots():
+    for roots in (fde.RootData((math.nan, 1.5), (0.5,), complex(2.0)),
+                  fde.RootData((1.5,), (complex(0.5, math.inf),),
+                               complex(2.0)),
+                  fde.RootData((1.5,), (0.5,), complex(math.nan))):
+        with pytest.raises(ParameterError):
+            fde.gamma_quotient(roots)

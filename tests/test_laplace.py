@@ -270,3 +270,17 @@ def test_shift_identity():
 def test_a1_identically_zero_rejected():
     with pytest.raises(ParameterError):
         laplace.solve_first_order_ode((1.0,), (0.0,))
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, complex(2.0, math.inf)])
+def test_transform_refuses_non_finite_argument(x):
+    psi = laplace.solve_first_order_ode((0.0, -1.0), (1.0, -1.0))
+    with pytest.raises(ParameterError):
+        laplace.laplace_transform(psi, x)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, None])
+def test_transform_tolerance_must_be_positive_and_finite(tol):
+    psi = laplace.solve_first_order_ode((0.0, -1.0), (1.0, -1.0))
+    with pytest.raises(ParameterError):
+        laplace.laplace_transform(psi, 2.0, tol=tol)

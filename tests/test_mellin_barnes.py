@@ -875,7 +875,91 @@ def test_truncation_matches_scalar_reference_bitwise():
         assert np.array_equal(
             mb._log_mag_estimate(kernel, sigma, heights, logz),
             [_scalar_log_mag(kernel, sigma, y, logz) for y in heights])
-        T, _ = mb._truncation(kernel, mb._signed_terms(kernel), sigma, logz,
-                              tol, t_min)
+        T, _ = mb._truncation(kernel, sigma, logz, tol, t_min)
         assert T == _scalar_truncation_height(kernel, sigma, logz, tol,
                                               t_min)
+
+
+@pytest.mark.parametrize("coeff,mult", [(math.nan, 1.0), (math.inf, 1.0),
+                                        (complex(0.5, math.nan), 1.0),
+                                        (0.5, math.nan), (0.5, math.inf)])
+def test_gamma_factor_refuses_non_finite_parameters(coeff, mult):
+    with pytest.raises(ParameterError):
+        mb.GammaFactor(coeff, mult)
+    with pytest.raises(ParameterError):
+        mb.MellinKernel(up_left=((coeff, mult),))
+
+
+@pytest.mark.parametrize("base", [math.nan, math.inf, complex(1.0, -math.inf)])
+def test_kernel_refuses_non_finite_base(base):
+    with pytest.raises(ParameterError):
+        mb.MellinKernel(up_left=((0.5, 1.0),), base=base)
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan,
+                               complex(1.0, math.inf), complex(math.nan, 1.0)])
+def test_non_finite_argument_is_refused_like_zero(z):
+    with pytest.raises(ConvergenceError):
+        mb.integrate(k_exp(0.5), z)
+    with pytest.raises(ConvergenceError):
+        mb.residue_series(k_exp(0.5), z, "right")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, None])
+def test_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(ParameterError):
+        mb.integrate(k_exp(0.5), 2.0, tol=tol)
+    with pytest.raises(ParameterError):
+        mb.residue_series(k_exp(0.5), 2.0, "right", tol=tol)
+
+
+def test_ladder_step_sets_direction():
+    right = mb._Ladder(1, 0, 5, 0.5 + 0.25j, 2.0)
+    left = mb._Ladder(-1, 1, 5, 0.5 + 0.25j, 2.0)
+    assert (right.family, right.rightward) == ("up_left", True)
+    assert (left.family, left.rightward) == ("up_right", False)
+    assert [right.location(l) for l in range(3)] \
+        == [(0.5 + 0.25j + l) / 2.0 for l in range(3)]
+    assert [left.location(l) for l in range(3)] \
+        == [(0.5 + 0.25j - l) / 2.0 for l in range(3)]
+    for l in range(5):
+        assert right.nearest(right.location(l) + 0.1) == l
+        assert left.nearest(left.location(l) - 0.1) == l
+    assert left.nearest(10.0) == 0 and right.nearest(-10.0) == 0
+
+
+def test_pole_families_list_the_residue_merge_order():
+    # two left-opening ladders with equal real parts: both families list
+    # equal-Re poles by ascending Im, the order _merged_poles draws them
+    kernel = mb.MellinKernel(up_left=((0.5 + 0.5j, 1.0), (0.5 - 0.5j, 1.0)),
+                             up_right=((0.5 + 0.5j, 1.0), (0.5 - 0.5j, 1.0)))
+    left, right = mb.pole_families(kernel, 3)
+    for poles, side in ((left, "left"), (right, "right")):
+        ladders = mb._pole_ladders(kernel, side, 3)
+        assert [p.location for p in poles] \
+            == [loc for *_, loc in mb._merged_poles(ladders)]
+    assert [p.location for p in left[:2]] == [-0.5 - 0.5j, -0.5 + 0.5j]
+    assert [p.location for p in right[:2]] == [0.5 - 0.5j, 0.5 + 0.5j]
+
+
+def test_residue_series_builds_its_ladders_once(monkeypatch):
+    # the mpmath re-summation reuses the double pass's ladders and cuts
+    kernel = GParams(1, 0, 1, 1, (-0.19981391900622214,),
+                     (1.8923459603939832,)).to_kernel()
+    calls = []
+    build = mb._pole_ladders
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+    monkeypatch.setattr(mb, "_pole_ladders", counted)
+    exact = []
+    real_sum = mb._sum_residues
+
+    def summed(*args, **kwargs):
+        exact.append(kwargs.get("exact", False))
+        return real_sum(*args, **kwargs)
+    monkeypatch.setattr(mb, "_sum_residues", summed)
+    mb.residue_series(kernel, -0.8040259380530045 + 0.5091693353898146j,
+                      "right", n_max=800, tol=1e-10)
+    assert exact == [False, True] and len(calls) == 1

@@ -255,3 +255,54 @@ def test_derive_g_ode_split_range():
 def test_special_suite_invariants():
     for check in verification.suite_special(seed=9):
         assert check.passed, check
+
+
+def test_non_finite_parameters_are_refused():
+    nan = math.nan
+    with pytest.raises(ParameterError):
+        sf.GParams(1, 0, 0, 1, (), (nan,))
+    with pytest.raises(ParameterError):
+        sf.GParams(1, 1, 1, 1, (math.inf,), (0.5,))
+    with pytest.raises(ParameterError):
+        sf.HParams(1, 0, 0, 1, (), (0.5,), (), (nan,))
+    with pytest.raises(ParameterError):
+        sf.HParams(1, 1, 1, 1, (0.2,), (0.5,), (math.inf,), (1.0,))
+
+
+@pytest.mark.parametrize("z", [math.inf, math.nan, complex(-math.inf, 1.0)])
+def test_non_finite_argument_is_refused(z):
+    g = sf.GParams(1, 0, 0, 1, (), (0.5,))
+    h = sf.HParams(1, 0, 0, 1, (), (0.5,), (), (2.0,))
+    for method in (None, "quad", "residues"):
+        with pytest.raises(ParameterError):
+            sf.meijer_g(g, z, method=method)
+        with pytest.raises(ParameterError):
+            sf.fox_h(h, z, method=method)
+    with pytest.raises(ParameterError):
+        sf.pfq_via_g((0.5,), (1.5,), z)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, None])
+def test_tolerance_must_be_positive_and_finite(tol):
+    g = sf.GParams(1, 0, 0, 1, (), (0.5,))
+    for method in (None, "quad", "residues"):
+        with pytest.raises(ParameterError):
+            sf.meijer_g(g, 2.0, tol=tol, method=method)
+    with pytest.raises(ParameterError):
+        sf.pfq_via_g((0.5,), (1.5,), -2.0, tol=tol)
+
+
+@pytest.mark.parametrize("z", [2j, -3j])
+def test_conditional_boundary_sums_residues(z):
+    # 1F1(0.6; 1.7; z) as G^{1,1}_{1,2}(-z): kappa = pi/2 = |arg(-z)|,
+    # where the integral converges only conditionally
+    import mpmath
+    g = sf.GParams(1, 1, 1, 2, (1.0 - 0.6,), (0.0, 1.0 - 1.7))
+    assert mb.convergence_class(g.to_kernel(), -z) \
+        is mb.ConvergenceClass.CONDITIONAL
+    res = sf.pfq_via_g((0.6,), (1.7,), z)
+    assert res.method == "residues_right"
+    ref = complex(mpmath.hyp1f1(0.6, 1.7, z))
+    assert abs(res.value - ref) <= res.err_estimate
+    with pytest.raises(QuadratureError):
+        sf.meijer_g(g, -z, method="quad")
