@@ -535,9 +535,12 @@ def test_residue_series_mp_denominator_pole_is_zero_term():
 
 def test_residue_series_mp_numerator_pole_is_typed():
     # Gamma(s) has a pole at the first pole s = 0 of Gamma(-s) (a direct
-    # term); Gamma(2 - s) at its third, s = 2 (a term by recurrence)
+    # term), and so has Gamma(2s) on a ladder of unequal multipliers;
+    # Gamma(2 - s) at its third, s = 2 (a term by recurrence)
     for kernel in (mb.MellinKernel(up_left=((0.0, 1.0),),
                                    up_right=((1.0, 1.0),)),
+                   mb.MellinKernel(up_left=((0.0, 1.0),),
+                                   up_right=((1.0, 2.0),)),
                    mb.MellinKernel(up_left=((0.0, 1.0), (2.0, 1.0)))):
         ladders = mb._pole_ladders(kernel, "right", 10)
         with mb._mpmath().workdps(30), pytest.raises(HigherOrderPoleError):
