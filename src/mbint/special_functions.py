@@ -137,11 +137,15 @@ def pfq(a, b, z, tol=1e-14, max_terms=100000):
 
     Terminating upper parameters take precedence over denominator
     validation, so a polynomial case evaluates even when some b_k is a
-    non-positive integer further down the ladder.
+    non-positive integer further down the ladder.  A non-finite z, or a
+    ``tol`` that is not a positive finite number, is a ParameterError.
     """
     a = _complex_tuple(a)
     b = _complex_tuple(b)
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ParameterError("argument must be finite", z=z)
+    check_tolerance(tol)
     n_stop = _termination_index(a)
     for b_k in b:
         rep = detect_pole(b_k)

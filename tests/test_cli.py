@@ -171,6 +171,15 @@ def test_domain_error_exit_code_and_error_object(capsys):
     assert "message" in err and "context" in err
 
 
+@pytest.mark.parametrize("z", ["inf", "nan"])
+def test_eval_pfq_non_finite_argument_is_domain_error(capsys, z):
+    # the series used to spend its term budget and exit 3
+    code, obj = run_json(capsys, "eval", "pfq", "--num", "0.5", "--den",
+                         "1.5", "--z", z)
+    assert code == 2
+    assert obj["error"]["code"] == "parameter_error"
+
+
 def test_numeric_error_exit_code(capsys):
     # all-denominator kernel has no decay: the integral diverges
     code, obj = run_json(capsys, "eval", "g", "--orders", "0,0,1,1",

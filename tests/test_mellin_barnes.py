@@ -572,6 +572,110 @@ def test_residue_series_double_and_exact_terms_agree():
             assert abs(d - e) <= 1e-12 * abs(e)
 
 
+def _mp_term(term):
+    """A _Dyadic term as an mpmath number."""
+    return mpmath.mpc(mpmath.ldexp(term.re, term.exp),
+                      mpmath.ldexp(term.im, term.exp))
+
+
+@pytest.mark.parametrize("kernel, z", [
+    # real G ladders, all-real integer arithmetic
+    (GParams(2, 1, 2, 3, (0.3, -0.45), (0.1, 0.65, -0.2)).to_kernel(), 2.5),
+    # the complex-parameter interleaved G above
+    (GParams(3, 2, 2, 3, (0.3, -0.2 + 0.1j),
+             (0.1, 0.6 + 0.2j, 0.1 - 0.3j)).to_kernel(), 0.3 - 0.2j),
+    # equal multipliers that are not dyadic: the poles are not, but the
+    # gamma arguments along the ladder are
+    (HParams(2, 1, 2, 3, (0.4, 0.9), (0.2, 0.7, -0.35), (0.3, 0.3),
+             (0.3, 0.3, 0.3)).to_kernel(), -1.7 + 0.4j),
+])
+def test_ratio_terms_agree_with_gamma_products(kernel, z):
+    # the integer Gamma-ratio recurrence against every term composed
+    # directly from mpmath.gamma/rgamma, 200 poles per ladder at 40 digits
+    ladders = mb._pole_ladders(kernel, "right", 200)
+    assert len(ladders) > 1
+    with mb._mpmath().workdps(40):
+        shift = mpmath.log(z) + mpmath.log(kernel.base)
+        for ladder in ladders:
+            exact, terms, moves = mb._ladder_model(kernel, ladder, True)
+            assert None not in moves
+            run = list(mb._ladder_residues(kernel, ladder, shift, True))
+            assert len(run) == 200
+            assert all(isinstance(term, mb._Dyadic) for term in run)
+            for l, term in enumerate(run):
+                ref = mb._gamma_residue(exact, terms, l, shift)
+                assert ref != 0
+                assert abs(_mp_term(term) - ref) <= 1e-36 * abs(ref)
+
+
+def test_ratio_zero_term_reanchors(monkeypatch):
+    # on the ladder s = l of Gamma(-s), 1/Gamma(3 - s) is zero from l = 3:
+    # the recurrence gives that zero, and every term after a zero is
+    # composed afresh; 1/Gamma(s - 3) is zero up to l = 3, then the
+    # recurrence takes over from the fresh term at l = 4
+    anchors = []
+    gamma_residue = mb._gamma_residue
+
+    def spy(ladder, terms, l, shift):
+        anchors.append(l)
+        return gamma_residue(ladder, terms, l, shift)
+
+    monkeypatch.setattr(mb, "_gamma_residue", spy)
+    falling = mb.MellinKernel(up_left=((0.0, 1.0), (0.5, 1.0)),
+                              down_right=((3.0, 1.0),))
+    rising = mb.MellinKernel(up_left=((0.0, 1.0), (0.5, 1.0)),
+                             down_left=((4.0, 1.0),))
+    with mb._mpmath().workdps(30):
+        shift = mpmath.log(mpmath.mpf(2.5))
+        for kernel, live, fresh in ((falling, [1, 1, 1] + [0] * 5,
+                                     [0, 4, 5, 6, 7]),
+                                    (rising, [0] * 4 + [1] * 4,
+                                     [0, 1, 2, 3, 4])):
+            ladder = mb._pole_ladders(kernel, "right", 8)[0]
+            anchors.clear()
+            run = list(mb._ladder_residues(kernel, ladder, shift, True))
+            assert anchors == fresh
+            assert [int(bool(term)) for term in run] == live
+            exact, terms, _ = mb._ladder_model(kernel, ladder, True)
+            for l, term in enumerate(run):
+                ref = gamma_residue(exact, terms, l, shift)
+                assert abs(_mp_term(term) - ref) <= 1e-26 * abs(ref)
+
+
+def test_ratio_resummation_against_mpmath(monkeypatch):
+    # a cancelling G with complex parameters on two ladders: the double
+    # sum cancels past its tolerance and is redone by the integer
+    # recurrence
+    ladders = []
+    ratio_residues = mb._ratio_residues
+
+    def spy(ladder, *rest):
+        ladders.append(ladder)
+        return ratio_residues(ladder, *rest)
+
+    monkeypatch.setattr(mb, "_ratio_residues", spy)
+    params = GParams(2, 1, 2, 3, (0.3 + 0.1j, -0.45),
+                     (0.1, 0.65 - 0.2j, -0.2))
+    z = 25.0 - 3j
+    res = meijer_g(params, z, method="residues")
+    ref = complex(mpmath.meijerg([[0.3 + 0.1j], [-0.45]],
+                                 [[0.1, 0.65 - 0.2j], [-0.2]], z))
+    assert len(ladders) == 2
+    assert abs(res.value - ref) <= res.err_estimate
+
+
+def test_dyadic_sum_is_exact():
+    # terms of very different exponents add without rounding; complex()
+    # rounds once
+    with mb._mpmath().workdps(30):
+        big = mb._dyadic(mpmath.mpc(3, -1) * 2 ** 80)
+        small = mb._dyadic(mpmath.mpf(1) / 3)
+        assert (big.re, big.im) == (3, -1) and big.exp == 80
+        total = 0 + big + small + mb._dyadic(-mpmath.mpc(3, -1) * 2 ** 80)
+        assert complex(total) == 1 / 3
+        assert not mb._dyadic(0j) and not mb._dyadic(mpmath.mpf(0))
+
+
 def test_residue_series_exact_pass_has_its_own_budget():
     # G^{1,0}_{1,1}(z | a; b) = z^b (1 - z)^{a-b-1} / Gamma(a - b): the
     # double pass settles within n_max = 800 poles, the mpmath re-summation

@@ -280,6 +280,10 @@ def test_non_finite_argument_is_refused(z):
             sf.fox_h(h, z, method=method)
     with pytest.raises(ParameterError):
         sf.pfq_via_g((0.5,), (1.5,), z)
+    # the series used to spend its whole term budget on a non-finite z and
+    # end in ConvergenceError
+    with pytest.raises(ParameterError):
+        sf.pfq((0.5,), (1.5,), z)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, None])
@@ -290,6 +294,8 @@ def test_tolerance_must_be_positive_and_finite(tol):
             sf.meijer_g(g, 2.0, tol=tol, method=method)
     with pytest.raises(ParameterError):
         sf.pfq_via_g((0.5,), (1.5,), -2.0, tol=tol)
+    with pytest.raises(ParameterError):
+        sf.pfq((0.5,), (1.5,), -2.0, tol=tol)
 
 
 @pytest.mark.parametrize("z", [2j, -3j])
