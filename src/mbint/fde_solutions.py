@@ -27,8 +27,8 @@ import numpy as np
 from . import polyroots
 from .cgamma import POLE_TOLERANCE
 from .errors import ContourError, OrderError, ParameterError
-from .mellin_barnes import Contour, GammaFactor, MellinKernel, \
-    contour_window, default_truncation, kernel_eval, kernel_log_eval
+from .mellin_barnes import Contour, check_split, contour_window, \
+    default_truncation, g_kernel, kernel_eval, kernel_log_eval
 
 
 @dataclass(frozen=True)
@@ -92,29 +92,30 @@ def coefficient_roots(fde):
     return RootData(tuple(rho), tuple(sigma), complex(c))
 
 
+def split_parameters(roots, m, n):
+    """(m, n, a, b): the G parameters a = 1 + rho, b = 1 + sigma with split
+    indices (m, n), n None meaning p; OrderError unless they are integers
+    in 0 <= m <= q, 0 <= n <= p."""
+    p = len(roots.rho)
+    n = p if n is None else n
+    check_split(m, n, p, len(roots.sigma), OrderError)
+    return (m, n, tuple(1.0 + r for r in roots.rho),
+            tuple(1.0 + s for s in roots.sigma))
+
+
 def gamma_quotient(roots, m=0, n=None):
-    """Kernel for the solution with split indices (m, n).
+    """Kernel for the solution with split indices (m, n): the G kernel
+    (g_kernel) of a = 1 + rho, b = 1 + sigma with base c = (-1)^(m+n-p) c_0.
 
     n of the rho roots appear as rising numerator factors and the rest as
     reflected denominator ones; m of the sigma roots appear reflected in the
     numerator, the rest rising in the denominator.  Coincident rho/sigma
-    pairs (within 1e-12, MellinKernel.simplify) cancel exactly.
+    pairs (within 1e-12, MellinKernel.simplify) cancel exactly.  Split
+    indices that are not integers in range raise OrderError.
     """
-    p = len(roots.rho)
-    q = len(roots.sigma)
-    if n is None:
-        n = p
-    if not (0 <= m <= q) or not (0 <= n <= p):
-        raise OrderError("split indices out of range",
-                         m=m, n=n, p=p, q=q)
-    c = (-1.0) ** ((m + n - p) % 2) * roots.c
-    kernel = MellinKernel(
-        up_left=tuple(GammaFactor(1.0 + s) for s in roots.sigma[:m]),
-        up_right=tuple(GammaFactor(1.0 + r) for r in roots.rho[:n]),
-        down_left=tuple(GammaFactor(1.0 + s) for s in roots.sigma[m:]),
-        down_right=tuple(GammaFactor(1.0 + r) for r in roots.rho[n:]),
-        base=c)
-    return kernel.simplify()
+    m, n, a, b = split_parameters(roots, m, n)
+    c = (-1.0) ** ((m + n - len(a)) % 2) * roots.c
+    return g_kernel(m, n, a, b, base=c).simplify()
 
 
 def solution_value(kernel, x):
@@ -154,9 +155,8 @@ def inverse_transform_solution(rho, sigma, anchor):
         raise ParameterError("expected one fewer sigma than rho",
                              p=len(rho), q=len(sigma))
     anchor = float(anchor)
-    kernel = MellinKernel(
-        up_right=tuple(GammaFactor(1.0 + r) for r in rho),
-        down_left=tuple(GammaFactor(1.0 + s) for s in sigma))
+    kernel = g_kernel(0, len(rho), [1.0 + r for r in rho],
+                      [1.0 + s for s in sigma])
     head, _ = contour_window(kernel)
     if anchor <= head + POLE_TOLERANCE:
         raise ContourError("anchor must lie right of every numerator pole",

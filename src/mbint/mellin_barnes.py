@@ -24,6 +24,7 @@ import functools
 import heapq
 import logging
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -128,6 +129,28 @@ class MellinKernel:
                 "down_left": fam(self.down_left),
                 "down_right": fam(self.down_right),
                 "base": [self.base.real, self.base.imag]}
+
+
+def check_split(m, n, p, q, error):
+    """Raise ``error`` unless m, n are integers in 0..q and 0..p."""
+    if not (isinstance(m, numbers.Integral) and isinstance(n, numbers.Integral)
+            and 0 <= m <= q and 0 <= n <= p):
+        raise error("split indices out of range", m=m, n=n, p=p, q=q)
+
+
+def g_kernel(m, n, a, b, alpha=None, beta=None, base=1.0):
+    """The kernel of G^{m,n}_{p,q}(a; b), or of Fox H with multipliers
+    alpha, beta (all 1 when None), times base**s: Gamma(b_k - beta_k s),
+    k < m, in up_left, Gamma(1 - a_j + alpha_j s), j < n, in up_right, the
+    other b's in down_left and a's in down_right.  The caller checks the
+    split indices (check_split)."""
+    alpha = (1.0,) * len(a) if alpha is None else alpha
+    beta = (1.0,) * len(b) if beta is None else beta
+    if len(alpha) != len(a) or len(beta) != len(b):
+        raise ParameterError("parameter vector lengths must match p, q",
+                             len_alpha=len(alpha), len_beta=len(beta))
+    a, b = list(zip(a, alpha)), list(zip(b, beta))
+    return MellinKernel(b[:m], a[:n], b[m:], a[n:], base)
 
 
 def _signed_terms(kernel):
@@ -888,6 +911,7 @@ def _checked_argument(z, tol):
 
 _RESIDUE_METHOD = {"left": "residues_left", "right": "residues_right"}
 _EXACT_BUDGET = 4  # the exact pass's ladders: this many times n_max poles
+_MAX_DPS = 300  # the exact pass's precision cap, in digits
 
 
 def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
@@ -902,15 +926,18 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     tol * |partial|, counted once the partial sum is nonzero; a series
     whose terms are all exactly zero evaluates to an exact 0.
     When alternating cancellation makes double precision insufficient the
-    same residues are summed again in mpmath, at a working precision sized
-    to the measured condition number, on ladders of up to
-    _EXACT_BUDGET * n_max poles under a 1000x stricter stop rule.  When
-    every multiplier is equal, that pass takes each term from the last by
-    Gamma(w + 1) = w Gamma(w) on Python integers (_ratio_residues), each
-    term rounded once per step to the P bits of the working precision,
-    and sums them exactly: over n terms its rounding stays below n 2^(3-P)
-    times the sum of |terms|, which at the chosen dps is about n 1e-27
-    |value|, far inside the 5e-16 |value| its estimate adds.
+    same residues are summed again in mpmath, on ladders of up to
+    _EXACT_BUDGET * n_max poles under a 1000x stricter stop rule, first at
+    a precision sized to the double pass's condition number.  That number
+    saturates near 1/eps, so the pass bounds its own rounding and sums
+    again at the digits the bound calls for until it is under 1e-19 |value|
+    (over 1000 times below the 5e-16 |value| the estimate adds); more than
+    _MAX_DPS digits, or an exact zero, is refused.  For n
+    terms of k gamma factors at P bits the bound is (n + k) 2^(3-P) times
+    the sum of |terms|: with equal multipliers each term follows from the
+    last on Python integers (_ratio_residues), rounded once per step, and
+    the sum is exact; a Fox H term is a product of rounded gamma values,
+    and each addition rounds once.
     """
     z = _checked_argument(z, tol)
     if side not in ("left", "right"):
@@ -922,6 +949,8 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     if not ladders:
         raise NonConvergentSeriesError("no poles open on that side",
                                        side=side)
+    # refused before summing: a denominator gamma can vanish on each shared
+    # pole (Gamma(2 - s)^2 / Gamma(-1 - s)), making every term there zero
     for i, a in enumerate(ladders):
         for b in ladders[i + 1:]:
             loc = _coincident_pole(a, b)
@@ -950,21 +979,33 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     err = last + _EPS * abs_sum * max(10.0, nterms)
     if err > tol * max(abs(value), 1e-300) and cancel > 1e3:
         dps = 22 + int(math.log10(cancel)) + 6
-        log.debug("residue series escalating to mpmath dps=%d", dps)
         budget = _EXACT_BUDGET * n_max
         ladders = [replace(lad, length=min(cut, budget))
                    for lad, cut in zip(ladders, cuts)]
-        with _MP_LOCK, _mpmath().workdps(dps):
-            shift = mpmath.log(mpmath.mpmathify(z)) \
-                + 2j * mpmath.pi * branch_k \
-                + mpmath.log(mpmath.mpmathify(complex(kernel.base)))
-            total, _, last, nterms, converged = _sum_residues(
-                kernel, ladders, shift, tol * 1e-3, budget, exact=True)
-            value = sign * complex(total)
+        factors = len(_signed_terms(kernel))
+        while True:
+            log.debug("residue series escalating to mpmath dps=%d", dps)
+            with _MP_LOCK, _mpmath().workdps(dps):
+                shift = mpmath.log(mpmath.mpmathify(z)) \
+                    + 2j * mpmath.pi * branch_k \
+                    + mpmath.log(mpmath.mpmathify(complex(kernel.base)))
+                total, abs_sum, last, nterms, converged = _sum_residues(
+                    kernel, ladders, shift, tol * 1e-3, budget, exact=True)
+                value = sign * complex(total)
+            if not converged:
+                raise NonConvergentSeriesError(
+                    "residue series did not settle", terms=nterms)
+            # 2^-P < 10^-dps: the digits keeping the bound under 1e-19 |value|
+            digits = 19 + math.log10(8 * (nterms + factors) * abs_sum
+                                     / abs(value)) if value else math.inf
+            if digits <= dps:
+                break
+            if digits > _MAX_DPS:
+                raise NonConvergentSeriesError(
+                    "residues cancel past the re-summation's precision cap",
+                    terms=nterms, max_dps=_MAX_DPS)
+            dps = math.ceil(digits)
         err = last + 5e-16 * abs(value)
-        if not converged:
-            raise NonConvergentSeriesError("residue series did not settle",
-                                           terms=nterms)
     return EvalResult(value=value, err_estimate=float(err), nodes_used=nterms,
                       contour=None, method=method, arg_branch=branch_k)
 

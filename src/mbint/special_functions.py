@@ -9,6 +9,7 @@ beyond the disk; both routes are implemented and cross-checked.
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,9 +18,9 @@ from . import mellin_barnes as mb
 from . import polyroots
 from .cgamma import detect_pole, log_gamma, pochhammer
 from .errors import (ConvergenceError, DivergentSeriesError,
-                     InvalidDenominatorError, OrderError, ParameterError,
+                     InvalidDenominatorError, ParameterError,
                      QuadratureError)
-from .fde_solutions import coefficient_roots
+from .fde_solutions import coefficient_roots, split_parameters
 from .quadrature import check_tolerance
 
 
@@ -27,82 +28,49 @@ def _complex_tuple(values):
     return tuple(complex(v) for v in values)
 
 
-def _separated(kernel):
-    """``kernel``, refused when its two pole families share a pole."""
-    hit = mb.find_pole_collision(kernel)
-    if hit is not None:
-        raise ParameterError("pole families collide", location=hit)
-    return kernel
-
-
 @dataclass(frozen=True)
-class GParams:
+class _Orders:
+    """The orders and parameters GParams and HParams share, and the one
+    validation and kernel construction (mellin_barnes.g_kernel) both use."""
     m: int
     n: int
     p: int
     q: int
     a: tuple = ()
     b: tuple = ()
-    _kernel: mb.MellinKernel = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, alpha=None, beta=None):
         object.__setattr__(self, "a", _complex_tuple(self.a))
         object.__setattr__(self, "b", _complex_tuple(self.b))
-        if not (0 <= self.m <= self.q and 0 <= self.n <= self.p):
-            raise ParameterError("orders must satisfy 0 <= m <= q and "
-                                 "0 <= n <= p", m=self.m, n=self.n,
-                                 p=self.p, q=self.q)
+        mb.check_split(self.m, self.n, self.p, self.q, ParameterError)
         if len(self.a) != self.p or len(self.b) != self.q:
             raise ParameterError("parameter vector lengths must match p, q",
                                  len_a=len(self.a), len_b=len(self.b))
-        object.__setattr__(self, "_kernel", _separated(mb.MellinKernel(
-            up_left=tuple(mb.GammaFactor(bk) for bk in self.b[:self.m]),
-            up_right=tuple(mb.GammaFactor(aj) for aj in self.a[:self.n]),
-            down_left=tuple(mb.GammaFactor(bk) for bk in self.b[self.m:]),
-            down_right=tuple(mb.GammaFactor(aj) for aj in self.a[self.n:]))))
+        kernel = mb.g_kernel(self.m, self.n, self.a, self.b, alpha, beta)
+        hit = mb.find_pole_collision(kernel)
+        if hit is not None:
+            raise ParameterError("pole families collide", location=hit)
+        object.__setattr__(self, "_kernel", kernel)
 
     def to_kernel(self):
         return self._kernel
 
 
 @dataclass(frozen=True)
-class HParams:
-    m: int
-    n: int
-    p: int
-    q: int
-    a: tuple = ()
-    b: tuple = ()
+class GParams(_Orders):
+    _kernel: mb.MellinKernel = field(init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class HParams(_Orders):
     alpha: tuple = ()
     beta: tuple = ()
     _kernel: mb.MellinKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _complex_tuple(self.a))
-        object.__setattr__(self, "b", _complex_tuple(self.b))
         object.__setattr__(self, "alpha", tuple(float(v) for v in self.alpha))
         object.__setattr__(self, "beta", tuple(float(v) for v in self.beta))
-        if not (0 <= self.m <= self.q and 0 <= self.n <= self.p):
-            raise ParameterError("orders must satisfy 0 <= m <= q and "
-                                 "0 <= n <= p", m=self.m, n=self.n,
-                                 p=self.p, q=self.q)
-        if len(self.a) != self.p or len(self.alpha) != self.p \
-                or len(self.b) != self.q or len(self.beta) != self.q:
-            raise ParameterError("parameter vector lengths must match p, q")
-        if any(v <= 0 for v in self.alpha + self.beta):
-            raise ParameterError("multipliers must be positive")
-        object.__setattr__(self, "_kernel", _separated(mb.MellinKernel(
-            up_left=tuple(mb.GammaFactor(bk, bet) for bk, bet
-                          in zip(self.b[:self.m], self.beta[:self.m])),
-            up_right=tuple(mb.GammaFactor(aj, alp) for aj, alp
-                           in zip(self.a[:self.n], self.alpha[:self.n])),
-            down_left=tuple(mb.GammaFactor(bk, bet) for bk, bet
-                            in zip(self.b[self.m:], self.beta[self.m:])),
-            down_right=tuple(mb.GammaFactor(aj, alp) for aj, alp
-                             in zip(self.a[self.n:], self.alpha[self.n:])))))
-
-    def to_kernel(self):
-        return self._kernel
+        super().__post_init__(self.alpha, self.beta)
 
 
 class PFQClass:
@@ -336,35 +304,24 @@ class ThetaOperatorForm:
     z_multiplies_left: bool = True
 
 
+def _theta_form(m, n, a, b):
+    """The factored operator annihilating G^{m,n}_{p,q}(a; b)."""
+    return ThetaOperatorForm(sign=(-1) ** ((len(a) - m - n) % 2),
+                             left_factors=tuple(a_j - 1.0 for a_j in a),
+                             right_factors=tuple(b))
+
+
 def theta_form_from_g(params):
     """The factored operator annihilating the G function of these orders."""
-    sign = (-1) ** ((params.p - params.m - params.n) % 2)
-    return ThetaOperatorForm(
-        sign=sign,
-        left_factors=tuple(a_j - 1.0 for a_j in params.a),
-        right_factors=tuple(params.b))
+    return _theta_form(params.m, params.n, params.a, params.b)
 
 
 def derive_g_ode(fde, m=0, n=None):
-    """Factored operator reached from a first-order FDE through its roots.
-
-    The coefficient roots rho, sigma map to parameters a = 1 + rho,
-    b = 1 + sigma; the result is structurally identical to
-    theta_form_from_g on those parameters.
-    """
-    roots = coefficient_roots(fde)
-    p = len(roots.rho)
-    q = len(roots.sigma)
-    if n is None:
-        n = p
-    if not (0 <= m <= q) or not (0 <= n <= p):
-        raise OrderError("split indices out of range", m=m, n=n, p=p, q=q)
-    a = tuple(1.0 + r for r in roots.rho)
-    b = tuple(1.0 + s for s in roots.sigma)
-    sign = (-1) ** ((p - m - n) % 2)
-    return ThetaOperatorForm(sign=sign,
-                             left_factors=tuple(a_j - 1.0 for a_j in a),
-                             right_factors=b)
+    """Factored operator reached from a first-order FDE through its roots:
+    theta_form_from_g's for a = 1 + rho, b = 1 + sigma (split_parameters,
+    as for gamma_quotient's kernel).  Split indices that are not integers
+    in 0 <= m <= q, 0 <= n <= p raise OrderError."""
+    return _theta_form(*split_parameters(coefficient_roots(fde), m, n))
 
 
 def _fd_weights(order, offsets):
@@ -409,12 +366,12 @@ def g_ode_residual(params, z, step=1e-2, tol_eval=1e-12, u=None):
 
     ``u`` overrides the evaluator (default: meijer_g at tol_eval), which
     lets callers check the operator against closed forms or a zero
-    function.  z must be real positive so the log-spaced grid stays on the
-    principal branch.
+    function.  z must be real, finite and positive so the log-spaced grid
+    stays on the principal branch; any other z is a ParameterError.
     """
+    if not (isinstance(z, numbers.Real) and 0 < z < math.inf):
+        raise ParameterError("z must be real, finite and positive", z=z)
     z = float(z)
-    if z <= 0:
-        raise ParameterError("differentiation grid requires z > 0", z=z)
     form = theta_form_from_g(params)
     if u is None:
         def u(zz):

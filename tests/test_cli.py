@@ -225,3 +225,14 @@ def test_module_entry_point():
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
     assert abs(obj["value"][0] - 2.718281828459045) < 1e-11
+
+
+def test_import_loads_neither_mpmath_nor_scipy():
+    # both load on first use only: mpmath's import alone costs tens of ms
+    # of every cold CLI call
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mbint, mbint.cli; "
+         "print(sorted({'mpmath', 'scipy'} & set(sys.modules)))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -68,6 +68,10 @@ def test_gamma_quotient_split_range_checks():
         fde.gamma_quotient(roots, m=2, n=0)
     with pytest.raises(OrderError):
         fde.gamma_quotient(roots, m=0, n=5)
+    with pytest.raises(OrderError):
+        fde.gamma_quotient(roots, m=0.5, n=1)
+    assert fde.gamma_quotient(roots, m=np.int64(1), n=np.int64(0)) \
+        == fde.gamma_quotient(roots, m=1, n=0)
 
 
 def test_split_with_full_rising_equals_default_exactly():

@@ -511,6 +511,46 @@ def test_residue_series_mp_resum_on_exact_poles():
     assert abs(res.value - mpmath_value) <= res.err_estimate
 
 
+@pytest.mark.parametrize("z", [40.0, 50.0, 60.0])
+def test_residue_series_resums_at_the_precision_its_rounding_needs(z):
+    # z^0.3 e^{-z}: the sum cancels by about e^{2z}, past the 1e16 the
+    # double pass can measure, so the first exact pass (42-43 digits) is too
+    # coarse; its own rounding bound sends it to more digits
+    res = meijer_g(GParams(1, 0, 0, 1, (), (0.3,)), z, method="residues")
+    with mpmath.workdps(60):
+        exact = complex(mpmath.mpf(z) ** mpmath.mpf(0.3) * mpmath.exp(-z))
+    assert abs(res.value - exact) <= res.err_estimate
+
+
+def test_residue_series_refuses_past_its_precision_cap(monkeypatch):
+    monkeypatch.setattr(mb, "_MAX_DPS", 50)
+    with pytest.raises(NonConvergentSeriesError):
+        meijer_g(GParams(1, 0, 0, 1, (), (0.3,)), 60.0, method="residues")
+
+
+def test_residue_series_refuses_an_exact_zero_resummation(monkeypatch):
+    # an exact pass that cancels to 0 has no relative precision to meet
+    sum_residues = mb._sum_residues
+
+    def zero_exact_sum(*args, exact=False):
+        out = sum_residues(*args, exact=exact)
+        return (0,) + out[1:] if exact else out
+    monkeypatch.setattr(mb, "_sum_residues", zero_exact_sum)
+    with pytest.raises(NonConvergentSeriesError):
+        meijer_g(GParams(1, 0, 0, 1, (), (0.3,)), 40.0, method="residues")
+
+
+@pytest.mark.parametrize("z", [0.3, 2.0])
+def test_meijer_g_coincident_poles_under_a_vanishing_denominator(z):
+    # Gamma(2 - s)^2 / Gamma(-1 - s): every pole s = 2 + l is double, and
+    # the denominator vanishes on it, so every simple-pole term is zero
+    # though the true value is not (mpmath.meijerg: -0.0922 at 0.3, 1.0827
+    # at 2.0); only the coincidence refusal stands between this and 0
+    params = GParams(2, 0, 1, 2, (-1.0,), (2.0, 2.0))
+    with pytest.raises(HigherOrderPoleError):
+        meijer_g(params, z, method="residues")
+
+
 def test_residue_series_cut_ladder_against_mpmath():
     # 1/Gamma(-s) vanishes at every pole s = -1 + l, l >= 1, of
     # Gamma(-1 - s): that ladder ends after one term, and its zeros no

@@ -109,6 +109,24 @@ def test_gparams_invariants():
         sf.GParams(1, 1, 1, 1, (2.0,), (0.0,))      # a - b positive integer
     with pytest.raises(ParameterError):
         sf.GParams(1, 0, 0, 2, (), (0.0,))          # wrong vector length
+    with pytest.raises(ParameterError):
+        sf.GParams(0.5, 0, 0, 1, (), (0.0,))        # non-integer order
+    # numpy integers are orders too
+    assert sf.GParams(np.int64(1), np.int32(0), 0, 1, (), (0.0,)) \
+        == sf.GParams(1, 0, 0, 1, (), (0.0,))
+
+
+@pytest.mark.parametrize("args", [
+    (1, 0.5, 1, 1, (0.3,), (0.0,), (1.0,), (1.0,)),  # non-integer order
+    (1, 0, 0, 1, (), (0.5,), (), ()),                # empty beta, q = 1
+    (1, 1, 1, 1, (0.3,), (0.0,), (), (1.0,)),        # empty alpha, p = 1
+    (1, 0, 0, 1, (), (0.5,), (), (0.5, 1.0)),        # beta too long
+    (1, 0, 0, 1, (), (0.5,), (), (0.0,)),            # zero multiplier
+    (1, 1, 1, 1, (0.3,), (0.0,), (-1.0,), (1.0,)),   # negative multiplier
+])
+def test_hparams_invariants(args):
+    with pytest.raises(ParameterError):
+        sf.HParams(*args)
 
 
 def test_meijer_g_node_budget_exhausted(monkeypatch):
@@ -208,6 +226,14 @@ def test_g_ode_residual_zero_function():
     assert sf.g_ode_residual(params, 1.0, step=1e-2, u=lambda z: 0.0) == 0.0
 
 
+@pytest.mark.parametrize("z", [1 + 1j, 2 + 0j, 0.0, -1.0, math.nan,
+                               math.inf])
+def test_g_ode_residual_needs_real_positive_finite_z(z):
+    params = sf.GParams(1, 0, 0, 1, (), (0.0,))
+    with pytest.raises(ParameterError):
+        sf.g_ode_residual(params, z, u=lambda zz: 0.0)
+
+
 def test_theta_form_from_g_shape():
     params = sf.GParams(1, 0, 0, 1, (), (0.0,))
     form = sf.theta_form_from_g(params)
@@ -250,6 +276,10 @@ def test_derive_g_ode_split_range():
     inst = FirstOrderFDE((0.0, 1.0), (-2.0, -1.0))
     with pytest.raises(OrderError):
         sf.derive_g_ode(inst, m=5, n=0)
+    with pytest.raises(OrderError):
+        sf.derive_g_ode(inst, m=0.5, n=0)  # not a complex sign
+    assert sf.derive_g_ode(inst, m=np.int64(1), n=np.int64(0)) \
+        == sf.derive_g_ode(inst, m=1, n=0)
 
 
 def test_special_suite_invariants():
