@@ -19,7 +19,7 @@ import numpy as np
 from . import polyroots
 from .errors import (DegreeError, DivergenceError, ParameterError,
                      QuadratureError, RepeatedRootError)
-from .quadrature import MAX_NODES, check_tolerance, integrate_adaptive
+from .quadrature import check_tolerance, integrate_adaptive
 
 _NEAR_ONE = 1e-9
 _NEAR_INTEGER = 1e-9
@@ -142,17 +142,17 @@ def _graded_edges(alpha, tol):
 
 
 def laplace_transform(psi, x, tol=1e-10):
-    """Adaptive quadrature of integral_0^T e^{-x t} psi(t) dt.
+    """integral_0^T e^{-x t} psi(t) dt by one adaptive quadrature.
 
     T is sized so the exponential tail falls below ``tol`` relative to the
     running value (Re x > Re lambda is required for the tail to close).
-    The head [0, 1] and the body [1, T] are integrated separately.  An
-    integrable endpoint singularity psi ~ t^mu with -1 < Re mu < 0 is
-    flattened by the substitution t = s^k, which leaves the head integrand
-    ~ s^alpha with alpha = k (1 + Re mu) - 1 >= 1 (otherwise alpha = Re mu);
-    a singular head then opens on panels graded geometrically toward 0
-    (_graded_edges).  A head analytic at 0 (mu a nonnegative integer, to
-    _NEAR_INTEGER) opens on 8 equal panels, as the body does.
+    The integrand is taken in s, with t = s^k on [0, 1] and t = s beyond.
+    For psi ~ t^mu with -1 < Re mu < 0, k > 1 flattens the head to
+    ~ s^alpha, alpha = k (1 + Re mu) - 1 >= 1; otherwise k = 1 and
+    alpha = Re mu.  psi's t^mu is carried as a power of s, so the head stays
+    finite where s^k underflows.  The mesh is 8 equal panels of [0, 1] when
+    psi is analytic at 0 (mu a nonnegative integer, to _NEAR_INTEGER),
+    _graded_edges(alpha, tol) otherwise, then 8 equal panels of [1, T].
     """
     x = complex(x)
     if not cmath.isfinite(x):
@@ -168,9 +168,6 @@ def laplace_transform(psi, x, tol=1e-10):
         raise DivergenceError("psi is not integrable at t = 0",
                               singular_exponent=mu_star)
 
-    def integrand(t):
-        return np.exp(-x * np.asarray(t, dtype=np.float64)) * psi(t)
-
     # truncation height from the decaying envelope
     T = 8.0
     envelope = abs(psi.normalization) + abs(psi(T)) * np.exp(-lam.real * T)
@@ -181,38 +178,36 @@ def laplace_transform(psi, x, tol=1e-10):
         T *= 1.4
     tail = (envelope + 1.0) * np.exp(-rate * T) / rate
 
-    total = 0.0 + 0.0j
-    err = float(tail)
-    nodes_left = MAX_NODES
-    # head [0, 1] and body [1, T]; t = s^k maps [0, 1] onto itself
-    head_integrand, alpha = integrand, mu_star.real
-    if mu_star.real < 0.0:
-        k = int(np.ceil(2.0 / (1.0 + mu_star.real))) + 1
-        alpha = k * (1.0 + mu_star.real) - 1.0
+    mu = mu_star.real
+    k = int(np.ceil(2.0 / (1.0 + mu))) + 1 if mu < 0.0 else 1
+    # psi = (1 - e^{-t})^{mu*} rest(t), with rest free of the root at 1
+    rest = replace(psi, factors=tuple(f for f in psi.factors if f[0] != 1.0))
 
-        def head_integrand(s):
-            s = np.asarray(s, dtype=np.float64)
-            t = s ** k
-            return integrand(t) * k * s ** (k - 1)
+    def integrand(s):
+        # t = s^m, m = k on [0, 1] and 1 beyond: no body node forms s^k
+        m = np.where(s < 1.0, k, 1)
+        t = s ** m
+        # t^{mu*} dt/ds = m s^{m (1 + mu*) - 1} and ((1 - e^{-t}) / t)^{mu*},
+        # which tends to 1, both finite where s^k underflows to t = 0
+        r = np.maximum(t, 1e-300)
+        log_w = (m * (1.0 + mu_star) - 1.0) * np.log(s) \
+            + mu_star * np.log(-np.expm1(-r) / r)
+        return m * np.exp(log_w - x * t) * rest(t)
 
     # psi ~ t^mu* is analytic at t = 0 when mu* is a nonnegative integer
-    n = round(mu_star.real)
+    n = round(mu)
     analytic = n >= 0 and abs(mu_star - n) < _NEAR_INTEGER
-    edges = np.linspace(0.0, 1.0, 9) if analytic \
-        else _graded_edges(alpha, tol)
-    head = integrate_adaptive(head_integrand, edges, tol_rel=0.25 * tol,
-                              max_nodes=nodes_left // 2)
-    total += head.value
-    err += head.error
-    nodes_left -= head.nodes
-    body = integrate_adaptive(integrand, np.linspace(1.0, T, 9),
-                              tol_rel=0.25 * tol, max_nodes=nodes_left)
-    total += body.value
-    err += body.error
-    if err > 25.0 * tol * max(abs(total), 1e-300):
+    head_edges = np.linspace(0.0, 1.0, 9) if analytic \
+        else _graded_edges(k * (1.0 + mu) - 1.0, tol)
+    res = integrate_adaptive(
+        integrand, np.concatenate([head_edges, np.linspace(1.0, T, 9)[1:]]),
+        tol_rel=0.25 * tol)
+    err = tail + res.error
+    if not (cmath.isfinite(res.value)
+            and err <= 25.0 * tol * max(abs(res.value), 1e-300)):
         raise QuadratureError("transform quadrature missed the tolerance",
-                              err=err, nodes=head.nodes + body.nodes)
-    return complex(total)
+                              err=err, nodes=res.nodes)
+    return res.value
 
 
 def fde_numeric_residual(matrix, f, x):

@@ -849,6 +849,13 @@ def _ladder_residues(kernel, ladder, shift, exact=False):
         yield residue(ladder, terms, l, shift)
 
 
+def _modulus(value):
+    """|complex(value)| in double: inf past the double range, where abs()
+    of a complex with finite parts raises OverflowError."""
+    value = complex(value)
+    return math.hypot(value.real, value.imag)
+
+
 def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
     """The residue sum over ``ladders``, merged lazily in opening order.
 
@@ -878,7 +885,7 @@ def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
                 location=loc) from exc
         total += term
         # magnitudes in double suffice for the stop rule and the estimate
-        last = abs(complex(term))
+        last = _modulus(term)
         abs_sum += last
         nterms += 1
         if not math.isfinite(last):
@@ -886,7 +893,7 @@ def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
                                            terms=nterms)
         # structurally zero leading terms (a denominator gamma at a pole)
         # say nothing about convergence while the partial sum is still zero
-        if total and last < tol * max(abs(complex(total)), 1e-300):
+        if total and last < tol * max(_modulus(total), 1e-300):
             ok += 1
             if ok >= 3:
                 return total, abs_sum, last, nterms, True
@@ -931,8 +938,10 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     a precision sized to the double pass's condition number.  That number
     saturates near 1/eps, so the pass bounds its own rounding and sums
     again at the digits the bound calls for until it is under 1e-19 |value|
-    (over 1000 times below the 5e-16 |value| the estimate adds); more than
-    _MAX_DPS digits, or an exact zero, is refused.  For n
+    (over 1000 times below the 5e-16 |value| the estimate adds), and at
+    least twice the last pass's digits (up to _MAX_DPS) when the bound
+    passes |value|; more than _MAX_DPS digits, or an exact zero, is
+    refused.  For n
     terms of k gamma factors at P bits the bound is (n + k) 2^(3-P) times
     the sum of |terms|: with equal multipliers each term follows from the
     last on Python integers (_ratio_residues), rounded once per step, and
@@ -1004,6 +1013,10 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
                 raise NonConvergentSeriesError(
                     "residues cancel past the re-summation's precision cap",
                     terms=nterms, max_dps=_MAX_DPS)
+            if digits >= dps + 19:
+                # the bound passes |value|: the value is rounding noise, and
+                # the digits it calls for understate the next pass's need
+                digits = min(max(digits, 2 * dps), _MAX_DPS)
             dps = math.ceil(digits)
         err = last + 5e-16 * abs(value)
     return EvalResult(value=value, err_estimate=float(err), nodes_used=nterms,

@@ -233,6 +233,15 @@ def meijer_g(params, z, tol=1e-10, method=None, branch_k=0):
     ``method`` forces "quad" or "residues"; by default quadrature runs when
     the integral converges absolutely and the residue series covers the
     conditional cases.
+
+    For p = q the two residue series converge on opposite sides of
+    |z| = 1, and when m + n - p <= 0 no vertical line joins them.  The
+    residue route then sums the loop around the poles of Gamma(b_j - s)
+    for |z| < 1 (DLMF 16.17(ii)) and the L- loop around the poles of
+    Gamma(1 - a_j + s) for |z| > 1 (DLMF 16.17(iii)).  For |z| > 1 this
+    equals mpmath.meijerg of the swapped parameters at 1/z (DLMF 16.19.1);
+    mpmath.meijerg at z continues the |z| < 1 series instead, and can
+    differ.
     """
     if not isinstance(params, GParams):
         raise ParameterError("expected GParams")

@@ -7,7 +7,8 @@ import pytest
 from mbint import cgamma, fde_solutions as fde, laplace, polyroots
 from mbint.duality import CoefficientMatrix, ode_singular_polynomial
 from mbint.errors import (DegreeError, DivergenceError, ParameterError,
-                          RepeatedRootError)
+                          QuadratureError, RepeatedRootError)
+from mbint.quadrature import QuadResult
 
 BETA_MATRIX = CoefficientMatrix(((0.0, -1.0), (1.0, -1.0)))
 
@@ -98,12 +99,13 @@ def test_transform_endpoint_singularity_substitution():
     assert abs(got - oracle) / abs(oracle) < 1e-6
 
 
-@pytest.mark.parametrize("beta", [0.05, 0.5, 1.17, 1.5, 2.3])
+@pytest.mark.parametrize("beta", [0.01, 0.03, 0.05, 0.5, 1.17, 1.5, 2.3])
 @pytest.mark.parametrize("x", [1.5, 0.7 + 2.0j])
 def test_transform_matches_mpmath_beta(beta, x):
     # B(x, beta) = int_0^inf e^{-xt} (1 - e^{-t})^{beta - 1} dt, with
-    # mu* = beta - 1 from -0.95 (flattened by t = s^k) to 1.3 (graded head
-    # on t itself), held to the requested tolerance
+    # mu* = beta - 1 from -0.99 (flattened by t = s^201, which underflows
+    # to t = 0 on the innermost nodes) to 1.3 (graded head on t itself),
+    # held to the requested tolerance
     psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
     got = laplace.laplace_transform(psi, x, tol=1e-9)
     with mpmath.workdps(30):
@@ -131,27 +133,68 @@ def test_singular_head_converges_in_its_opening_round(monkeypatch):
     assert rounds[0] == 1
 
 
-@pytest.mark.parametrize("beta", [2.0, 3.0])
-def test_analytic_head_opens_on_equal_panels(monkeypatch, beta):
-    # mu* = beta - 1 a positive integer: psi = (1 - e^{-t})^{beta - 1} is
-    # analytic at t = 0, and 8 equal panels take it in one round
+def recorded_runs(monkeypatch):
+    """Patch laplace.integrate_adaptive to record (edges, QuadResult) of
+    every call."""
     runs = []
     integrate_adaptive = laplace.integrate_adaptive
 
     def recorded(f, edges, **kwargs):
         res = integrate_adaptive(f, edges, **kwargs)
-        runs.append((np.asarray(edges), res.nodes))
+        runs.append((np.asarray(edges), res))
         return res
     monkeypatch.setattr(laplace, "integrate_adaptive", recorded)
+    return runs
+
+
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+def test_analytic_head_opens_on_equal_panels(monkeypatch, beta):
+    # mu* = beta - 1 a positive integer: psi = (1 - e^{-t})^{beta - 1} is
+    # analytic at t = 0, and the mesh's 8 equal head panels and 8 body
+    # panels take it in one round
+    runs = recorded_runs(monkeypatch)
     psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
     assert psi.singular_exponent() == beta - 1.0
     got = laplace.laplace_transform(psi, 1.5, tol=1e-9)
-    head_edges, head_nodes = runs[0]
-    assert np.array_equal(head_edges, np.linspace(0.0, 1.0, 9))
-    assert head_nodes == 120
+    (edges, res), = runs
+    assert np.array_equal(edges[:9], np.linspace(0.0, 1.0, 9))
+    assert len(edges) == 17 and res.converged
+    assert res.nodes == 15 * 16
     with mpmath.workdps(30):
         oracle = complex(mpmath.beta(1.5, beta))
     assert abs(got - oracle) <= 1e-9 * abs(oracle)
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.5, 1.17, 2.0])
+def test_one_quadrature_call_per_transform(monkeypatch, beta):
+    # flattened, graded and analytic heads share the body's mesh
+    runs = recorded_runs(monkeypatch)
+    psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
+    laplace.laplace_transform(psi, 1.5, tol=1e-9)
+    (edges, _), = runs
+    assert edges[0] == 0.0 and 1.0 in edges
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_flattened_head_on_a_tall_mesh_stays_finite(monkeypatch):
+    # beta = 0.01 flattens by t = s^201, and x = 0.05 closes the tail only
+    # at T > 500: s^201 on the body nodes would overflow
+    runs = recorded_runs(monkeypatch)
+    psi = laplace.solve_first_order_ode((0.0, 0.99), (1.0, -1.0))
+    got = laplace.laplace_transform(psi, 0.05, tol=1e-9)
+    assert runs[0][0][-1] >= 100.0
+    with mpmath.workdps(30):
+        oracle = complex(mpmath.beta(0.05, 0.01))
+    assert abs(got - oracle) <= 1e-9 * abs(oracle)
+
+
+def test_non_finite_quadrature_is_refused(monkeypatch):
+    monkeypatch.setattr(laplace, "integrate_adaptive",
+                        lambda f, edges, **kwargs: QuadResult(
+                            complex(math.nan, math.nan), math.nan, 0, False))
+    psi = laplace.solve_first_order_ode((0.0, -1.0), (1.0, -1.0))
+    with pytest.raises(QuadratureError):
+        laplace.laplace_transform(psi, 1.5)
 
 
 def test_graded_head_edges():

@@ -3,6 +3,7 @@ import collections
 import copy
 import dataclasses
 import itertools
+import logging
 import math
 import pickle
 import random
@@ -18,7 +19,7 @@ from mbint.cgamma import POLE_TOLERANCE
 from mbint.errors import (ContourError, ConvergenceError,
                           HigherOrderPoleError, NonConvergentSeriesError,
                           ParameterError, PoleError)
-from mbint.special_functions import GParams, HParams, meijer_g, pfq
+from mbint.special_functions import GParams, HParams, fox_h, meijer_g, pfq
 
 E_INV = 0.36787944117144233          # e^{-1}
 SQRT2_E2 = 0.19139299302082185       # sqrt(2) e^{-2}
@@ -522,6 +523,20 @@ def test_residue_series_resums_at_the_precision_its_rounding_needs(z):
     assert abs(res.value - exact) <= res.err_estimate
 
 
+def test_residue_series_grows_noisy_resummations_geometrically(caplog):
+    # z^0.3 e^{-z} at z = 120 cancels by about 1e104; a pass whose value
+    # is rounding noise calls for about 25 more digits than it had, so
+    # stepping by that took 5 passes (42, 68, 93, 118, 127 digits)
+    with caplog.at_level(logging.DEBUG, logger=mb.__name__):
+        res = meijer_g(GParams(1, 0, 0, 1, (), (0.3,)), 120.0,
+                       method="residues")
+    passes = [r for r in caplog.records if "escalating" in r.getMessage()]
+    assert 1 <= len(passes) <= 3
+    with mpmath.workdps(80):
+        exact = complex(mpmath.mpf(120) ** mpmath.mpf(0.3) * mpmath.exp(-120))
+    assert abs(res.value - exact) <= res.err_estimate
+
+
 def test_residue_series_refuses_past_its_precision_cap(monkeypatch):
     monkeypatch.setattr(mb, "_MAX_DPS", 50)
     with pytest.raises(NonConvergentSeriesError):
@@ -538,6 +553,16 @@ def test_residue_series_refuses_an_exact_zero_resummation(monkeypatch):
     monkeypatch.setattr(mb, "_sum_residues", zero_exact_sum)
     with pytest.raises(NonConvergentSeriesError):
         meijer_g(GParams(1, 0, 0, 1, (), (0.3,)), 40.0, method="residues")
+
+
+def test_residue_terms_past_the_double_range_are_a_typed_refusal():
+    # finite parts whose modulus passes the double range: abs() of such a
+    # complex raises an untyped OverflowError
+    params = HParams(1, 0, 1, 2, (-0.977,), (1.566, -0.263), (1.5,),
+                     (0.5, 1.5))
+    with pytest.raises(NonConvergentSeriesError):
+        fox_h(params, 40.18524666408316 + 6.437558272105314j,
+              method="residues")
 
 
 @pytest.mark.parametrize("z", [0.3, 2.0])
