@@ -12,6 +12,7 @@ fde_numeric_residual verifies directly against the coefficient matrix.
 """
 
 import cmath
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +23,8 @@ from .errors import (DegreeError, DivergenceError, ParameterError,
 from .quadrature import check_tolerance, integrate_adaptive
 
 _NEAR_ONE = 1e-9
-_NEAR_INTEGER = 1e-9
+_HALF_PI = 0.5 * math.pi
+_HEAD_PANEL = 0.5  # width in v of the head's equal panels
 
 
 @dataclass(frozen=True)
@@ -129,30 +131,20 @@ def solve_first_order_ode(a0, a1):
     return ClosedFormPsi(lam, tuple(factors))
 
 
-def _graded_edges(alpha, tol):
-    """Panel edges [0, 2^-J, ..., 1/2, 1] for a head integrand ~ s^alpha.
-
-    The innermost panel holds about 2^{-J (1 + alpha)} <= tol of the head,
-    so one round resolves the endpoint that bisection from equal panels
-    would reach one halving per round.
-    """
-    levels = int(np.ceil(np.log(tol) / ((1.0 + alpha) * np.log(0.5))))
-    levels = min(max(levels, 3), 60)
-    return np.concatenate(([0.0], 0.5 ** np.arange(levels, -1, -1)))
-
-
 def laplace_transform(psi, x, tol=1e-10):
     """integral_0^T e^{-x t} psi(t) dt by one adaptive quadrature.
 
-    T is sized so the exponential tail falls below ``tol`` relative to the
-    running value (Re x > Re lambda is required for the tail to close).
-    The integrand is taken in s, with t = s^k on [0, 1] and t = s beyond.
-    For psi ~ t^mu with -1 < Re mu < 0, k > 1 flattens the head to
-    ~ s^alpha, alpha = k (1 + Re mu) - 1 >= 1; otherwise k = 1 and
-    alpha = Re mu.  psi's t^mu is carried as a power of s, so the head stays
-    finite where s^k underflows.  The mesh is 8 equal panels of [0, 1] when
-    psi is analytic at 0 (mu a nonnegative integer, to _NEAR_INTEGER),
-    _graded_edges(alpha, tol) otherwise, then 8 equal panels of [1, T].
+    T is sized so the bound on the exponential tail falls below tol / 4
+    (Re x > Re lambda is required for the tail to close).  The integrand
+    is taken in v, with t = exp(pi/2 sinh v) on the head v <= 0 (Takahasi
+    & Mori 1974) and t = 1 + v on the body: equal panels of width
+    _HEAD_PANEL on [v_lo, 0], then 8 equal panels of [0, T - 1].  The
+    double-exponential map flattens psi ~ t^mu* for every Re mu* > -1, and
+    t^{1 + mu*} is carried as exp((1 + mu*) log t) with log t exact, so
+    nothing underflows as t -> 0.  The cut t_lo at v_lo shrinks with tol,
+    1 + Re mu* and 1 / |x|; the head mass below it, about
+    |rest(0)| t_lo^{1 + Re mu*} / (1 + Re mu*), joins the error estimate
+    as the tail beyond T does.
     """
     x = complex(x)
     if not cmath.isfinite(x):
@@ -179,30 +171,34 @@ def laplace_transform(psi, x, tol=1e-10):
     tail = (envelope + 1.0) * np.exp(-rate * T) / rate
 
     mu = mu_star.real
-    k = int(np.ceil(2.0 / (1.0 + mu))) + 1 if mu < 0.0 else 1
     # psi = (1 - e^{-t})^{mu*} rest(t), with rest free of the root at 1
     rest = replace(psi, factors=tuple(f for f in psi.factors if f[0] != 1.0))
+    # the omitted head: about tol e^-12 / (1 + mu) of the scale |x|^-(1 + mu)
+    log_t_lo = (math.log(tol) - 12.0) / (1.0 + mu) \
+        - math.log(max(1.0, abs(x)))
+    panels = math.ceil(-math.asinh(log_t_lo / _HALF_PI) / _HEAD_PANEL)
+    head_edges = -_HEAD_PANEL * np.arange(max(panels, 1), 0, -1)
+    cut = abs(rest(0.0)) / (1.0 + mu) \
+        * math.exp((1.0 + mu) * _HALF_PI * math.sinh(head_edges[0]))
 
-    def integrand(s):
-        # t = s^m, m = k on [0, 1] and 1 beyond: no body node forms s^k
-        m = np.where(s < 1.0, k, 1)
-        t = s ** m
-        # t^{mu*} dt/ds = m s^{m (1 + mu*) - 1} and ((1 - e^{-t}) / t)^{mu*},
-        # which tends to 1, both finite where s^k underflows to t = 0
-        r = np.maximum(t, 1e-300)
-        log_w = (m * (1.0 + mu_star) - 1.0) * np.log(s) \
-            + mu_star * np.log(-np.expm1(-r) / r)
-        return m * np.exp(log_w - x * t) * rest(t)
+    def integrand(v):
+        head = v < 0.0
+        vh = v[head]
+        log_t = np.log1p(np.maximum(v, 0.0))  # body: t = 1 + v, dt/dv = 1
+        log_t[head] = _HALF_PI * np.sinh(vh)
+        # t^{mu*} dt/dv, where dt/dv = t pi/2 cosh v on the head
+        log_w = mu_star * log_t
+        log_w[head] = (1.0 + mu_star) * log_t[head] \
+            + np.log(_HALF_PI * np.cosh(vh))
+        t = np.exp(log_t)
+        r = np.maximum(t, 1e-300)  # ((1 - e^{-t}) / t)^{mu*} -> 1 at t = 0
+        log_w += mu_star * np.log(-np.expm1(-r) / r) - x * t
+        return np.exp(log_w) * rest(t)
 
-    # psi ~ t^mu* is analytic at t = 0 when mu* is a nonnegative integer
-    n = round(mu)
-    analytic = n >= 0 and abs(mu_star - n) < _NEAR_INTEGER
-    head_edges = np.linspace(0.0, 1.0, 9) if analytic \
-        else _graded_edges(k * (1.0 + mu) - 1.0, tol)
     res = integrate_adaptive(
-        integrand, np.concatenate([head_edges, np.linspace(1.0, T, 9)[1:]]),
+        integrand, np.concatenate([head_edges, np.linspace(0.0, T - 1.0, 9)]),
         tol_rel=0.25 * tol)
-    err = tail + res.error
+    err = tail + cut + res.error
     if not (cmath.isfinite(res.value)
             and err <= 25.0 * tol * max(abs(res.value), 1e-300)):
         raise QuadratureError("transform quadrature missed the tolerance",

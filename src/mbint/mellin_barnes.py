@@ -42,6 +42,7 @@ from .quadrature import (MAX_NODES, check_tolerance, integrate_adaptive,
 log = logging.getLogger(__name__)
 
 _EPS = np.finfo(float).eps
+_LOG_MAX = math.log(np.finfo(float).max)  # exp() of more overflows
 _T_MAX = 6000.0
 _NEG_INF = complex(float("-inf"), 0.0)
 _MP_LOCK = threading.Lock()  # mpmath precision context is process-global
@@ -673,6 +674,9 @@ def _log_residue(ladder, terms, l, shift):
         return 0.0 + 0.0j
     total += s * shift
     total -= math.lgamma(l + 1) + math.log(ladder.mult)
+    if total.real > _LOG_MAX:
+        # past the double range: the sum's typed overflow check fires
+        return complex(math.inf, 0.0)
     parity = -ladder.step if l % 2 == 0 else ladder.step
     return parity * complex(np.exp(total))
 
@@ -1072,18 +1076,17 @@ def _truncation(kernel, sigma, logz, tol, t_min):
 
     kappa = decay_rate(kernel)
     arg_eff = logz.imag + kernel.base_log.imag
+    omega = _algebraic_exponent(kernel, sigma)
     tail = 0.0
     for direction, log_mag in ((+1.0, above[k]), (-1.0, below[k])):
         rate = kappa + direction * arg_eff
         mag = math.exp(min(log_mag, 700.0))
-        if rate > 1e-3:
-            tail += mag / rate
-        else:
-            omega = _algebraic_exponent(kernel, sigma)
-            if omega < -1.0:
-                tail += mag * T / (-omega - 1.0)
-            else:
-                return T, math.inf
+        # the exponential bound for any positive rate, the algebraic one
+        # where |K z^s| falls faster than 1/y and it is smaller; inf if none
+        bound = mag / rate if rate > 0.0 else math.inf
+        if omega < -1.0:
+            bound = min(bound, mag * T / (-omega - 1.0))
+        tail += bound
     return T, tail / (2.0 * np.pi)
 
 
@@ -1207,9 +1210,11 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     err = quad.error / (2.0 * np.pi) + tail
     if contour.detours:
         value = value + correction
-    if not quad.converged and err > 25.0 * tol * max(abs(value), 1e-300):
+    if not err <= 25.0 * tol * max(abs(value), 1e-300):
         raise QuadratureError("node budget exhausted before reaching the "
-                              "requested tolerance",
+                              "requested tolerance" if not quad.converged
+                              else "the error estimate, tail bound "
+                              "included, exceeds the requested tolerance",
                               nodes=quad.nodes, err=err)
     log.debug("integrate: anchor=%.4g T=%.4g nodes=%d err=%.3g",
               sigma, T, quad.nodes, err)

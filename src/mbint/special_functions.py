@@ -208,6 +208,14 @@ def _evaluate_kernel(kernel, z, tol, method=None, branch_k=0):
         raise ParameterError("argument must be finite and nonzero", z=z)
     check_tolerance(tol)
     side = _residue_side(kernel, z)
+    numerators = {"right": kernel.up_left, "left": kernel.up_right}
+    if method != "quad" and side is not None and not numerators[side] \
+            and kernel.up_left + kernel.up_right:
+        # the convergent loop encloses no pole (DLMF 16.17(ii), (iii)); a
+        # kernel with no numerator gamma at all is refused below
+        return mb.EvalResult(value=0j, err_estimate=0.0, nodes_used=0,
+                             method="residues_" + side,
+                             arg_branch=branch_k)
     if method == "residues":
         if side is None:
             raise ConvergenceError("no residue side converges for this "

@@ -103,9 +103,8 @@ def test_transform_endpoint_singularity_substitution():
 @pytest.mark.parametrize("x", [1.5, 0.7 + 2.0j])
 def test_transform_matches_mpmath_beta(beta, x):
     # B(x, beta) = int_0^inf e^{-xt} (1 - e^{-t})^{beta - 1} dt, with
-    # mu* = beta - 1 from -0.99 (flattened by t = s^201, which underflows
-    # to t = 0 on the innermost nodes) to 1.3 (graded head on t itself),
-    # held to the requested tolerance
+    # mu* = beta - 1 from -0.99 (t = exp(pi/2 sinh v) underflows to t = 0
+    # on the innermost head nodes) to 1.3, held to the requested tolerance
     psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
     got = laplace.laplace_transform(psi, x, tol=1e-9)
     with mpmath.workdps(30):
@@ -150,16 +149,17 @@ def recorded_runs(monkeypatch):
 @pytest.mark.parametrize("beta", [2.0, 3.0])
 def test_analytic_head_opens_on_equal_panels(monkeypatch, beta):
     # mu* = beta - 1 a positive integer: psi = (1 - e^{-t})^{beta - 1} is
-    # analytic at t = 0, and the mesh's 8 equal head panels and 8 body
-    # panels take it in one round
+    # analytic at t = 0, and the head's equal panels of width 1/2 in v
+    # (7 or 6 of them at x = 1.5) and the body's 8 take it in one round
     runs = recorded_runs(monkeypatch)
     psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
     assert psi.singular_exponent() == beta - 1.0
     got = laplace.laplace_transform(psi, 1.5, tol=1e-9)
     (edges, res), = runs
-    assert np.array_equal(edges[:9], np.linspace(0.0, 1.0, 9))
-    assert len(edges) == 17 and res.converged
-    assert res.nodes == 15 * 16
+    head = {2.0: 7, 3.0: 6}[beta]
+    assert np.array_equal(edges[:head + 1], -0.5 * np.arange(head, -1, -1))
+    assert np.array_equal(edges[head:], np.linspace(0.0, edges[-1], 9))
+    assert res.converged and res.nodes == 15 * (head + 8)
     with mpmath.workdps(30):
         oracle = complex(mpmath.beta(1.5, beta))
     assert abs(got - oracle) <= 1e-9 * abs(oracle)
@@ -167,18 +167,20 @@ def test_analytic_head_opens_on_equal_panels(monkeypatch, beta):
 
 @pytest.mark.parametrize("beta", [0.01, 0.5, 1.17, 2.0])
 def test_one_quadrature_call_per_transform(monkeypatch, beta):
-    # flattened, graded and analytic heads share the body's mesh
+    # singular and analytic heads share the one map and the body's mesh:
+    # the head in v < 0, the body from v = 0 (t = 1)
     runs = recorded_runs(monkeypatch)
     psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
     laplace.laplace_transform(psi, 1.5, tol=1e-9)
     (edges, _), = runs
-    assert edges[0] == 0.0 and 1.0 in edges
+    assert edges[0] < 0.0 and 0.0 in edges
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_flattened_head_on_a_tall_mesh_stays_finite(monkeypatch):
-    # beta = 0.01 flattens by t = s^201, and x = 0.05 closes the tail only
-    # at T > 500: s^201 on the body nodes would overflow
+    # beta = 0.01 cuts the head at log t_lo = -3270, so t underflows to 0
+    # on its innermost nodes, and x = 0.05 closes the tail only at T > 500,
+    # where sinh v of the head map would overflow on the body nodes
     runs = recorded_runs(monkeypatch)
     psi = laplace.solve_first_order_ode((0.0, 0.99), (1.0, -1.0))
     got = laplace.laplace_transform(psi, 0.05, tol=1e-9)
@@ -197,16 +199,30 @@ def test_non_finite_quadrature_is_refused(monkeypatch):
         laplace.laplace_transform(psi, 1.5)
 
 
-def test_graded_head_edges():
-    edges = laplace._graded_edges(0.17, 1e-10)
-    levels = len(edges) - 2
-    assert edges[0] == 0.0 and edges[-1] == 1.0
-    assert np.array_equal(edges[1:], 0.5 ** np.arange(levels, -1, -1))
-    # the fewest halvings that bring the innermost panel's share of t^0.17
-    # to tol
-    assert edges[1] ** 1.17 <= 1e-10 < edges[2] ** 1.17
-    assert len(laplace._graded_edges(50.0, 1e-10)) == 3 + 2
-    assert len(laplace._graded_edges(0.0, 1e-300)) == 60 + 2
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("beta", [1e-6, 1e-4, 2e-4])
+@pytest.mark.parametrize("x", [1.5, 2.0])
+def test_near_divergent_head_matches_mpmath_beta(beta, x):
+    # mu* = beta - 1 just above -1: the head holds nearly all of
+    # B(x, beta) ~ 1 / beta; the t = s^k flattening with a graded mesh
+    # returned these 8e-7 to 2.2e-4 off, with no error raised
+    psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
+    got = laplace.laplace_transform(psi, x, tol=1e-9)
+    with mpmath.workdps(30):
+        oracle = complex(mpmath.beta(x, beta))
+    assert abs(got - oracle) <= 1e-9 * abs(oracle)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_head_cut_scales_with_x(tol):
+    # e^{-200 t} puts B(200, 5) ~ 24 / 200^5 on t < 0.1: a head cut from
+    # tol alone, not from |x|, missed it by 6.7e-3
+    psi = laplace.solve_first_order_ode((0.0, -4.0), (1.0, -1.0))
+    got = laplace.laplace_transform(psi, 200.0, tol=tol)
+    with mpmath.workdps(30):
+        oracle = complex(mpmath.beta(200.0, 5.0))
+    assert abs(got - oracle) <= tol * abs(oracle)
 
 
 def test_root_near_one_is_the_endpoint():

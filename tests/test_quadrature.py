@@ -1,7 +1,7 @@
 import numpy as np
 
 from mbint import mellin_barnes as mb
-from mbint import laplace, quadrature
+from mbint import quadrature
 from mbint.cgamma import log_gamma_grid
 from mbint.special_functions import GParams, HParams
 
@@ -134,7 +134,8 @@ def test_equal_panel_edges_reproduce_pinned_results():
 
 def test_graded_opening_resolves_algebraic_endpoint_in_one_round():
     # t^0.17 on [0, 1]: bisection from 8 equal panels halves the panel at
-    # t = 0 once per round; the graded mesh is that ladder built at once
+    # t = 0 once per round; the graded mesh [0, 2^-29, ..., 1/2, 1] is that
+    # ladder built at once, with (2^-29)^1.17 <= tol in its innermost panel
     def power(t):
         return t ** 0.17 + 0.0j
     exact = 1.0 / 1.17
@@ -144,7 +145,7 @@ def test_graded_opening_resolves_algebraic_endpoint_in_one_round():
                                           tol_rel=tol)
     f, graded_sizes = counting(power)
     graded = quadrature.integrate_adaptive(
-        f, laplace._graded_edges(0.17, tol), tol_rel=tol)
+        f, np.concatenate(([0.0], 0.5 ** np.arange(29, -1, -1))), tol_rel=tol)
     for res in (equal, graded):
         assert res.converged
         assert abs(res.value - exact) < tol * exact

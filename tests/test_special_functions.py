@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from mbint import mellin_barnes as mb
 from mbint import special_functions as sf
 from mbint import verification
 from mbint.errors import (ConvergenceError, DivergentSeriesError,
-                          InvalidDenominatorError, OrderError, ParameterError,
-                          QuadratureError)
+                          InvalidDenominatorError, NonConvergentSeriesError,
+                          OrderError, ParameterError, QuadratureError)
 from mbint.fde_solutions import FirstOrderFDE
 
 TWO_LOG_TWO = 1.3862943611198906        # 2F1(1,1;2;1/2) = -log(1-z)/z
@@ -140,6 +141,48 @@ def test_meijer_g_node_budget_exhausted(monkeypatch):
     res = sf.meijer_g(params, 2.0)
     assert res.method == "residues_right"
     assert abs(res.value - exact) < 1e-10 * exact
+
+
+def test_unbounded_tail_estimate_falls_back_to_residues():
+    # kappa - |arg z| = 1e-3: the line converges absolutely, but the tail
+    # decays too slowly to bound within tol, so quadrature refuses and the
+    # default route answers by residues
+    import mpmath
+    params = sf.GParams(1, 1, 1, 1, (0.5,), (0.2,))
+    z = 0.5 * cmath.exp(1j * (math.pi - 1e-3))
+    res = sf.meijer_g(params, z)
+    assert res.method == "residues_right"
+    ref = complex(mpmath.meijerg([[0.5], []], [[0.2], []], z))
+    assert abs(res.value - ref) <= 1e-9 * abs(ref)
+    with pytest.raises(QuadratureError):
+        sf.meijer_g(params, z, method="quad")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", [None, "residues"])
+def test_residue_overflow_is_typed_without_warning(method):
+    # z^0.3 e^-z by residues at z = 2000: terms near e^2000 overflow
+    with pytest.raises(NonConvergentSeriesError, match="overflow"):
+        sf.meijer_g(sf.GParams(1, 0, 0, 1, (), (0.3,)), 2000.0,
+                    method=method)
+
+
+@pytest.mark.parametrize("params,z", [
+    (sf.GParams(1, 0, 1, 1, (0.7,), (0.2,)), 2.5),
+    (sf.GParams(0, 1, 1, 2, (0.3,), (0.1, 0.6)), 1.7),
+])
+@pytest.mark.parametrize("method", [None, "residues"])
+def test_empty_convergent_loop_is_zero(params, z, method):
+    # the convergent side has no numerator gamma, so its loop encloses no
+    # pole: G^{1,0}_{1,1}(z | a; b) = 0 for |z| > 1 (mpmath.meijerg agrees)
+    res = sf.meijer_g(params, z, method=method)
+    assert res.value == 0 and res.err_estimate == 0.0
+
+
+def test_empty_convergent_loop_keeps_quad_refusal():
+    params = sf.GParams(0, 1, 1, 2, (0.3,), (0.1, 0.6))
+    with pytest.raises(ConvergenceError):
+        sf.meijer_g(params, 1.7, method="quad")
 
 
 def test_pfq_via_g_matches_closed_forms():
