@@ -406,10 +406,12 @@ def _cmd_dump_integrand(args):
         raise ParameterError("argument must be nonzero")
     kernel = params.to_kernel()
     contour = mb.choose_contour(kernel)
-    T = contour.truncation
+    logz = np.log(z)
+    # the height integrate takes at this z and eval g's default tol
+    T, _ = mb._truncation(kernel, contour.anchor, logz, 1e-10,
+                          contour.truncation)
     ys = np.linspace(-T, T, args.points)
     s = contour.anchor + 1j * ys
-    logz = np.log(z)
     with np.errstate(all="ignore"):
         vals = np.exp(mb.kernel_log_grid(kernel, s) + s * logz)
     with open(args.out, "w", newline="") as fh:

@@ -27,8 +27,8 @@ import numpy as np
 from . import polyroots
 from .cgamma import POLE_TOLERANCE
 from .errors import ContourError, OrderError, ParameterError
-from .mellin_barnes import Contour, check_split, contour_window, \
-    default_truncation, g_kernel, kernel_eval, kernel_log_eval
+from .mellin_barnes import _T_MIN, Contour, check_split, contour_window, \
+    g_kernel, kernel_eval, kernel_log_eval
 
 
 @dataclass(frozen=True)
@@ -161,5 +161,5 @@ def inverse_transform_solution(rho, sigma, anchor):
     if anchor <= head + POLE_TOLERANCE:
         raise ContourError("anchor must lie right of every numerator pole",
                            anchor=anchor, max_re_rho=head)
-    contour = Contour("vertical", anchor, default_truncation(kernel))
+    contour = Contour("vertical", anchor, _T_MIN)
     return kernel, contour

@@ -132,15 +132,19 @@ def solve_first_order_ode(a0, a1):
 
 
 def laplace_transform(psi, x, tol=1e-10):
-    """integral_0^T e^{-x t} psi(t) dt by one adaptive quadrature.
+    """integral_0^T e^{-x t} psi(t) dt by adaptive quadrature.
 
-    T is sized so the bound on the exponential tail falls below tol / 4
-    (Re x > Re lambda is required for the tail to close).  The integrand
-    is taken in v, with t = exp(pi/2 sinh v) on the head v <= 0 (Takahasi
-    & Mori 1974) and t = 1 + v on the body: equal panels of width
-    _HEAD_PANEL on [v_lo, 0], then 8 equal panels of [0, T - 1].  The
-    double-exponential map flattens psi ~ t^mu* for every Re mu* > -1, and
-    t^{1 + mu*} is carried as exp((1 + mu*) log t) with log t exact, so
+    T is the first of 8 * 1.4^k where the bound on the exponential tail
+    falls below tol / 4 (Re x > Re lambda is required for the tail to
+    close).  When that bound exceeds tol / 4 |value| (a |value| below 1),
+    T grows on the same ladder to that relative target (_tail_height) and
+    a second quadrature call takes the body's extension, 2 equal panels
+    of [T - 1, T' - 1] in v, so the first call's mesh stays as it is.
+    The integrand is taken in v, with t = exp(pi/2 sinh v) on the head
+    v <= 0 (Takahasi & Mori 1974) and t = 1 + v on the body: equal panels
+    of width _HEAD_PANEL on [v_lo, 0], then 8 equal panels of [0, T - 1].
+    The double-exponential map flattens psi ~ t^mu* for every Re mu* > -1,
+    and t^{1 + mu*} is carried as exp((1 + mu*) log t) with log t exact, so
     nothing underflows as t -> 0.  The cut t_lo at v_lo shrinks with tol,
     1 + Re mu* and 1 / |x|; the head mass below it, about
     |rest(0)| t_lo^{1 + Re mu*} / (1 + Re mu*), joins the error estimate
@@ -161,14 +165,8 @@ def laplace_transform(psi, x, tol=1e-10):
                               singular_exponent=mu_star)
 
     # truncation height from the decaying envelope
-    T = 8.0
-    envelope = abs(psi.normalization) + abs(psi(T)) * np.exp(-lam.real * T)
-    while T < 2000.0:
-        tail = (envelope + 1.0) * np.exp(-rate * T) / rate
-        if tail < 0.25 * tol:
-            break
-        T *= 1.4
-    tail = (envelope + 1.0) * np.exp(-rate * T) / rate
+    envelope = abs(psi.normalization) + abs(psi(8.0)) * np.exp(-lam.real * 8.0)
+    T, tail = _tail_height(envelope + 1.0, rate, 0.25 * tol, 8.0)
 
     mu = mu_star.real
     # psi = (1 - e^{-t})^{mu*} rest(t), with rest free of the root at 1
@@ -198,12 +196,35 @@ def laplace_transform(psi, x, tol=1e-10):
     res = integrate_adaptive(
         integrand, np.concatenate([head_edges, np.linspace(0.0, T - 1.0, 9)]),
         tol_rel=0.25 * tol)
-    err = tail + cut + res.error
-    if not (cmath.isfinite(res.value)
-            and err <= 25.0 * tol * max(abs(res.value), 1e-300)):
+    value, err, nodes = res.value, res.error, res.nodes
+    target = 0.25 * tol * abs(value)
+    if tail > target:
+        # a small |value|: the tail must be small relative to it, so the
+        # body extends from T to the height meeting that target
+        T_ext, tail = _tail_height(envelope + 1.0, rate, target, T)
+        if T_ext > T:
+            ext = integrate_adaptive(integrand,
+                                     np.linspace(T - 1.0, T_ext - 1.0, 3),
+                                     tol_rel=0.25 * tol)
+            value, err = value + ext.value, err + ext.error
+            nodes += ext.nodes
+    err += tail + cut
+    if not (cmath.isfinite(value)
+            and err <= 25.0 * tol * max(abs(value), 1e-300)):
         raise QuadratureError("transform quadrature missed the tolerance",
-                              err=err, nodes=res.nodes)
-    return res.value
+                              err=err, nodes=nodes)
+    return value
+
+
+def _tail_height(scale, rate, target, T):
+    """(T, tail): the first height T * 1.4^k, stopping past 2000, where the
+    bound scale e^{-rate T} / rate on the transform beyond it is below
+    ``target``, and that bound."""
+    while True:
+        tail = scale * np.exp(-rate * T) / rate
+        if tail < target or T >= 2000.0:
+            return T, tail
+        T *= 1.4
 
 
 def fde_numeric_residual(matrix, f, x):

@@ -43,6 +43,7 @@ log = logging.getLogger(__name__)
 
 _EPS = np.finfo(float).eps
 _LOG_MAX = math.log(np.finfo(float).max)  # exp() of more overflows
+_T_MIN = 8.0  # the lowest truncation height _truncation tries
 _T_MAX = 6000.0
 _NEG_INF = complex(float("-inf"), 0.0)
 _MP_LOCK = threading.Lock()  # mpmath precision context is process-global
@@ -493,13 +494,6 @@ def contour_window(kernel):
     return lo, hi
 
 
-def default_truncation(kernel):
-    kappa = decay_rate(kernel)
-    if kappa <= 0.05:
-        return 120.0
-    return float(min(max(30.0, 50.0 / kappa), 400.0))
-
-
 @functools.lru_cache(maxsize=256)
 def choose_contour(kernel):
     """Deterministic pole-separating contour.
@@ -509,6 +503,7 @@ def choose_contour(kernel):
     line is placed just right of every left-opening pole, in the widest gap
     between right-opening pole abscissae, and every right-opening pole left
     of it gets a semicircular detour routing it to the right of the path.
+    The truncation is _T_MIN, the lowest height integrate tries (_truncation).
     Kernel and contour are immutable, so the choice is memoized per kernel.
     """
     collision = find_pole_collision(kernel)
@@ -516,17 +511,14 @@ def choose_contour(kernel):
         raise ContourError("a pole lies in both families; no contour can "
                            "separate them", location=collision)
     lo, hi = contour_window(kernel)
-    trunc = default_truncation(kernel)
-    if lo == -math.inf and hi == math.inf:
-        return Contour("vertical", 0.0, trunc)
     if lo + 1e-9 < hi:
         if lo == -math.inf:
-            anchor = hi - 0.5
+            anchor = 0.0 if hi == math.inf else hi - 0.5
         elif hi == math.inf:
             anchor = lo + 0.5
         else:
             anchor = 0.5 * (lo + hi)
-        return Contour("vertical", float(anchor), trunc)
+        return Contour("vertical", float(anchor), _T_MIN)
 
     # empty window: anchor inside (lo, lo + 1], clear of every left-opening
     # pole, placed in the widest gap between right-opening abscissae
@@ -550,7 +542,7 @@ def choose_contour(kernel):
         min_gap = min(min_gap, abs(loc.real - anchor))
     radius = min(0.25, 0.45 * min_gap) if crossed else 0.25
     detours = tuple(Detour(loc, radius, "left") for loc in crossed)
-    return Contour("indented", float(anchor), trunc, detours)
+    return Contour("indented", float(anchor), _T_MIN, detours)
 
 
 # --------------------------------------------------------------------------
@@ -1055,22 +1047,23 @@ _REF_HEIGHTS = np.array([1.5, -1.5, 3.0, -3.0, 6.0, -6.0, 12.0, -12.0])
 def _truncation(kernel, sigma, logz, tol, t_min):
     """(T, tail): the truncation height and a bound on the integral beyond.
 
-    T is the first of the heights max(t_min, 8) * 1.5^k below _T_MAX where
-    the estimated |K z^s| at +T and -T is at most tol e^-4.6 times the
-    largest at the reference heights +/-1.5, 3, 6, 12, else the first
-    height past _T_MAX.  All of them are estimated in one pass; the tail
-    bound reads its magnitudes at +/-T from the same pass.
+    T is the first of the heights max(t_min, _T_MIN) * 1.1^k, up to the
+    first past _T_MAX, where the estimated |K z^s| at +T and -T is at most
+    tol e^-4.6 times the largest at the reference heights +/-1.5, 3, 6, 12,
+    all estimated in one pass; the tail bound reads its magnitudes at +/-T
+    from the same pass.  With no fit, T is the last height and tail inf.
     """
-    heights = [max(t_min, 8.0)]
+    heights = [max(t_min, _T_MIN)]
     while heights[-1] < _T_MAX:
-        heights.append(heights[-1] * 1.5)
+        heights.append(heights[-1] * 1.1)
     h = np.array(heights)
     est = _log_mag_estimate(kernel, sigma,
                             np.concatenate((_REF_HEIGHTS, h, -h)), logz)
     ref, above, below = np.split(est, (8, 8 + h.size))
     target = ref.max() + math.log(max(tol, 1e-16)) - 4.6
     fits = (above <= target) & (below <= target)
-    fits[-1] = True
+    if not fits.any():
+        return heights[-1], math.inf
     k = int(fits.argmax())
     T = heights[k]
 
@@ -1156,10 +1149,11 @@ def _opening_log_grid(kernel, sigma, T, folded):
 def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     """(1 / 2 pi i) * integral of K(s) z^s over the contour.
 
-    The truncation height grows beyond ``contour.truncation`` when the
-    asymptotic tail estimate requires it for the requested tolerance; the
-    contour actually used is recorded in the result.  z^s uses the
-    principal branch of arg z shifted by 2 pi * branch_k.
+    T is _truncation's first fit from ``contour.truncation`` (the caller's
+    minimum) up, so it varies with z; the contour actually used is
+    recorded in the result, and a line with no fit up to _T_MAX raises
+    QuadratureError before any quadrature node.  z^s uses the principal
+    branch of arg z shifted by 2 pi * branch_k.
 
     A conjugate-symmetric kernel (_conjugate_symmetric) on a line without
     detours is folded onto 0 <= y <= T, for any z and branch: with
@@ -1171,8 +1165,8 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     equal panels, one per 2 units of its length, between 8 and 256
     (folded) or 512; the kernel's logs on those opening nodes come from a
     cache of 8 grids keyed on (kernel, sigma, T, folded), which fix the
-    panel count, and every z on the same line shares their read-only
-    arrays.  Refinement rounds evaluate the kernel afresh, one
+    panel count, and every z on the same line and height shares their
+    read-only arrays.  Refinement rounds evaluate the kernel afresh, one
     kernel_log_grid call per round.
     """
     z = _checked_argument(z, tol)
@@ -1189,6 +1183,8 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
         else replace(contour, truncation=float(T))
     # composed before the quadrature, so a bad detour is refused at once
     correction = _detour_correction(kernel, contour, logz)
+    if tail == math.inf:
+        raise QuadratureError("no truncation height bounds the tail", T=T)
     folded = not contour.detours and _conjugate_symmetric(kernel)
 
     def integrand(y, logs=None):

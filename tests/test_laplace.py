@@ -146,6 +146,16 @@ def recorded_runs(monkeypatch):
     return runs
 
 
+def first_mesh(runs):
+    """The first call's (edges, QuadResult); a second call, if any, only
+    extends the body past the first mesh's end."""
+    (edges, res), *extension = runs
+    assert len(extension) <= 1
+    for ext, _ in extension:
+        assert ext[0] == edges[-1] and np.all(np.diff(ext) > 0.0)
+    return edges, res
+
+
 @pytest.mark.parametrize("beta", [2.0, 3.0])
 def test_analytic_head_opens_on_equal_panels(monkeypatch, beta):
     # mu* = beta - 1 a positive integer: psi = (1 - e^{-t})^{beta - 1} is
@@ -155,7 +165,7 @@ def test_analytic_head_opens_on_equal_panels(monkeypatch, beta):
     psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
     assert psi.singular_exponent() == beta - 1.0
     got = laplace.laplace_transform(psi, 1.5, tol=1e-9)
-    (edges, res), = runs
+    edges, res = first_mesh(runs)
     head = {2.0: 7, 3.0: 6}[beta]
     assert np.array_equal(edges[:head + 1], -0.5 * np.arange(head, -1, -1))
     assert np.array_equal(edges[head:], np.linspace(0.0, edges[-1], 9))
@@ -168,12 +178,24 @@ def test_analytic_head_opens_on_equal_panels(monkeypatch, beta):
 @pytest.mark.parametrize("beta", [0.01, 0.5, 1.17, 2.0])
 def test_one_quadrature_call_per_transform(monkeypatch, beta):
     # singular and analytic heads share the one map and the body's mesh:
-    # the head in v < 0, the body from v = 0 (t = 1)
+    # the head in v < 0, the body from v = 0 (t = 1); a second call
+    # (beta = 2, |value| 0.27) only extends the body
     runs = recorded_runs(monkeypatch)
     psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
     laplace.laplace_transform(psi, 1.5, tol=1e-9)
-    (edges, _), = runs
+    edges, _ = first_mesh(runs)
     assert edges[0] < 0.0 and 0.0 in edges
+
+
+@pytest.mark.parametrize("x,beta,tol", [(2.0, 5.0, 1e-6), (1.5, 50.0, 1e-9)])
+def test_tail_is_sized_relative_to_a_small_value(x, beta, tol):
+    # |B(x, beta)| = 1/30 and 0.0025: a tail bound below tol / 4 in absolute
+    # terms left B(2, 5) 1.69e-6 off and refused B(1.5, 50) outright
+    psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
+    got = laplace.laplace_transform(psi, x, tol=tol)
+    with mpmath.workdps(30):
+        oracle = complex(mpmath.beta(x, beta))
+    assert abs(got - oracle) <= tol * abs(oracle)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -18,7 +18,7 @@ from mbint import mellin_barnes as mb
 from mbint.cgamma import POLE_TOLERANCE
 from mbint.errors import (ContourError, ConvergenceError,
                           HigherOrderPoleError, NonConvergentSeriesError,
-                          ParameterError, PoleError)
+                          ParameterError, PoleError, QuadratureError)
 from mbint.special_functions import GParams, HParams, fox_h, meijer_g, pfq
 
 E_INV = 0.36787944117144233          # e^{-1}
@@ -191,7 +191,7 @@ def _eager_contour(kernel):
     rights = _eager_ladders(kernel.up_left, True)
     lo = max((left[0].real for left in lefts), default=-math.inf)
     hi = min((right[0].real for right in rights), default=math.inf)
-    trunc = mb.default_truncation(kernel)
+    trunc = mb._T_MIN
     if lo == -math.inf and hi == math.inf:
         return mb.Contour("vertical", 0.0, trunc)
     if lo + 1e-9 < hi:
@@ -825,7 +825,48 @@ def test_choose_contour_memoized_and_reused_by_integrate():
     contour = mb.choose_contour(k_exp(0.5))
     assert mb.choose_contour(k_exp(0.5)) is contour
     res = mb.integrate(k_exp(0.5), 2.0)
-    assert res.contour is contour
+    assert (res.contour.anchor, res.contour.detours) \
+        == (contour.anchor, contour.detours)
+
+
+def test_truncation_height_is_the_tail_estimates_first_fit():
+    # choose_contour sets only the minimum height; integrate takes the
+    # first fit of _truncation from there, so the height varies with z
+    kernel = k_2f1()
+    contour = mb.choose_contour(kernel)
+    assert contour.truncation == mb._T_MIN
+    heights = set()
+    for z in (0.3, 0.7 + 0.2j, 0.9 * cmath.exp(2.5j)):
+        T, tail = mb._truncation(kernel, contour.anchor, complex(np.log(z)),
+                                 1e-10, contour.truncation)
+        res = mb.integrate(kernel, z)
+        assert res.contour.truncation == T and math.isfinite(tail)
+        assert res.contour.anchor == contour.anchor
+        heights.add(T)
+    assert len(heights) == 2
+
+
+def test_line_without_a_tail_bound_is_refused_before_quadrature(monkeypatch):
+    # near the convergence boundary no height up to _T_MAX meets the tail
+    # target: the quadrature used to spend 75,780 nodes before refusing,
+    # and the residues answer in 34 terms
+    params = GParams(1, 1, 1, 1, (0.5,), (0.2,))
+    z = 0.5 * cmath.exp(1j * (math.pi - 1e-3))
+    kernel = params.to_kernel()
+    _, tail = mb._truncation(kernel, mb.choose_contour(kernel).anchor,
+                             complex(np.log(z)), 1e-10, mb._T_MIN)
+    assert tail == math.inf
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran on a line without a tail bound")
+    monkeypatch.setattr(mb, "integrate_adaptive", no_quadrature)
+    with pytest.raises(QuadratureError):
+        meijer_g(params, z, method="quad")
+    res = meijer_g(params, z)
+    with mpmath.workdps(30):
+        oracle = complex(mpmath.meijerg([[0.5], []], [[0.2], []], z))
+    assert res.method == "residues_right"
+    assert abs(res.value - oracle) <= res.err_estimate
 
 
 def test_result_and_contour_copy_pickle_replace():
@@ -984,7 +1025,7 @@ def test_opening_grid_cache_is_shared_read_only_and_invisible():
     grid = mb._opening_log_grid(one, *key)
     assert mb._opening_log_grid(two, *key) is grid
     assert mb._opening_log_grid.cache_info().currsize == 1
-    assert not grid.flags.writeable and grid.size == 15 * int(T / 2)
+    assert not grid.flags.writeable and grid.size == 15 * max(8, int(T / 2))
     with pytest.raises(ValueError):
         grid[0] = 0.0
 
@@ -1016,13 +1057,14 @@ def _scalar_truncation_height(kernel, sigma, logz, tol, t_min):
     ref = max(_scalar_log_mag(kernel, sigma, y, logz)
               for y in (1.5, -1.5, 3.0, -3.0, 6.0, -6.0, 12.0, -12.0))
     target = ref + math.log(max(tol, 1e-16)) - 4.6
-    T = max(t_min, 8.0)
-    while T < mb._T_MAX:
+    T = max(t_min, mb._T_MIN)
+    while True:
         if _scalar_log_mag(kernel, sigma, T, logz) <= target and \
                 _scalar_log_mag(kernel, sigma, -T, logz) <= target:
-            break
-        T *= 1.5
-    return T
+            return T
+        if T >= mb._T_MAX:
+            return None
+        T *= 1.1
 
 
 def test_truncation_matches_scalar_reference_bitwise():
@@ -1047,9 +1089,9 @@ def test_truncation_matches_scalar_reference_bitwise():
         assert np.array_equal(
             mb._log_mag_estimate(kernel, sigma, heights, logz),
             [_scalar_log_mag(kernel, sigma, y, logz) for y in heights])
-        T, _ = mb._truncation(kernel, sigma, logz, tol, t_min)
-        assert T == _scalar_truncation_height(kernel, sigma, logz, tol,
-                                              t_min)
+        T, tail = mb._truncation(kernel, sigma, logz, tol, t_min)
+        fit = _scalar_truncation_height(kernel, sigma, logz, tol, t_min)
+        assert T == fit if fit is not None else tail == math.inf
 
 
 @pytest.mark.parametrize("coeff,mult", [(math.nan, 1.0), (math.inf, 1.0),
