@@ -20,17 +20,20 @@ import numpy as np
 from . import polyroots
 from .errors import (DegreeError, DivergenceError, ParameterError,
                      QuadratureError, RepeatedRootError)
-from .quadrature import check_tolerance, integrate_adaptive
+from .quadrature import check_tolerance, integrate_adaptive, modulus
 
 _NEAR_ONE = 1e-9
 _HALF_PI = 0.5 * math.pi
-_HEAD_PANEL = 0.5  # width in v of the head's equal panels
+_PANEL = 0.5  # width in v of the map's equal panels
+_LOG_TAIL = math.log(0.25e-300)  # far tail target / tol: the floor 1e-300 / 4
 
 
 @dataclass(frozen=True)
 class ClosedFormPsi:
     """psi(t) = normalization * e^{lambda t} * prod (1 - e^{-t}/z_i)^{mu_i}.
 
+    log composes log psi as one sum, which calling psi exponentiates once;
+    the normalization must be finite and nonzero (ParameterError).
     A root within _NEAR_ONE of 1 is stored as exactly 1: its factor
     vanishes at t = 0, so singular_exponent counts its power and psi is
     evaluated as (1 - e^{-t})^{mu}, not as (t + eps)^{mu} for the root's
@@ -43,6 +46,9 @@ class ClosedFormPsi:
     normalization: complex = 1.0
 
     def __post_init__(self):
+        if self.normalization == 0 or not cmath.isfinite(self.normalization):
+            raise ParameterError("normalization must be finite and nonzero",
+                                 normalization=self.normalization)
         object.__setattr__(self, "exponent_lambda",
                            complex(self.exponent_lambda))
         object.__setattr__(self, "factors",
@@ -52,10 +58,11 @@ class ClosedFormPsi:
         object.__setattr__(self, "normalization",
                            complex(self.normalization))
 
-    def __call__(self, t):
+    def log(self, t):
+        """log psi(t) = log N + lambda t + sum mu_i log(1 - e^{-t}/z_i),
+        composed once, with the principal log of each factor."""
         arr = np.asarray(t, dtype=np.float64)
-        out = np.full(arr.shape, complex(self.normalization),
-                      dtype=np.complex128)
+        out = cmath.log(self.normalization) + self.exponent_lambda * arr
         u = np.exp(-arr)
         for z_i, mu_i in self.factors:
             if abs(z_i - 1.0) < 1e-6:
@@ -63,9 +70,12 @@ class ClosedFormPsi:
                 base = -np.expm1(-arr) + u * (z_i - 1.0) / z_i
             else:
                 base = 1.0 - u / z_i
-            out = out * np.exp(mu_i * np.log(base))
-        out = out * np.exp(self.exponent_lambda * arr)
-        return complex(out[()]) if np.ndim(t) == 0 else out
+            out = out + mu_i * np.log(base)
+        return complex(out) if np.ndim(t) == 0 else out
+
+    def __call__(self, t):
+        out = np.exp(self.log(t))
+        return complex(out) if np.ndim(t) == 0 else out
 
     def damped(self):
         """The same closed form multiplied by e^{-t} (lambda drops by one)."""
@@ -132,23 +142,21 @@ def solve_first_order_ode(a0, a1):
 
 
 def laplace_transform(psi, x, tol=1e-10):
-    """integral_0^T e^{-x t} psi(t) dt by adaptive quadrature.
+    """integral_0^inf e^{-x t} psi(t) dt by one adaptive quadrature in v.
 
-    T is the first of 8 * 1.4^k where the bound on the exponential tail
-    falls below tol / 4 (Re x > Re lambda is required for the tail to
-    close).  When that bound exceeds tol / 4 |value| (a |value| below 1),
-    T grows on the same ladder to that relative target (_tail_height) and
-    a second quadrature call takes the body's extension, 2 equal panels
-    of [T - 1, T' - 1] in v, so the first call's mesh stays as it is.
-    The integrand is taken in v, with t = exp(pi/2 sinh v) on the head
-    v <= 0 (Takahasi & Mori 1974) and t = 1 + v on the body: equal panels
-    of width _HEAD_PANEL on [v_lo, 0], then 8 equal panels of [0, T - 1].
-    The double-exponential map flattens psi ~ t^mu* for every Re mu* > -1,
-    and t^{1 + mu*} is carried as exp((1 + mu*) log t) with log t exact, so
-    nothing underflows as t -> 0.  The cut t_lo at v_lo shrinks with tol,
-    1 + Re mu* and 1 / |x|; the head mass below it, about
-    |rest(0)| t_lo^{1 + Re mu*} / (1 + Re mu*), joins the error estimate
-    as the tail beyond T does.
+    t = exp(pi/2 sinh v) maps all of (0, inf) (Takahasi & Mori 1974),
+    flattening psi ~ t^mu* for every Re mu* > -1, and opens equal panels
+    of width _PANEL from the head cut v_lo to the far cut v_hi.  Each
+    node's integrand is one log sum, exponentiated once: (1 + mu*) log t
+    + log(pi/2 cosh v) + mu* log((1 - e^{-t}) / t) - (x - lambda) t
+    + log rest(t), with log t = pi/2 sinh v exact and rest the closed form
+    without its root at 1 and its e^{lambda t}.  The cut t_lo shrinks with
+    tol, 1 + Re mu* and 1 / |x|; v_hi is the first edge past t_hi, where
+    the tail bound env e^{-(Re x - Re lambda) t} / (Re x - Re lambda)
+    meets tol / 4 times 1e-300, the acceptance check's floor on |value|.
+    The head mass below t_lo, about |rest(0)| t_lo^{1 + Re mu*} /
+    (1 + Re mu*), and the tail bound join the error estimate.
+    Re x > Re lambda is required for the tail to close.
     """
     x = complex(x)
     if not cmath.isfinite(x):
@@ -164,67 +172,44 @@ def laplace_transform(psi, x, tol=1e-10):
         raise DivergenceError("psi is not integrable at t = 0",
                               singular_exponent=mu_star)
 
-    # truncation height from the decaying envelope
-    envelope = abs(psi.normalization) + abs(psi(8.0)) * np.exp(-lam.real * 8.0)
-    T, tail = _tail_height(envelope + 1.0, rate, 0.25 * tol, 8.0)
-
     mu = mu_star.real
-    # psi = (1 - e^{-t})^{mu*} rest(t), with rest free of the root at 1
-    rest = replace(psi, factors=tuple(f for f in psi.factors if f[0] != 1.0))
+    s = x - lam  # e^{-x t} psi = e^{-s t} (1 - e^{-t})^{mu*} rest(t)
+    rest = replace(psi, exponent_lambda=0.0, factors=tuple(
+        f for f in psi.factors if f[0] != 1.0))
     # the omitted head: about tol e^-12 / (1 + mu) of the scale |x|^-(1 + mu)
     log_t_lo = (math.log(tol) - 12.0) / (1.0 + mu) \
         - math.log(max(1.0, abs(x)))
-    panels = math.ceil(-math.asinh(log_t_lo / _HALF_PI) / _HEAD_PANEL)
-    head_edges = -_HEAD_PANEL * np.arange(max(panels, 1), 0, -1)
-    cut = abs(rest(0.0)) / (1.0 + mu) \
-        * math.exp((1.0 + mu) * _HALF_PI * math.sinh(head_edges[0]))
+    n_lo = max(math.ceil(-math.asinh(log_t_lo / _HALF_PI) / _PANEL), 1)
+    cut = math.exp(rest.log(0.0).real - math.log(1.0 + mu)
+                   + (1.0 + mu) * _HALF_PI * math.sinh(-_PANEL * n_lo))
+    # env = 1 + |N| + |rest(8)| bounds |e^{-lambda t} psi| past t = 8
+    log_env = np.logaddexp.reduce(
+        [0.0, math.log(abs(psi.normalization)), rest.log(8.0).real])
+    # t_hi >= 1 where env e^{-rate t} / rate meets tol e^{_LOG_TAIL}
+    rate_t_hi = log_env - math.log(rate) - math.log(tol) - _LOG_TAIL
+    log_t_hi = math.log(max(rate_t_hi, rate)) - math.log(rate)
+    n_hi = math.ceil(math.asinh(log_t_hi / _HALF_PI) / _PANEL)
+    log_T = _HALF_PI * math.sinh(_PANEL * n_hi)
+    if log_T > -_LOG_TAIL:
+        raise QuadratureError("the tail closes only past t = 1e300",
+                              x=x, exponent_lambda=lam)
+    tail = math.exp(log_env - rate * math.exp(log_T) - math.log(rate))
 
     def integrand(v):
-        head = v < 0.0
-        vh = v[head]
-        log_t = np.log1p(np.maximum(v, 0.0))  # body: t = 1 + v, dt/dv = 1
-        log_t[head] = _HALF_PI * np.sinh(vh)
-        # t^{mu*} dt/dv, where dt/dv = t pi/2 cosh v on the head
-        log_w = mu_star * log_t
-        log_w[head] = (1.0 + mu_star) * log_t[head] \
-            + np.log(_HALF_PI * np.cosh(vh))
+        log_t = _HALF_PI * np.sinh(v)
         t = np.exp(log_t)
         r = np.maximum(t, 1e-300)  # ((1 - e^{-t}) / t)^{mu*} -> 1 at t = 0
-        log_w += mu_star * np.log(-np.expm1(-r) / r) - x * t
-        return np.exp(log_w) * rest(t)
+        return np.exp((1.0 + mu_star) * log_t + np.log(_HALF_PI * np.cosh(v))
+                      + mu_star * np.log(-np.expm1(-r) / r) - s * t
+                      + rest.log(t))
 
-    res = integrate_adaptive(
-        integrand, np.concatenate([head_edges, np.linspace(0.0, T - 1.0, 9)]),
-        tol_rel=0.25 * tol)
-    value, err, nodes = res.value, res.error, res.nodes
-    target = 0.25 * tol * abs(value)
-    if tail > target:
-        # a small |value|: the tail must be small relative to it, so the
-        # body extends from T to the height meeting that target
-        T_ext, tail = _tail_height(envelope + 1.0, rate, target, T)
-        if T_ext > T:
-            ext = integrate_adaptive(integrand,
-                                     np.linspace(T - 1.0, T_ext - 1.0, 3),
-                                     tol_rel=0.25 * tol)
-            value, err = value + ext.value, err + ext.error
-            nodes += ext.nodes
-    err += tail + cut
-    if not (cmath.isfinite(value)
-            and err <= 25.0 * tol * max(abs(value), 1e-300)):
+    res = integrate_adaptive(integrand, _PANEL * np.arange(-n_lo, n_hi + 1),
+                             tol_rel=0.25 * tol)
+    mag, err = modulus(res.value), res.error + tail + cut
+    if not (mag < math.inf and err <= 25.0 * tol * max(mag, 1e-300)):
         raise QuadratureError("transform quadrature missed the tolerance",
-                              err=err, nodes=nodes)
-    return value
-
-
-def _tail_height(scale, rate, target, T):
-    """(T, tail): the first height T * 1.4^k, stopping past 2000, where the
-    bound scale e^{-rate T} / rate on the transform beyond it is below
-    ``target``, and that bound."""
-    while True:
-        tail = scale * np.exp(-rate * T) / rate
-        if tail < target or T >= 2000.0:
-            return T, tail
-        T *= 1.4
+                              err=err, nodes=res.nodes)
+    return res.value
 
 
 def fde_numeric_residual(matrix, f, x):

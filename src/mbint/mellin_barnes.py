@@ -37,7 +37,7 @@ from .errors import (ContourError, ConvergenceError, HigherOrderPoleError,
                      NonConvergentSeriesError, ParameterError, PoleError,
                      QuadratureError)
 from .quadrature import (MAX_NODES, check_tolerance, integrate_adaptive,
-                         panel_nodes)
+                         modulus, panel_nodes)
 
 log = logging.getLogger(__name__)
 
@@ -845,13 +845,6 @@ def _ladder_residues(kernel, ladder, shift, exact=False):
         yield residue(ladder, terms, l, shift)
 
 
-def _modulus(value):
-    """|complex(value)| in double: inf past the double range, where abs()
-    of a complex with finite parts raises OverflowError."""
-    value = complex(value)
-    return math.hypot(value.real, value.imag)
-
-
 def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
     """The residue sum over ``ladders``, merged lazily in opening order.
 
@@ -881,7 +874,7 @@ def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
                 location=loc) from exc
         total += term
         # magnitudes in double suffice for the stop rule and the estimate
-        last = _modulus(term)
+        last = modulus(term)
         abs_sum += last
         nterms += 1
         if not math.isfinite(last):
@@ -889,7 +882,7 @@ def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
                                            terms=nterms)
         # structurally zero leading terms (a denominator gamma at a pole)
         # say nothing about convergence while the partial sum is still zero
-        if total and last < tol * max(_modulus(total), 1e-300):
+        if total and last < tol * max(modulus(total), 1e-300):
             ok += 1
             if ok >= 3:
                 return total, abs_sum, last, nterms, True

@@ -44,6 +44,13 @@ GAUSS_W = np.zeros(15)
 GAUSS_W[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])
 
 
+def modulus(value):
+    """|complex(value)| in double: inf past the double range, where abs()
+    of a complex with finite parts raises OverflowError."""
+    value = complex(value)
+    return math.hypot(value.real, value.imag)
+
+
 def check_tolerance(tol):
     """Refuse (ParameterError) a ``tol`` that is not a positive finite
     number."""
@@ -109,7 +116,7 @@ def integrate_adaptive(f, edges, tol_rel=1e-10, max_nodes=MAX_NODES,
     vals, errs = kronrod_panels(f, left, right, opening)
     nodes = 15 * left.size
     while True:
-        target = tol_rel * abs(vals.sum())
+        target = tol_rel * modulus(vals.sum())
         room = (max_nodes - nodes) // 30
         toterr = errs.sum()
         if toterr <= target or room <= 0 or not np.isfinite(toterr):
@@ -135,5 +142,6 @@ def integrate_adaptive(f, edges, tol_rel=1e-10, max_nodes=MAX_NODES,
     order = np.argsort(left, kind="stable")
     value = complex(vals[order].sum())
     error = float(errs[order].sum())
-    converged = error <= tol_rel * abs(value)
+    # a sum whose modulus passes the double range has no relative target
+    converged = error <= tol_rel * modulus(value) < math.inf
     return QuadResult(value, error, nodes, converged)

@@ -269,7 +269,8 @@ def pfq_via_g(a, b, z, tol=1e-10):
     Evaluates the (1, p; p, q+1)-order G function at -z with parameters
     (1 - a_j; 0, 1 - b_k) and restores the gamma prefactor.  Upper
     parameters on the pole ladder are rejected, as is z on the positive
-    real axis where arg(-z) hits the branch cut.
+    real axis where arg(-z) hits the branch cut.  A prefactor or value past
+    the double range raises ConvergenceError.
     """
     a = _complex_tuple(a)
     b = _complex_tuple(b)
@@ -295,8 +296,15 @@ def pfq_via_g(a, b, z, tol=1e-10):
     inner = _evaluate_kernel(params.to_kernel(), w, tol)
     pref_log = sum(log_gamma(b_k) for b_k in b) \
         - sum(log_gamma(a_j) for a_j in a)
-    pref = complex(np.exp(pref_log))
-    return mb.EvalResult(value=pref * inner.value,
+    # Gamma(b) / Gamma(a) past the double range times an inner G that
+    # underflowed to 0 is a nan, refused below
+    with np.errstate(over="ignore"):
+        pref = complex(np.exp(pref_log))
+    value = pref * inner.value
+    if not cmath.isfinite(value):
+        raise ConvergenceError("prefactor or value past the double range",
+                               log_prefactor=complex(pref_log))
+    return mb.EvalResult(value=value,
                          err_estimate=abs(pref) * inner.err_estimate,
                          nodes_used=inner.nodes_used,
                          contour=inner.contour, method=inner.method,

@@ -205,25 +205,28 @@ def suite_laplace(seed, n_samples=20):
     checks = []
     worst_beta = 0.0
     worst_res = 0.0
-    # psi ~ t^mu* at t = 0, mu* = beta - 1: analytic (1), smooth (2.5),
-    # strongly singular (-0.95) and near-divergent (-0.9999) heads
-    betas = (2.0, 3.5, 0.05, 1e-4)
-    for beta in betas:
-        A = duality.CoefficientMatrix(((0.0, -(beta - 1.0)), (1.0, -1.0)))
+    # psi = e^{lam t} (1 - e^{-t})^{beta - 1} has B(x - lam, beta): at lam = 0
+    # analytic, smooth, singular and near-divergent heads (mu* = beta - 1),
+    # then rates x - lam of 0.02 and 1 under e^{lam t} up to e^{100 t}
+    cases = [(0.0, beta, x) for beta in (2.0, 3.5, 0.05, 1e-4)
+             for x in (1.5, 2.5)]
+    cases += [(lam, beta, lam + shift) for lam in (-1.0, 2.0, 30.0, 100.0)
+              for beta in (0.4, 2.5) for shift in (0.02, 1.0)]
+    for lam, beta, x in cases:
+        A = duality.CoefficientMatrix(((-lam, lam - beta + 1.0), (1.0, -1.0)))
         psi = laplace.solve_first_order_ode(A.row(0), A.row(1))
 
         def f(x, psi=psi):
             return laplace.laplace_transform(psi, x, tol=1e-9)
 
-        for x in (1.5, 2.5):
-            oracle = np.exp(cgamma.log_gamma(x) + cgamma.log_gamma(beta)
-                            - cgamma.log_gamma(x + beta))
-            worst_beta = max(worst_beta, abs(f(x) - oracle) / abs(oracle))
-            worst_res = max(worst_res, laplace.fde_numeric_residual(A, f, x))
+        oracle = np.exp(cgamma.log_gamma(x - lam) + cgamma.log_gamma(beta)
+                        - cgamma.log_gamma(x - lam + beta))
+        worst_beta = max(worst_beta, abs(f(x) - oracle) / abs(oracle))
+        worst_res = max(worst_res, laplace.fde_numeric_residual(A, f, x))
     checks.append(PropertyCheck("transform matches gamma-ratio oracle",
-                                worst_beta, 1e-6, 2 * len(betas)))
+                                worst_beta, 1e-6, len(cases)))
     checks.append(PropertyCheck("transform solves the FDE", worst_res,
-                                1e-6, 2 * len(betas)))
+                                1e-6, len(cases)))
 
     worst_shift = 0.0
     for _ in range(n_samples // 4 or 1):

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -101,6 +102,21 @@ def test_pochhammer_check_report(capsys, beta_matrix):
     assert code == 0
     assert obj["fde_residual"] < 1e-6
     assert obj["beta_oracle_rel_err"] < 1e-6
+
+
+def test_pochhammer_check_with_a_slow_tail(capsys, tmp_path):
+    # psi = e^{2t} (1 - e^{-t}/2): at x = 2.05 e^{-x t} psi decays at rate
+    # 0.05, and e^{2t} taken apart from e^{-x t} overflowed to a nan error;
+    # psi(0) = 1/2 leaves a boundary term, so the residual is not small
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps({
+        "rows": 2, "cols": 2,
+        "entries": [[-2, 0], [0.5, 0], [1, 0], [-0.5, 0]],
+    }))
+    code, obj = run_json(capsys, "pochhammer-check", "--matrix", str(path),
+                         "--x", "2.05")
+    assert code == 0
+    assert math.isfinite(obj["fde_residual"])
 
 
 def test_dump_integrand_csv(capsys, tmp_path):

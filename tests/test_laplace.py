@@ -112,85 +112,80 @@ def test_transform_matches_mpmath_beta(beta, x):
     assert abs(got - oracle) <= 1e-9 * abs(oracle)
 
 
-def test_singular_head_converges_in_its_opening_round(monkeypatch):
-    # psi ~ t^0.17: equal opening panels reach t = 0 one halving per round
-    rounds = []
-    integrate_adaptive = laplace.integrate_adaptive
-
-    def counted(f, edges, **kwargs):
-        calls = []
-
-        def g(t):
-            calls.append(np.size(t))
-            return f(t)
-        res = integrate_adaptive(g, edges, **kwargs)
-        rounds.append(len(calls))
-        return res
-    monkeypatch.setattr(laplace, "integrate_adaptive", counted)
-    psi = laplace.solve_first_order_ode((0.0, -0.17), (1.0, -1.0))
-    laplace.laplace_transform(psi, 1.5, tol=1e-9)
-    assert rounds[0] == 1
-
-
 def recorded_runs(monkeypatch):
-    """Patch laplace.integrate_adaptive to record (edges, QuadResult) of
-    every call."""
+    """Patch laplace.integrate_adaptive to record, per call, its edges, its
+    QuadResult and the v nodes of each round."""
     runs = []
     integrate_adaptive = laplace.integrate_adaptive
 
     def recorded(f, edges, **kwargs):
-        res = integrate_adaptive(f, edges, **kwargs)
-        runs.append((np.asarray(edges), res))
+        rounds = []
+
+        def g(v):
+            rounds.append(np.array(v))
+            return f(v)
+        res = integrate_adaptive(g, edges, **kwargs)
+        runs.append((np.asarray(edges), res, rounds))
         return res
     monkeypatch.setattr(laplace, "integrate_adaptive", recorded)
     return runs
 
 
-def first_mesh(runs):
-    """The first call's (edges, QuadResult); a second call, if any, only
-    extends the body past the first mesh's end."""
-    (edges, res), *extension = runs
-    assert len(extension) <= 1
-    for ext, _ in extension:
-        assert ext[0] == edges[-1] and np.all(np.diff(ext) > 0.0)
-    return edges, res
+def the_one_run(runs):
+    """The transform's only integrate_adaptive call."""
+    assert len(runs) == 1
+    return runs[0]
+
+
+def test_singular_head_converges_in_its_opening_round(monkeypatch):
+    # psi ~ t^0.17: under the map the head is resolved by its opening
+    # panels, so no refinement round places a node at v < 0 (t < 1)
+    runs = recorded_runs(monkeypatch)
+    psi = laplace.solve_first_order_ode((0.0, -0.17), (1.0, -1.0))
+    laplace.laplace_transform(psi, 1.5, tol=1e-9)
+    _, res, rounds = the_one_run(runs)
+    assert res.converged
+    assert all(np.all(nodes > 0.0) for nodes in rounds[1:])
 
 
 @pytest.mark.parametrize("beta", [2.0, 3.0])
 def test_analytic_head_opens_on_equal_panels(monkeypatch, beta):
     # mu* = beta - 1 a positive integer: psi = (1 - e^{-t})^{beta - 1} is
-    # analytic at t = 0, and the head's equal panels of width 1/2 in v
-    # (7 or 6 of them at x = 1.5) and the body's 8 take it in one round
+    # analytic at t = 0; the map opens equal panels of width 1/2 in v from
+    # the head cut through v = 0 (t = 1) to the far cut, and the head is
+    # resolved in the opening round
     runs = recorded_runs(monkeypatch)
     psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
     assert psi.singular_exponent() == beta - 1.0
     got = laplace.laplace_transform(psi, 1.5, tol=1e-9)
-    edges, res = first_mesh(runs)
-    head = {2.0: 7, 3.0: 6}[beta]
-    assert np.array_equal(edges[:head + 1], -0.5 * np.arange(head, -1, -1))
-    assert np.array_equal(edges[head:], np.linspace(0.0, edges[-1], 9))
-    assert res.converged and res.nodes == 15 * (head + 8)
+    edges, res, rounds = the_one_run(runs)
+    assert np.array_equal(edges, 0.5 * np.arange(2 * edges[0],
+                                                 2 * edges[-1] + 1))
+    assert edges[0] < 0.0 < edges[-1]
+    assert res.converged
+    assert all(np.all(nodes > 0.0) for nodes in rounds[1:])
     with mpmath.workdps(30):
         oracle = complex(mpmath.beta(1.5, beta))
     assert abs(got - oracle) <= 1e-9 * abs(oracle)
 
 
-@pytest.mark.parametrize("beta", [0.01, 0.5, 1.17, 2.0])
+@pytest.mark.parametrize("beta", [0.01, 0.5, 1.17, 2.0, 50.0])
 def test_one_quadrature_call_per_transform(monkeypatch, beta):
-    # singular and analytic heads share the one map and the body's mesh:
-    # the head in v < 0, the body from v = 0 (t = 1); a second call
-    # (beta = 2, |value| 0.27) only extends the body
+    # singular, analytic and small-valued (beta = 2, 50) transforms share
+    # the one map: the head in v < 0, the rest from v = 0 (t = 1)
     runs = recorded_runs(monkeypatch)
     psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
     laplace.laplace_transform(psi, 1.5, tol=1e-9)
-    edges, _ = first_mesh(runs)
+    edges, _, _ = the_one_run(runs)
     assert edges[0] < 0.0 and 0.0 in edges
 
 
-@pytest.mark.parametrize("x,beta,tol", [(2.0, 5.0, 1e-6), (1.5, 50.0, 1e-9)])
+@pytest.mark.parametrize("x,beta,tol", [(2.0, 5.0, 1e-6), (1.5, 50.0, 1e-9),
+                                        (20.0, 200.0, 1e-9)])
 def test_tail_is_sized_relative_to_a_small_value(x, beta, tol):
-    # |B(x, beta)| = 1/30 and 0.0025: a tail bound below tol / 4 in absolute
-    # terms left B(2, 5) 1.69e-6 off and refused B(1.5, 50) outright
+    # |B(x, beta)| = 1/30, 0.0025 and 4.6e-30: a tail bound below tol / 4 in
+    # absolute terms left B(2, 5) 1.69e-6 off and refused B(1.5, 50)
+    # outright; a far cut at that bound refuses B(20, 200)
     psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
     got = laplace.laplace_transform(psi, x, tol=tol)
     with mpmath.workdps(30):
@@ -199,14 +194,11 @@ def test_tail_is_sized_relative_to_a_small_value(x, beta, tol):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_flattened_head_on_a_tall_mesh_stays_finite(monkeypatch):
+def test_flattened_head_on_a_tall_mesh_stays_finite():
     # beta = 0.01 cuts the head at log t_lo = -3270, so t underflows to 0
-    # on its innermost nodes, and x = 0.05 closes the tail only at T > 500,
-    # where sinh v of the head map would overflow on the body nodes
-    runs = recorded_runs(monkeypatch)
+    # on its innermost nodes, and x = 0.05 puts the far cut past t = 1e4
     psi = laplace.solve_first_order_ode((0.0, 0.99), (1.0, -1.0))
     got = laplace.laplace_transform(psi, 0.05, tol=1e-9)
-    assert runs[0][0][-1] >= 100.0
     with mpmath.workdps(30):
         oracle = complex(mpmath.beta(0.05, 0.01))
     assert abs(got - oracle) <= 1e-9 * abs(oracle)
@@ -245,6 +237,40 @@ def test_head_cut_scales_with_x(tol):
     with mpmath.workdps(30):
         oracle = complex(mpmath.beta(200.0, 5.0))
     assert abs(got - oracle) <= tol * abs(oracle)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam", [-1.0, 0.5, 2.0, 5.0, 30.0, 100.0])
+@pytest.mark.parametrize("beta", [0.4, 1.0, 2.5])
+@pytest.mark.parametrize("shift", [0.02, 0.1, 1.0, 3.0])
+@pytest.mark.parametrize("im", [0.0, 0.5, 4.0])
+def test_shifted_beta_matches_mpmath_beta(lam, beta, shift, im):
+    # psi = e^{lam t} (1 - e^{-t})^{beta - 1} has the transform
+    # B(x - lam, beta); e^{lam t} and e^{-x t} taken apart overflowed
+    # (an untyped OverflowError for half of these) before the log sum
+    psi = laplace.ClosedFormPsi(lam, ((1.0, beta - 1.0),))
+    x = complex(lam + shift, im)
+    got = laplace.laplace_transform(psi, x, tol=1e-9)
+    with mpmath.workdps(30):
+        oracle = complex(mpmath.beta(mpmath.mpc(x) - lam, beta))
+    assert abs(got - oracle) <= 1e-9 * abs(oracle)
+
+
+def test_psi_is_its_log_exponentiated_once():
+    # e^{lambda t} alone overflows at t = 8 for lambda = 100; psi does not
+    psi = laplace.ClosedFormPsi(100.0, ((1.0, -0.6), (3.0j, 0.7)), 1e-300)
+    t = np.array([0.5, 8.0])
+    log_psi = (math.log(1e-300) + 100.0 * t - 0.6 * np.log(-np.expm1(-t))
+               + 0.7 * np.log(1.0 - np.exp(-t) / 3.0j))
+    assert np.allclose(psi.log(t), log_psi, rtol=1e-15)
+    assert np.allclose(psi(t), np.exp(log_psi), rtol=1e-13)
+    assert isinstance(psi(8.0), complex)
+
+
+@pytest.mark.parametrize("normalization", [0.0, math.inf, math.nan])
+def test_psi_normalization_must_be_finite_and_nonzero(normalization):
+    with pytest.raises(ParameterError):
+        laplace.ClosedFormPsi(0.0, (), normalization)
 
 
 def test_root_near_one_is_the_endpoint():

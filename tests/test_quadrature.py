@@ -94,6 +94,15 @@ def test_nan_estimate_stops_at_once():
     assert sizes == [120]
 
 
+def test_sum_past_the_double_range_ends_unconverged():
+    # finite parts, modulus 2.1e308: abs() of the sum raised OverflowError
+    res = quadrature.integrate_adaptive(
+        lambda x: np.full(np.shape(x), 0.75e308 * (1.0 + 1.0j)), [0.0, 2.0])
+    assert res.value.real == res.value.imag
+    assert abs(res.value.real - 1.5e308) <= 1e-14 * 1.5e308
+    assert not res.converged
+
+
 def test_integrand_called_once_per_round():
     f, sizes = counting(peaked)
     res = quadrature.integrate_adaptive(f, EIGHT_PANELS, tol_rel=1e-12)

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -210,6 +211,25 @@ def test_pfq_via_g_parameter_ladder_rejected():
 def test_pfq_via_g_positive_axis_rejected():
     with pytest.raises(ParameterError):
         sf.pfq_via_g((1.0, 1.0), (2.0,), 0.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a,b,z", [((1.0,), (200.0,), -1.0),
+                                   ((0.5,), (180.0,), -2.0)])
+def test_pfq_via_g_prefactor_past_the_double_range_is_refused(a, b, z):
+    # Gamma(b) / Gamma(a) ~ e^857 overflows and the inner G underflows to
+    # 0: the product was a silent nan (mpmath.hyper gives 0.99502, 0.99449)
+    with pytest.raises(ConvergenceError):
+        sf.pfq_via_g(a, b, z)
+
+
+def test_pfq_via_g_large_prefactor_within_range():
+    # Gamma(150) ~ e^600 still fits a double, and the value with it
+    a, b, z = (1.0,), (150.0,), -1.0 + 1.0j
+    got = sf.pfq_via_g(a, b, z)
+    with mpmath.workdps(30):
+        oracle = complex(mpmath.hyper(a, b, z))
+    assert abs(got.value - oracle) <= got.err_estimate
 
 
 def test_pfq_via_g_agrees_with_series():
