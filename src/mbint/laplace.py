@@ -20,7 +20,7 @@ import numpy as np
 from . import polyroots
 from .errors import (DegreeError, DivergenceError, ParameterError,
                      QuadratureError, RepeatedRootError)
-from .quadrature import check_tolerance, integrate_adaptive, modulus
+from .quadrature import MAX_NODES, check_tolerance, integrate_adaptive, modulus
 
 _NEAR_ONE = 1e-9
 _HALF_PI = 0.5 * math.pi
@@ -185,8 +185,16 @@ def laplace_transform(psi, x, tol=1e-10):
     # env = 1 + |N| + |rest(8)| bounds |e^{-lambda t} psi| past t = 8
     log_env = np.logaddexp.reduce(
         [0.0, math.log(abs(psi.normalization)), rest.log(8.0).real])
+    # env e^{-rate t} / rate meets tol at t_tol; if e^{-i Im(s) t} turns
+    # more often before it than the node budget has nodes, no quadrature
+    # resolves the tail
+    rate_t_tol = log_env - math.log(rate) - math.log(tol)
+    turns = abs(s.imag) * rate_t_tol / rate / (2.0 * math.pi)
+    if turns > MAX_NODES:
+        raise QuadratureError("the tail oscillates past the node budget",
+                              x=x, exponent_lambda=lam, turns=turns)
     # t_hi >= 1 where env e^{-rate t} / rate meets tol e^{_LOG_TAIL}
-    rate_t_hi = log_env - math.log(rate) - math.log(tol) - _LOG_TAIL
+    rate_t_hi = rate_t_tol - _LOG_TAIL
     log_t_hi = math.log(max(rate_t_hi, rate)) - math.log(rate)
     n_hi = math.ceil(math.asinh(log_t_hi / _HALF_PI) / _PANEL)
     log_T = _HALF_PI * math.sinh(_PANEL * n_hi)

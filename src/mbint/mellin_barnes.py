@@ -454,11 +454,17 @@ class Contour:
                                  truncation=self.truncation)
         object.__setattr__(self, "truncation", float(self.truncation))
         object.__setattr__(self, "detours", tuple(self.detours))
-        ds = self.detours
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                if abs(ds[i].center - ds[j].center) < ds[i].radius + ds[j].radius:
+        # swept by real part: a disk whose centre lies right of d's by
+        # d.radius plus the largest radius cannot meet d
+        ds = sorted(self.detours, key=lambda d: d.center.real)
+        reach = max((d.radius for d in ds), default=0.0)
+        for i, d in enumerate(ds):
+            j = i + 1
+            while j < len(ds) and \
+                    ds[j].center.real - d.center.real < d.radius + reach:
+                if abs(ds[j].center - d.center) < d.radius + ds[j].radius:
                     raise ParameterError("detour disks must be disjoint")
+                j += 1
 
     def to_json(self):
         return {"kind": self.kind, "anchor": self.anchor,
@@ -531,15 +537,20 @@ def choose_contour(kernel):
     anchor = 0.5 * (bounds[i_best] + bounds[i_best + 1])
 
     crossed = [loc for loc in walked if loc.real < anchor]
+    # swept by real part: a pole right of loc's by min_gap or more is no
+    # nearer than min_gap, which stays above POLE_TOLERANCE until a raise
+    ordered = sorted(crossed, key=lambda loc: loc.real)
     min_gap = math.inf
-    for i, loc in enumerate(crossed):
-        for other in crossed[i + 1:]:
-            gap = abs(loc - other)
+    for i, loc in enumerate(ordered):
+        j = i + 1
+        while j < len(ordered) and ordered[j].real - loc.real < min_gap:
+            gap = abs(ordered[j] - loc)
             if gap <= POLE_TOLERANCE:
                 raise ContourError("crossed pole has order > 1; indentation "
                                    "cannot disambiguate", location=loc)
             min_gap = min(min_gap, gap)
-        min_gap = min(min_gap, abs(loc.real - anchor))
+            j += 1
+    min_gap = min([min_gap] + [anchor - loc.real for loc in crossed])
     radius = min(0.25, 0.45 * min_gap) if crossed else 0.25
     detours = tuple(Detour(loc, radius, "left") for loc in crossed)
     return Contour("indented", float(anchor), _T_MIN, detours)

@@ -9,7 +9,6 @@ beyond the disk; both routes are implemented and cross-checked.
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -326,7 +325,6 @@ class ThetaOperatorForm:
     sign: int
     left_factors: tuple
     right_factors: tuple
-    z_multiplies_left: bool = True
 
 
 def _theta_form(m, n, a, b):
@@ -349,41 +347,21 @@ def derive_g_ode(fde, m=0, n=None):
     return _theta_form(*split_parameters(coefficient_roots(fde), m, n))
 
 
-def _fd_weights(order, offsets):
-    """Finite-difference weights for the order-th derivative on offsets."""
-    k = len(offsets)
-    A = np.vander(np.asarray(offsets, dtype=np.float64), k,
-                  increasing=True).T
-    rhs = np.zeros(k)
-    rhs[order] = math.factorial(order)
-    return np.linalg.solve(A, rhs)
+def _theta_derivatives(u_of, z, radius, max_order):
+    """theta^k u at z for k = 0..max_order by Cauchy's integral formula.
 
-
-def _theta_derivatives(u_of, z, h, max_order):
-    """theta^k u at z for k = 0..max_order, Richardson-extrapolated.
-
-    theta = d/dw with w = log z, so derivatives are taken on a log-spaced
-    grid z e^{j h}; central stencils at steps h and h/2 combine to fourth
-    order.
+    theta = d/dw with w = log z, so theta^k u = k! c_k for the Taylor
+    coefficients c_k of w -> u(z e^w) at w = 0.  The trapezoidal rule on
+    |w| = radius at n equally spaced points, one FFT, gives every c_k with
+    an aliasing error of relative order radius^n (Lyness & Moler 1967;
+    Trefethen & Weideman 2014); n = max(16, 2 (max_order + 1)).
     """
-    radius = max(1, (max_order + 1) // 2 + (max_order % 2 == 0))
-    offsets = np.arange(-radius, radius + 1)
-    cache = {}
-
-    def u_at(j_half):
-        if j_half not in cache:
-            cache[j_half] = complex(u_of(z * math.exp(j_half * h * 0.5)))
-        return cache[j_half]
-
-    out = [u_at(0)]
-    for k in range(1, max_order + 1):
-        w = _fd_weights(k, offsets)
-        d_h = sum(w[i] * u_at(2 * int(offsets[i])) for i in range(len(offsets)))
-        d_h /= h ** k
-        d_h2 = sum(w[i] * u_at(int(offsets[i])) for i in range(len(offsets)))
-        d_h2 /= (0.5 * h) ** k
-        out.append((4.0 * d_h2 - d_h) / 3.0)
-    return out
+    n = max(16, 2 * (max_order + 1))
+    w = radius * np.exp(2j * np.pi * np.arange(n) / n)
+    values = np.array([complex(u_of(z * cmath.exp(w_j))) for w_j in w])
+    c = np.fft.fft(values)[:max_order + 1] / n
+    return [math.factorial(k) * c[k] / radius ** k
+            for k in range(max_order + 1)]
 
 
 def g_ode_residual(params, z, step=1e-2, tol_eval=1e-12, u=None):
@@ -391,18 +369,22 @@ def g_ode_residual(params, z, step=1e-2, tol_eval=1e-12, u=None):
 
     ``u`` overrides the evaluator (default: meijer_g at tol_eval), which
     lets callers check the operator against closed forms or a zero
-    function.  z must be real, finite and positive so the log-spaced grid
-    stays on the principal branch; any other z is a ParameterError.
+    function.  theta^k u comes from u on the circle |log(z'/z)| = step
+    (_theta_derivatives), which must stay on the principal branch: z
+    finite and nonzero with |arg z| + step < pi, and step > 0; any other
+    z or step is a ParameterError.
     """
-    if not (isinstance(z, numbers.Real) and 0 < z < math.inf):
-        raise ParameterError("z must be real, finite and positive", z=z)
-    z = float(z)
+    z = complex(z)
+    if not (cmath.isfinite(z) and z != 0 and step > 0
+            and abs(cmath.phase(z)) + step < math.pi):
+        raise ParameterError("z must be finite and nonzero, with the circle "
+                             "|log(z'/z)| = step clear of the negative real "
+                             "axis", z=z, step=step)
     form = theta_form_from_g(params)
     if u is None:
         def u(zz):
             return meijer_g(params, zz, tol=tol_eval).value
-    max_order = max(params.p, params.q)
-    thetas = _theta_derivatives(u, z, step, max_order)
+    thetas = _theta_derivatives(u, z, step, max(params.p, params.q))
     left_poly = polyroots.from_roots(form.left_factors)
     right_poly = polyroots.from_roots(form.right_factors)
     left = sum(left_poly[k] * thetas[k] for k in range(len(left_poly)))

@@ -7,6 +7,7 @@ statistics.  The kernel bank doubles as the fixed test set for the
 cross-validation checks.
 """
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -228,15 +229,29 @@ def suite_laplace(seed, n_samples=20):
     checks.append(PropertyCheck("transform solves the FDE", worst_res,
                                 1e-6, len(cases)))
 
-    worst_shift = 0.0
-    for _ in range(n_samples // 4 or 1):
-        x = complex(rng.uniform(1.5, 3.0))
-        psi = laplace.solve_first_order_ode((0.0, -1.5), (1.0, -1.0))
-        lhs = laplace.laplace_transform(psi, x + 1.0, tol=1e-9)
-        rhs = laplace.laplace_transform(psi.damped(), x, tol=1e-9)
-        worst_shift = max(worst_shift, abs(lhs - rhs) / abs(rhs))
-    checks.append(PropertyCheck("shift identity", worst_shift, 1e-7,
-                                n_samples // 4 or 1))
+    # a root off u = 1: psi = e^{lam t} (1 - e^{-t}/z)^mu against its
+    # binomial series sum_k C(mu, k) (-1/z)^k / (x - lam + k), |z| >= 1.5
+    worst_binom = 0.0
+    n_binom = n_samples // 4 or 1
+    for _ in range(n_binom):
+        z = cmath.rect(rng.uniform(1.5, 4.0), rng.uniform(-math.pi, math.pi))
+        mu = complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0))
+        lam = rng.uniform(-1.0, 2.0)
+        s = complex(rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0))
+        psi = laplace.ClosedFormPsi(lam, ((z, mu),))
+        got = laplace.laplace_transform(psi, lam + s, tol=1e-9)
+        coeff, total, k = 1.0 + 0.0j, 0.0j, 0
+        while True:
+            term = coeff / (s + k)
+            total += term
+            if abs(term) < 1e-17 * abs(total):
+                break
+            coeff *= -(mu - k) / ((k + 1) * z)
+            k += 1
+        worst_binom = max(worst_binom, abs(got - total) / abs(total))
+    checks.append(PropertyCheck("transform of a root off 1 matches its "
+                                "binomial series", worst_binom, 1e-7,
+                                n_binom))
     return checks
 
 
@@ -380,10 +395,9 @@ def suite_special(seed, n_samples=60):
     bridge = max(bridge, abs(got - exact) / abs(exact))
     checks.append(PropertyCheck("series/contour bridge", bridge, 1e-8, 3))
 
-    gode = max(sf.g_ode_residual(sf.GParams(1, 0, 0, 1, (), (0.0,)), 1.0, 1e-2),
-               sf.g_ode_residual(sf.GParams(1, 2, 2, 2, (0.0, 0.0),
-                                            (0.0, -1.0)), 0.25, 1e-2))
-    checks.append(PropertyCheck("factored-operator residual", gode, 1e-4, 2))
+    gode = max(sf.g_ode_residual(params, z) for params, z in KERNEL_BANK)
+    checks.append(PropertyCheck("factored-operator residual", gode, 1e-8,
+                                len(KERNEL_BANK)))
     return checks
 
 

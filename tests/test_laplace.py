@@ -213,6 +213,18 @@ def test_non_finite_quadrature_is_refused(monkeypatch):
         laplace.laplace_transform(psi, 1.5)
 
 
+def test_tail_oscillating_past_the_node_budget_is_refused_first(monkeypatch):
+    # rate 1e-10: the tail stays above tol for about 5e11 units of t, where
+    # e^{-i t} turns about 7e10 times, far more than the budget has nodes
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran before the tail was refused")
+
+    monkeypatch.setattr(laplace, "integrate_adaptive", no_quadrature)
+    psi = laplace.ClosedFormPsi(0.0, ((1.0, -0.5),))
+    with pytest.raises(QuadratureError, match="node budget"):
+        laplace.laplace_transform(psi, 1e-10 + 1j)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("beta", [1e-6, 1e-4, 2e-4])
 @pytest.mark.parametrize("x", [1.5, 2.0])

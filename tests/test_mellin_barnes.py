@@ -889,9 +889,40 @@ def test_result_and_contour_copy_pickle_replace():
 
 
 def test_contour_detour_disks_must_be_disjoint():
-    with pytest.raises(ParameterError):
-        mb.Contour("indented", 0.0, 10.0,
-                   (mb.Detour(0.0, 0.3, "left"), mb.Detour(0.1, 0.3, "left")))
+    # (centre, radius); in the last two the small disk lies past the large
+    # one's own radius, so only the larger reach finds the overlap
+    for disks in (((0.0, 0.3), (0.1, 0.3)), ((1.0, 1.0), (0.0, 0.1)),
+                  ((0.0, 1.0), (2.0, 0.5), (1.05, 0.1))):
+        with pytest.raises(ParameterError):
+            mb.Contour("indented", 0.0, 10.0,
+                       tuple(mb.Detour(c, r, "left") for c, r in disks))
+        clear = tuple(mb.Detour(3.0 * i + 0.5j, r, "left")
+                      for i, (_, r) in enumerate(disks))
+        assert mb.Contour("indented", 0.0, 10.0, clear).detours == clear
+
+
+def test_crossed_pole_bookkeeping_is_not_quadratic(monkeypatch):
+    # G^{1,1}_{1,1}(a; 0.3) with a = 2000.5: an empty window, and the line
+    # at 1999.9 crosses the 2000 poles 0.3, 1.3, ..., 1999.3; comparing
+    # every pair of them (or of their detour disks) takes 2e6 distances
+    kernel = GParams(1, 1, 1, 1, (2000.5,), (0.3,)).to_kernel()
+    calls = [0]
+
+    def counted_abs(x):
+        calls[0] += 1
+        if calls[0] > 100_000:
+            raise AssertionError("more than 50 distances per crossed pole")
+        return abs(x)
+
+    monkeypatch.setattr(mb, "abs", counted_abs, raising=False)
+    contour = mb.choose_contour.__wrapped__(kernel)
+    assert contour.anchor == pytest.approx(1999.9)
+    assert len(contour.detours) == 2000
+    assert {d.radius for d in contour.detours} == {0.25}
+    with pytest.raises(ContourError, match="order > 1"):
+        mb.choose_contour.__wrapped__(mb.MellinKernel(
+            up_left=((0.3, 1.0), (0.3 + 1e-12, 1.0)),
+            up_right=((2000.5, 1.0),)))
 
 
 def test_conjugate_symmetry_real_kernel():

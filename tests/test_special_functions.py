@@ -289,12 +289,30 @@ def test_g_ode_residual_zero_function():
     assert sf.g_ode_residual(params, 1.0, step=1e-2, u=lambda z: 0.0) == 0.0
 
 
-@pytest.mark.parametrize("z", [1 + 1j, 2 + 0j, 0.0, -1.0, math.nan,
-                               math.inf])
-def test_g_ode_residual_needs_real_positive_finite_z(z):
+@pytest.mark.parametrize("z", [0.0, -1.0, math.nan, math.inf,
+                               -1.0 + 1e-3j])
+def test_g_ode_residual_refuses_z_whose_circle_meets_the_cut(z):
+    # -1 + 1e-3i is off the cut, but the circle of radius 1e-2 in log z
+    # around it crosses the negative real axis
     params = sf.GParams(1, 0, 0, 1, (), (0.0,))
     with pytest.raises(ParameterError):
         sf.g_ode_residual(params, z, u=lambda zz: 0.0)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-2, math.nan, 4.0])
+def test_g_ode_residual_refuses_a_step_off_the_branch(step):
+    params = sf.GParams(1, 0, 0, 1, (), (0.0,))
+    with pytest.raises(ParameterError):
+        sf.g_ode_residual(params, 1.0, step=step, u=lambda zz: 0.0)
+
+
+@pytest.mark.parametrize("z", [1 + 1j, 2 + 0j])
+def test_g_ode_residual_off_the_real_axis(z):
+    # G^{1,0}_{0,1}(z | b) = z^b e^{-z}
+    params = sf.GParams(1, 0, 0, 1, (), (0.3,))
+    residual = sf.g_ode_residual(params, z,
+                                 u=lambda zz: zz ** 0.3 * cmath.exp(-zz))
+    assert residual < 1e-12
 
 
 def test_theta_form_from_g_shape():
@@ -311,7 +329,6 @@ def test_derive_g_ode_beta_instance():
     assert form.sign == 1
     assert form.left_factors == (0.0,)           # a1 = 1 + rho = 1, shift 0
     assert form.right_factors == (-1.0,)         # b1 = 1 + sigma = -1
-    assert form.z_multiplies_left
 
 
 def test_derive_g_ode_structural_equality():
