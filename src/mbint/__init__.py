@@ -18,7 +18,7 @@ from .fde_solutions import (FirstOrderFDE, RootData, coefficient_roots,
                             inverse_transform_solution, solution_value)
 from .laplace import (ClosedFormPsi, fde_numeric_residual, laplace_transform,
                       solve_first_order_ode)
-from .mellin_barnes import (Contour, ConvergenceClass, Detour, EvalResult,
+from .mellin_barnes import (Contour, ConvergenceClass, EvalResult,
                             GammaFactor, MellinKernel, choose_contour,
                             convergence_class, integrate, kernel_eval,
                             kernel_log_eval, pole_families, residue_series)

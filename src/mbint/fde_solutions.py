@@ -161,5 +161,5 @@ def inverse_transform_solution(rho, sigma, anchor):
     if anchor <= head + POLE_TOLERANCE:
         raise ContourError("anchor must lie right of every numerator pole",
                            anchor=anchor, max_re_rho=head)
-    contour = Contour("vertical", anchor, _T_MIN)
+    contour = Contour(anchor, _T_MIN)
     return kernel, contour

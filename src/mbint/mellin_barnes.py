@@ -14,9 +14,9 @@ log-gamma values and exponentiates once.  The integral
 
     (1 / 2 pi i) * integral over L of  K(s) z^s ds
 
-is computed by adaptive quadrature over a truncated vertical (possibly
-indented) line, with residue summation over either pole family available as
-an independent route.
+is computed by adaptive quadrature over a truncated vertical line, plus the
+residues of the poles that line leaves on the wrong side, with residue
+summation over either pole family available as an independent route.
 """
 
 import cmath
@@ -270,10 +270,6 @@ class _Ladder:
     mult: float
 
     @property
-    def rightward(self):
-        return self.step > 0
-
-    @property
     def family(self):
         return "up_left" if self.step > 0 else "up_right"
 
@@ -284,12 +280,13 @@ class _Ladder:
         """The index l >= 0 whose pole lies nearest ``loc``."""
         return max(round(self.step * (loc * self.mult - self.origin).real), 0)
 
-    def left_of(self, bound):
-        """The poles s_l of a rightward ladder with Re s_l < bound."""
+    def short_of(self, bound):
+        """The poles s_l, in ladder order, before the ladder reaches the
+        line Re s = ``bound``: those with step * (Re s_l - bound) < 0."""
         l = 0
         while l < self.length:
             loc = self.location(l)
-            if loc.real >= bound:
+            if self.step * (loc.real - bound) >= 0:
                 return
             yield loc
             l += 1
@@ -413,7 +410,7 @@ def find_pole_collision(kernel):
         return None  # separable: no right-opening pole left of a bound
     for right in rights:
         for left, bound in lefts:
-            for s in right.left_of(bound):
+            for s in right.short_of(bound):
                 if abs(left.location(left.nearest(s)) - s) <= POLE_TOLERANCE:
                     return s
     return None
@@ -423,54 +420,25 @@ def find_pole_collision(kernel):
 # contours
 
 
-@dataclass(frozen=True)
-class Detour:
-    center: complex
-    radius: float
-    side: str  # "left" or "right": which way the semicircle bulges
-
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise ParameterError("detour side must be 'left' or 'right'",
-                                 side=self.side)
-        if self.radius <= 0:
-            raise ParameterError("detour radius must be positive",
-                                 radius=self.radius)
-
-
 @dataclass(frozen=True, slots=True)
 class Contour:
-    kind: str  # "vertical" or "indented"
+    """The line Re s = anchor, integrated up to |Im s| >= truncation; the
+    residues of the poles it crosses are added (_crossed_poles)."""
     anchor: float
     truncation: float
-    detours: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("vertical", "indented"):
-            raise ParameterError("contour kind must be vertical or indented",
-                                 kind=self.kind)
-        if self.truncation <= 0:
+        object.__setattr__(self, "anchor", float(self.anchor))
+        object.__setattr__(self, "truncation", float(self.truncation))
+        if not math.isfinite(self.anchor):
+            raise ParameterError("contour anchor must be finite",
+                                 anchor=self.anchor)
+        if not self.truncation > 0:
             raise ParameterError("truncation height must be positive",
                                  truncation=self.truncation)
-        object.__setattr__(self, "truncation", float(self.truncation))
-        object.__setattr__(self, "detours", tuple(self.detours))
-        # swept by real part: a disk whose centre lies right of d's by
-        # d.radius plus the largest radius cannot meet d
-        ds = sorted(self.detours, key=lambda d: d.center.real)
-        reach = max((d.radius for d in ds), default=0.0)
-        for i, d in enumerate(ds):
-            j = i + 1
-            while j < len(ds) and \
-                    ds[j].center.real - d.center.real < d.radius + reach:
-                if abs(ds[j].center - d.center) < d.radius + ds[j].radius:
-                    raise ParameterError("detour disks must be disjoint")
-                j += 1
 
     def to_json(self):
-        return {"kind": self.kind, "anchor": self.anchor,
-                "truncation": self.truncation,
-                "detours": [[d.center.real, d.center.imag, d.radius, d.side]
-                            for d in self.detours]}
+        return {"anchor": self.anchor, "truncation": self.truncation}
 
 
 def decay_rate(kernel):
@@ -507,10 +475,10 @@ def choose_contour(kernel):
     Anchor at the midpoint of the separation window when it is bounded, at
     window edge -/+ 0.5 when half-infinite.  When the window is empty the
     line is placed just right of every left-opening pole, in the widest gap
-    between right-opening pole abscissae, and every right-opening pole left
-    of it gets a semicircular detour routing it to the right of the path.
-    The truncation is _T_MIN, the lowest height integrate tries (_truncation).
-    Kernel and contour are immutable, so the choice is memoized per kernel.
+    between right-opening pole abscissae; integrate adds back the residues
+    of the right-opening poles left of it (_crossed_poles).  The truncation
+    is _T_MIN, the lowest height integrate tries (_truncation).  Kernel and
+    contour are immutable, so the choice is memoized per kernel.
     """
     collision = find_pole_collision(kernel)
     if collision is not None:
@@ -524,36 +492,58 @@ def choose_contour(kernel):
             anchor = lo + 0.5
         else:
             anchor = 0.5 * (lo + hi)
-        return Contour("vertical", float(anchor), _T_MIN)
+        return Contour(anchor, _T_MIN)
 
     # empty window: anchor inside (lo, lo + 1], clear of every left-opening
     # pole, placed in the widest gap between right-opening abscissae
-    walked = [loc for lad in _pole_ladders(kernel, "right", math.inf)
-              for loc in lad.left_of(lo + 1.0)]
-    cuts = sorted({loc.real for loc in walked if loc.real > lo})
+    cuts = sorted({loc.real
+                   for lad in _pole_ladders(kernel, "right", math.inf)
+                   for loc in lad.short_of(lo + 1.0) if loc.real > lo})
     bounds = [lo] + cuts + [lo + 1.0]
     widths = [bounds[i + 1] - bounds[i] for i in range(len(bounds) - 1)]
     i_best = int(np.argmax(widths))
-    anchor = 0.5 * (bounds[i_best] + bounds[i_best + 1])
+    return Contour(0.5 * (bounds[i_best] + bounds[i_best + 1]), _T_MIN)
 
-    crossed = [loc for loc in walked if loc.real < anchor]
-    # swept by real part: a pole right of loc's by min_gap or more is no
-    # nearer than min_gap, which stays above POLE_TOLERANCE until a raise
-    ordered = sorted(crossed, key=lambda loc: loc.real)
-    min_gap = math.inf
-    for i, loc in enumerate(ordered):
-        j = i + 1
-        while j < len(ordered) and ordered[j].real - loc.real < min_gap:
-            gap = abs(ordered[j] - loc)
-            if gap <= POLE_TOLERANCE:
-                raise ContourError("crossed pole has order > 1; indentation "
-                                   "cannot disambiguate", location=loc)
-            min_gap = min(min_gap, gap)
-            j += 1
-    min_gap = min([min_gap] + [anchor - loc.real for loc in crossed])
-    radius = min(0.25, 0.45 * min_gap) if crossed else 0.25
-    detours = tuple(Detour(loc, radius, "left") for loc in crossed)
-    return Contour("indented", float(anchor), _T_MIN, detours)
+
+@functools.lru_cache(maxsize=256)
+def _crossed_poles(kernel, anchor):
+    """The poles the line Re s = ``anchor`` leaves on the wrong side, as
+    (ladder, terms) pairs (_ladder_model) whose poles l < ladder.length are
+    crossed: right-opening poles left of the line, left-opening ones right
+    of it.  Refuses, with ContourError, a pole on the line, two crossed
+    poles of one family that meet (by _coincident_pole, as residue_series
+    does) and more than MAX_NODES crossed poles on a ladder, one residue
+    each.  Memoized per (kernel, anchor), as choose_contour is.
+    """
+    out = []
+    for side in ("right", "left"):
+        crossed = []
+        for lad in _pole_ladders(kernel, side, MAX_NODES + 1):
+            # the ladder's real parts are monotone: only the last pole walked
+            # can sit within POLE_TOLERANCE of the line
+            locs = list(lad.short_of(anchor + lad.step * POLE_TOLERANCE))
+            if len(locs) > MAX_NODES:
+                raise ContourError("the line crosses more poles than the "
+                                   "node budget", anchor=anchor)
+            if locs and abs(locs[-1].real - anchor) <= POLE_TOLERANCE:
+                raise ContourError("a pole lies on the integration line",
+                                   location=locs[-1], anchor=anchor)
+            if locs:
+                crossed.append(replace(lad, length=len(locs)))
+        for i, a in enumerate(crossed):
+            for b in crossed[i + 1:]:
+                # two poles that meet are crossed together, so the longer of
+                # the two walks holds any pair that meets
+                n = max(a.length, b.length)
+                loc = _coincident_pole(replace(a, length=n),
+                                       replace(b, length=n))
+                if loc is not None:
+                    raise ContourError("crossed pole has order > 1",
+                                       location=loc, anchor=anchor)
+        for lad in crossed:
+            lad, terms, _ = _ladder_model(kernel, lad, exact=False)
+            out.append((lad, tuple(terms)))  # shared by every caller
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -1087,32 +1077,27 @@ def _truncation(kernel, sigma, logz, tol, t_min):
     return T, tail / (2.0 * np.pi)
 
 
-def _detour_correction(kernel, contour, logz):
-    """Residue corrections equivalent to the semicircular indentations.
-
-    A right-opening pole routed to the right of the path (detour bulging
-    left) subtracts its residue from the plain-line integral; a left-opening
-    pole routed left (bulge right) adds it.
-    """
-    total = 0.0 + 0.0j
-    shift = kernel.base_log + logz
-    for det in contour.detours:
-        ladder, l = _locate_pole(kernel, det.center)
-        ladder, terms, _ = _ladder_model(kernel, ladder, exact=False)
-        res = _log_residue(ladder, terms, l, shift)
-        total += res if det.side == "right" else -res
-    return total
-
-
-def _locate_pole(kernel, loc, tol=1e-7):
-    """(ladder, l): the numerator pole at ``loc``, right-opening first."""
-    for side in ("right", "left"):
-        for ladder in _pole_ladders(kernel, side, math.inf):
-            l = ladder.nearest(loc)
-            if abs(ladder.location(l) - loc) < tol:
-                return ladder, l
-    raise ContourError("detour center is not a pole of the kernel",
-                       location=loc)
+def _crossed_sum(crossed, shift):
+    """(sum, rounding) of -step times each crossed residue (_crossed_poles):
+    a right-opening pole subtracts its residue, a left-opening one adds it.
+    A residue is exp of a log-space sum (log gammas, s * shift, log l!,
+    log mult), so it is charged eps |term| times the summands' magnitudes,
+    plus one for the addition."""
+    total, rounding = 0j, 0.0
+    for ladder, terms in crossed:
+        for l in range(ladder.length):
+            res = _log_residue(ladder, terms, l, shift)
+            if res:
+                s = ladder.location(l)
+                size = 1.0 + abs(s * shift) + math.lgamma(l + 1) \
+                    + abs(math.log(ladder.mult)) + sum(
+                        abs(log_gamma_unchecked(coeff + slope * s))
+                        for coeff, slope, _ in terms)
+                rounding += _EPS * abs(res) * size
+            total -= ladder.step * res
+    if not (cmath.isfinite(total) and math.isfinite(rounding)):
+        raise ContourError("crossed residues overflow")
+    return total, rounding
 
 
 def _conjugate_symmetric(kernel):
@@ -1159,9 +1144,11 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     QuadratureError before any quadrature node.  z^s uses the principal
     branch of arg z shifted by 2 pi * branch_k.
 
-    A conjugate-symmetric kernel (_conjugate_symmetric) on a line without
-    detours is folded onto 0 <= y <= T, for any z and branch: with
-    L = log K(sigma + iy), the integrand there is
+    The value is the pole-separating contour's: the line's integral plus
+    the crossed poles' residues (_crossed_poles, _crossed_sum), their
+    rounding in the estimate.  A conjugate-symmetric kernel
+    (_conjugate_symmetric) is folded onto 0 <= y <= T, for any z and
+    branch: with L = log K(sigma + iy), the integrand there is
     e^{L + s log z} + e^{conj L + conj(s) log z}, the nodes sigma +/- iy
     together, so each log-gamma point serves two nodes of the full line.
     ``nodes_used`` counts the quadrature nodes of the line integrated:
@@ -1185,11 +1172,14 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     T, tail = _truncation(kernel, sigma, logz, tol, contour.truncation)
     used = contour if T == contour.truncation \
         else replace(contour, truncation=float(T))
-    # composed before the quadrature, so a bad detour is refused at once
-    correction = _detour_correction(kernel, contour, logz)
+    # summed before the quadrature, so a line through a pole is refused
+    # at once
+    crossed = _crossed_poles(kernel, sigma)
+    if crossed:
+        correction, rounding = _crossed_sum(crossed, kernel.base_log + logz)
     if tail == math.inf:
         raise QuadratureError("no truncation height bounds the tail", T=T)
-    folded = not contour.detours and _conjugate_symmetric(kernel)
+    folded = _conjugate_symmetric(kernel)
 
     def integrand(y, logs=None):
         s = sigma + 1j * y
@@ -1208,8 +1198,9 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
                               else MAX_NODES, opening=opening)
     value = quad.value / (2.0 * np.pi)
     err = quad.error / (2.0 * np.pi) + tail
-    if contour.detours:
+    if crossed:
         value = value + correction
+        err = err + rounding
     if not err <= 25.0 * tol * max(abs(value), 1e-300):
         raise QuadratureError("node budget exhausted before reaching the "
                               "requested tolerance" if not quad.converged

@@ -92,6 +92,7 @@ def kronrod_panels(f, a, b, fx=None):
     return vk, np.abs(vk - vg)
 
 
+# no caller in the package: kept because perfbench/tracing.py wraps it by name
 def kronrod_panel(f, a, b):
     """K15 value and |K15 - G7| estimate of one panel [a, b]."""
     vk, err = kronrod_panels(f, np.array([a], dtype=float),

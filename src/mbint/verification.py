@@ -277,10 +277,9 @@ def contour_robustness(kernel, z, base):
         alt_anchor = contour.anchor + 0.5
     else:
         alt_anchor = contour.anchor + 0.25 * (hi - lo)
-    alt = mb.Contour("vertical", alt_anchor, contour.truncation)
+    alt = mb.Contour(alt_anchor, contour.truncation)
     moved = mb.integrate(kernel, z, contour=alt, tol=1e-10)
-    doubled = mb.Contour(contour.kind, contour.anchor,
-                         2.0 * contour.truncation, contour.detours)
+    doubled = mb.Contour(contour.anchor, 2.0 * contour.truncation)
     tall = mb.integrate(kernel, z, contour=doubled, tol=1e-10)
     return (_ratio(abs(base.value - moved.value),
                    base.err_estimate + moved.err_estimate),

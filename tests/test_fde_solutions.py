@@ -168,7 +168,7 @@ def test_inverse_transform_solution_structure():
     kernel, contour = fde.inverse_transform_solution([0.0, 0.5], [1.0],
                                                      anchor=1.0)
     assert len(kernel.up_right) == 2 and len(kernel.down_left) == 1
-    assert contour.kind == "vertical" and contour.anchor == 1.0
+    assert contour == mb.Contour(1.0, mb._T_MIN)
 
 
 def test_inverse_transform_solution_length_mismatch():

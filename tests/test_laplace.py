@@ -379,11 +379,22 @@ def test_singular_points_match_ode_polynomial_roots():
 
 
 def test_shift_identity():
+    # psi = (1 - e^-t)^1.5 transforms to f(x) = B(x, 2.5), and e^-t psi at x
+    # to B(x + 1, 2.5); the transform at x + 1 and of psi.damped() at x run
+    # the same integrand, so each is checked against mpmath, and the
+    # recurrence (x + 2.5) f(x + 1) = x f(x) across two separate quadratures
     psi = laplace.solve_first_order_ode((0.0, -1.5), (1.0, -1.0))
     x = 2.2
-    lhs = laplace.laplace_transform(psi, x + 1.0, tol=1e-10)
-    rhs = laplace.laplace_transform(psi.damped(), x, tol=1e-10)
-    assert abs(lhs - rhs) / abs(rhs) < 1e-8
+    at_x = laplace.laplace_transform(psi, x, tol=1e-10)
+    at_x1 = laplace.laplace_transform(psi, x + 1.0, tol=1e-10)
+    damped = laplace.laplace_transform(psi.damped(), x, tol=1e-10)
+    with mpmath.workdps(30):
+        b_x = complex(mpmath.beta(x, 2.5))
+        b_x1 = complex(mpmath.beta(x + 1.0, 2.5))
+    assert abs(at_x - b_x) < 1e-10 * abs(b_x)
+    for value in (at_x1, damped):
+        assert abs(value - b_x1) < 1e-10 * abs(b_x1)
+    assert abs((x + 2.5) * at_x1 - x * at_x) < 1e-10 * abs(x * at_x)
 
 
 def test_a1_identically_zero_rejected():
