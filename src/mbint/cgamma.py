@@ -12,6 +12,7 @@ for contour grids.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,25 +101,35 @@ def _lanczos_scalar(z):
 
 
 def log_gamma_unchecked(z):
-    """Scalar log-gamma on the standard branch, without pole detection."""
+    """Scalar log-gamma on the standard branch, without pole detection; a
+    pole gives +inf."""
     z = complex(z)
     if z.imag < 0.0:
         return log_gamma_unchecked(z.conjugate()).conjugate()
     if z.real < 0.5:
+        factor = 1.0 - cmath.exp(2j * cmath.pi * z)
+        if abs(factor) < 0.5:
+            # the difference holds only eps / |factor| relative accuracy:
+            # near a pole, form it as log_gamma_grid does (costlier)
+            a = -2.0 * math.pi * z.imag
+            b = 2.0 * math.pi * (z.real - round(z.real))
+            factor = complex(2.0 * math.sin(0.5 * b) ** 2
+                             - math.expm1(a) * math.cos(b),
+                             -math.exp(a) * math.sin(b))
+            if not factor:
+                return complex(math.inf, 0.0)
         return (LOG_2PI - 0.5j * cmath.pi + 1j * cmath.pi * z
-                - cmath.log(1.0 - cmath.exp(2j * cmath.pi * z))
-                - _lanczos_scalar(1.0 - z))
+                - cmath.log(factor) - _lanczos_scalar(1.0 - z))
     return _lanczos_scalar(z)
 
 
 def log_gamma_grid(z):
     """Vectorized log-gamma without pole checks.
 
-    Points at or near a pole produce non-finite values, and so do points
-    with |z| beyond about 1e154 (see _principal_log), where
-    log_gamma_unchecked stays finite; callers that sample contours are
-    responsible for keeping nodes away from poles.  Reflected and direct
-    points share one Lanczos pass, on 1 - z and z respectively.
+    A point on a pole gives +inf (real part), with no warning, and points
+    with |z| beyond about 1e154 give non-finite values (see
+    _principal_log), where log_gamma_unchecked stays finite.  Reflected
+    and direct points share one Lanczos pass, on 1 - z and z respectively.
     """
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     neg = z.imag < 0.0
@@ -128,10 +139,19 @@ def log_gamma_grid(z):
     if refl.any():
         zr = zz[refl]
         # continuous branch of log sin(pi z) on the closed upper half plane:
-        #   log sin(pi z) = log(i/2) - i pi z + Log(1 - e^{2 i pi z})
+        #   log sin(pi z) = log(i/2) - i pi z + Log(1 - e^{2 i pi z}),
+        # 1 - e^{2 i pi z} = 2 sin^2(b/2) - expm1(a) cos b - i e^a sin b for
+        # a = -2 pi Im z, b = 2 pi (Re z - round(Re z)): a few eps relative
+        # near a pole, where the direct difference cancels
+        a = -2.0 * np.pi * zr.imag
+        b = 2.0 * np.pi * (zr.real - np.round(zr.real))
+        factor = np.empty_like(zr)
+        factor.real = 2.0 * np.sin(0.5 * b) ** 2 - np.expm1(a) * np.cos(b)
+        factor.imag = -np.exp(a) * np.sin(b)
+        with np.errstate(divide="ignore"):  # log 0 = -inf on a pole
+            log_factor = _principal_log(factor)
         out[refl] = (LOG_2PI - 0.5j * np.pi + 1j * np.pi * zr
-                     - _principal_log(1.0 - np.exp(2j * np.pi * zr))
-                     - out[refl])
+                     - log_factor - out[refl])
     return np.where(neg, out.conj(), out)
 
 

@@ -413,7 +413,7 @@ def _cmd_dump_integrand(args):
     ys = np.linspace(-T, T, args.points)
     s = contour.anchor + 1j * ys
     with np.errstate(all="ignore"):
-        vals = np.exp(mb.kernel_log_grid(kernel, s) + s * logz)
+        vals = np.exp(mb.kernel_log_grid(kernel, s)[0] + s * logz)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["im_s", "re_integrand", "im_integrand",

@@ -24,7 +24,7 @@ from .quadrature import MAX_NODES, check_tolerance, integrate_adaptive, modulus
 
 _NEAR_ONE = 1e-9
 _HALF_PI = 0.5 * math.pi
-_PANEL = 0.5  # width in v of the map's equal panels
+_CUT = 0.5  # the v-window's cuts are multiples of this
 _LOG_TAIL = math.log(0.25e-300)  # far tail target / tol: the floor 1e-300 / 4
 
 
@@ -142,18 +142,21 @@ def solve_first_order_ode(a0, a1):
 
 
 def laplace_transform(psi, x, tol=1e-10):
-    """integral_0^inf e^{-x t} psi(t) dt by one adaptive quadrature in v.
+    """integral_0^inf e^{-x t} psi(t) dt by one nested trapezoidal rule
+    in v (integrate_adaptive).
 
     t = exp(pi/2 sinh v) maps all of (0, inf) (Takahasi & Mori 1974),
-    flattening psi ~ t^mu* for every Re mu* > -1, and opens equal panels
-    of width _PANEL from the head cut v_lo to the far cut v_hi.  Each
-    node's integrand is one log sum, exponentiated once: (1 + mu*) log t
-    + log(pi/2 cosh v) + mu* log((1 - e^{-t}) / t) - (x - lambda) t
-    + log rest(t), with log t = pi/2 sinh v exact and rest the closed form
-    without its root at 1 and its e^{lambda t}.  The cut t_lo shrinks with
-    tol, 1 + Re mu* and 1 / |x|; v_hi is the first edge past t_hi, where
-    the tail bound env e^{-(Re x - Re lambda) t} / (Re x - Re lambda)
-    meets tol / 4 times 1e-300, the acceptance check's floor on |value|.
+    flattening psi ~ t^mu* for every Re mu* > -1, and the rule runs over
+    the window from the head cut v_lo to the far cut v_hi, both multiples
+    of _CUT.  Each node's integrand is one log sum, exponentiated once:
+    (1 + mu*) log t + log(pi/2 cosh v) + mu* log((1 - e^{-t}) / t)
+    - (x - lambda) t + log rest(t), with log t = pi/2 sinh v exact and rest
+    the closed form without its root at 1 and its e^{lambda t}; a node's
+    rounding bound is |value| times the summands' magnitudes, plus one.
+    The cut t_lo shrinks with tol, 1 + Re mu* and 1 / |x|; v_hi is the
+    first multiple of _CUT past t_hi, where the tail bound
+    env e^{-(Re x - Re lambda) t} / (Re x - Re lambda) meets tol / 4 times
+    1e-300, the acceptance check's floor on |value|.
     The head mass below t_lo, about |rest(0)| t_lo^{1 + Re mu*} /
     (1 + Re mu*), and the tail bound join the error estimate.
     Re x > Re lambda is required for the tail to close.
@@ -179,9 +182,9 @@ def laplace_transform(psi, x, tol=1e-10):
     # the omitted head: about tol e^-12 / (1 + mu) of the scale |x|^-(1 + mu)
     log_t_lo = (math.log(tol) - 12.0) / (1.0 + mu) \
         - math.log(max(1.0, abs(x)))
-    n_lo = max(math.ceil(-math.asinh(log_t_lo / _HALF_PI) / _PANEL), 1)
+    n_lo = max(math.ceil(-math.asinh(log_t_lo / _HALF_PI) / _CUT), 1)
     cut = math.exp(rest.log(0.0).real - math.log(1.0 + mu)
-                   + (1.0 + mu) * _HALF_PI * math.sinh(-_PANEL * n_lo))
+                   + (1.0 + mu) * _HALF_PI * math.sinh(-_CUT * n_lo))
     # env = 1 + |N| + |rest(8)| bounds |e^{-lambda t} psi| past t = 8
     log_env = np.logaddexp.reduce(
         [0.0, math.log(abs(psi.normalization)), rest.log(8.0).real])
@@ -196,8 +199,8 @@ def laplace_transform(psi, x, tol=1e-10):
     # t_hi >= 1 where env e^{-rate t} / rate meets tol e^{_LOG_TAIL}
     rate_t_hi = rate_t_tol - _LOG_TAIL
     log_t_hi = math.log(max(rate_t_hi, rate)) - math.log(rate)
-    n_hi = math.ceil(math.asinh(log_t_hi / _HALF_PI) / _PANEL)
-    log_T = _HALF_PI * math.sinh(_PANEL * n_hi)
+    n_hi = math.ceil(math.asinh(log_t_hi / _HALF_PI) / _CUT)
+    log_T = _HALF_PI * math.sinh(_CUT * n_hi)
     if log_T > -_LOG_TAIL:
         raise QuadratureError("the tail closes only past t = 1e300",
                               x=x, exponent_lambda=lam)
@@ -207,11 +210,12 @@ def laplace_transform(psi, x, tol=1e-10):
         log_t = _HALF_PI * np.sinh(v)
         t = np.exp(log_t)
         r = np.maximum(t, 1e-300)  # ((1 - e^{-t}) / t)^{mu*} -> 1 at t = 0
-        return np.exp((1.0 + mu_star) * log_t + np.log(_HALF_PI * np.cosh(v))
-                      + mu_star * np.log(-np.expm1(-r) / r) - s * t
-                      + rest.log(t))
+        terms = ((1.0 + mu_star) * log_t, np.log(_HALF_PI * np.cosh(v)),
+                 mu_star * np.log(-np.expm1(-r) / r), -s * t, rest.log(t))
+        out = np.exp(sum(terms))
+        return out, np.abs(out) * sum(map(np.abs, terms), 1.0)
 
-    res = integrate_adaptive(integrand, _PANEL * np.arange(-n_lo, n_hi + 1),
+    res = integrate_adaptive(integrand, -_CUT * n_lo, _CUT * n_hi,
                              tol_rel=0.25 * tol)
     mag, err = modulus(res.value), res.error + tail + cut
     if not (mag < math.inf and err <= 25.0 * tol * max(mag, 1e-300)):

@@ -14,9 +14,11 @@ log-gamma values and exponentiates once.  The integral
 
     (1 / 2 pi i) * integral over L of  K(s) z^s ds
 
-is computed by adaptive quadrature over a truncated vertical line, plus the
-residues of the poles that line leaves on the wrong side, with residue
-summation over either pole family available as an independent route.
+is computed over a truncated vertical line, mapped by y = sinh u and
+integrated by the nested trapezoidal rule (quadrature.integrate_adaptive),
+plus the residues of the poles that line leaves on the wrong side, with
+residue summation over either pole family available as an independent
+route.
 """
 
 import cmath
@@ -37,7 +39,7 @@ from .errors import (ContourError, ConvergenceError, HigherOrderPoleError,
                      NonConvergentSeriesError, ParameterError, PoleError,
                      QuadratureError)
 from .quadrature import (MAX_NODES, check_tolerance, integrate_adaptive,
-                         modulus, panel_nodes)
+                         modulus)
 
 log = logging.getLogger(__name__)
 
@@ -183,23 +185,32 @@ def _stacked_terms(kernel):
 
 
 def kernel_log_grid(kernel, s):
-    """Vectorized log of the kernel; no pole checks (see log_gamma_grid).
+    """(log K, size) on the grid ``s``; no pole checks (see log_gamma_grid).
 
-    The arguments coeff + slope*s of every gamma factor are stacked into one
-    array, so the whole grid costs a single log_gamma_grid call.
+    ``size``, the sum of |log Gamma| over the factors and |s log base|,
+    bounds the rounding of log K in units of eps; a denominator gamma on a
+    pole makes K an exact zero (log K = -inf), of size 0.  The arguments
+    coeff + slope*s of every gamma factor are stacked into one array, so
+    the whole grid costs a single log_gamma_grid call.
     """
     s = np.asarray(s, dtype=np.complex128)
     out = np.zeros(s.shape, dtype=np.complex128)
+    size = np.zeros(s.shape)
     stacked = _stacked_terms(kernel)
     if stacked is not None:
         coeff, slope, sign = stacked
         args = coeff + slope * s.ravel()
         logs = log_gamma_grid(args).reshape(args.shape)
+        size = np.abs(logs).sum(axis=0).reshape(s.shape)
+        # negated, not multiplied by -1: (-1 + 0j)(inf + ib) has a NaN part
+        np.negative(logs, out=logs, where=sign < 0)
         # rows added in _signed_terms order, equal to one call per factor
-        out = out + (sign * logs).sum(axis=0).reshape(s.shape)
+        out = out + logs.sum(axis=0).reshape(s.shape)
+        size[np.isinf(size)] = 0.0
     if kernel.base != 1.0:
         out = out + s * kernel.base_log
-    return out
+        size = size + np.abs(s * kernel.base_log)
+    return out, size
 
 
 def _log_gammas(terms, s):
@@ -1082,7 +1093,10 @@ def _crossed_sum(crossed, shift):
     a right-opening pole subtracts its residue, a left-opening one adds it.
     A residue is exp of a log-space sum (log gammas, s * shift, log l!,
     log mult), so it is charged eps |term| times the summands' magnitudes,
-    plus one for the addition."""
+    plus one for the addition.  Each factor's argument w = c + m s is itself
+    rounded, by up to eps (|c| + |m s|), which moves log Gamma(w) by that
+    times |psi(w)| <= 1 / dist(w, pole) + log(2 + |w|): near a pole of its
+    gamma this term outweighs the others."""
     total, rounding = 0j, 0.0
     for ladder, terms in crossed:
         for l in range(ladder.length):
@@ -1090,9 +1104,13 @@ def _crossed_sum(crossed, shift):
             if res:
                 s = ladder.location(l)
                 size = 1.0 + abs(s * shift) + math.lgamma(l + 1) \
-                    + abs(math.log(ladder.mult)) + sum(
-                        abs(log_gamma_unchecked(coeff + slope * s))
-                        for coeff, slope, _ in terms)
+                    + abs(math.log(ladder.mult))
+                for coeff, slope, _ in terms:
+                    w = coeff + slope * s
+                    size += abs(log_gamma_unchecked(w)) \
+                        + (abs(coeff) + abs(slope * s)) * (
+                            1.0 / detect_pole(w).distance
+                            + math.log(2.0 + abs(w)))
                 rounding += _EPS * abs(res) * size
             total -= ladder.step * res
     if not (cmath.isfinite(total) and math.isfinite(rounding)):
@@ -1106,33 +1124,6 @@ def _conjugate_symmetric(kernel):
     return kernel.base.imag == 0.0 and kernel.base.real > 0.0 and all(
         f.coeff.imag == 0.0 for f in kernel.up_left + kernel.up_right
         + kernel.down_left + kernel.down_right)
-
-
-def _opening_edges(T, folded):
-    """Equal opening panels, one per 2 units of line length: 8 to 256 of
-    them on [0, T] when ``folded``, else 8 to 512 on [-T, T]."""
-    if folded:
-        return np.linspace(0.0, T, max(8, min(256, int(T / 2))) + 1)
-    return np.linspace(-T, T, max(8, min(512, int(T))) + 1)
-
-
-# at most 8 x 512 panels x 15 nodes x 16 bytes = 0.98 MB of cached grids
-_OPENING_GRIDS = 8
-
-
-@functools.lru_cache(maxsize=_OPENING_GRIDS)
-def _opening_log_grid(kernel, sigma, T, folded):
-    """kernel_log_grid on the nodes of the opening panels (_opening_edges)
-    of the line sigma + iy.
-
-    The grid depends on the line, not on z: it is built once per key and
-    shared, read-only, by every integral over that line.
-    """
-    edges = _opening_edges(T, folded)
-    s = sigma + 1j * panel_nodes(edges[:-1], edges[1:])
-    logs = kernel_log_grid(kernel, s)
-    logs.flags.writeable = False
-    return logs
 
 
 def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
@@ -1152,13 +1143,14 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     e^{L + s log z} + e^{conj L + conj(s) log z}, the nodes sigma +/- iy
     together, so each log-gamma point serves two nodes of the full line.
     ``nodes_used`` counts the quadrature nodes of the line integrated:
-    on the folded line one node stands for that pair.  The line opens on
-    equal panels, one per 2 units of its length, between 8 and 256
-    (folded) or 512; the kernel's logs on those opening nodes come from a
-    cache of 8 grids keyed on (kernel, sigma, T, folded), which fix the
-    panel count, and every z on the same line and height shares their
-    read-only arrays.  Refinement rounds evaluate the kernel afresh, one
-    kernel_log_grid call per round.
+    on the folded line one node stands for that pair.
+
+    The line is mapped by y = sinh u, on |u| <= asinh T (u >= 0 folded,
+    the node u = 0 at half weight), where |K z^s| falls double-
+    exponentially, and integrated by the nested trapezoidal rule
+    (integrate_adaptive), one kernel_log_grid call per level.  A node's
+    rounding bound is |K z^s| cosh u times its log sum's size:
+    kernel_log_grid's, plus |s log z| + 1.
     """
     z = _checked_argument(z, tol)
     cls = convergence_class(kernel, z, branch_k)
@@ -1181,32 +1173,33 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
         raise QuadratureError("no truncation height bounds the tail", T=T)
     folded = _conjugate_symmetric(kernel)
 
-    def integrand(y, logs=None):
-        s = sigma + 1j * y
-        if logs is None:
-            logs = kernel_log_grid(kernel, s)
+    def integrand(u):
+        s = sigma + 1j * np.sinh(u)
+        logs, size = kernel_log_grid(kernel, s)
         out = np.exp(logs + s * logz)
+        mag = np.abs(out)
         if folded:
-            out += np.exp(logs.conj() + s.conj() * logz)
-        return out
+            other = np.exp(logs.conj() + s.conj() * logz)
+            out += other
+            mag += np.abs(other)
+        jacobian = np.cosh(u)
+        return out * jacobian, \
+            mag * jacobian * (size + np.abs(s) * abs(logz) + 1.0)
 
-    edges = _opening_edges(T, folded)
-    opening = integrand(panel_nodes(edges[:-1], edges[1:]),
-                        _opening_log_grid(kernel, sigma, T, folded))
-    quad = integrate_adaptive(integrand, edges, tol_rel=0.25 * tol,
+    U = math.asinh(T)
+    quad = integrate_adaptive(integrand, 0.0 if folded else -U, U,
+                              tol_rel=0.25 * tol,
                               max_nodes=MAX_NODES // 2 if folded
-                              else MAX_NODES, opening=opening)
+                              else MAX_NODES)
     value = quad.value / (2.0 * np.pi)
     err = quad.error / (2.0 * np.pi) + tail
     if crossed:
         value = value + correction
         err = err + rounding
     if not err <= 25.0 * tol * max(abs(value), 1e-300):
-        raise QuadratureError("node budget exhausted before reaching the "
-                              "requested tolerance" if not quad.converged
-                              else "the error estimate, tail bound "
-                              "included, exceeds the requested tolerance",
-                              nodes=quad.nodes, err=err)
+        raise QuadratureError("the error estimate, rounding floor and tail "
+                              "bound included, exceeds the requested "
+                              "tolerance", nodes=quad.nodes, err=err)
     log.debug("integrate: anchor=%.4g T=%.4g nodes=%d err=%.3g",
               sigma, T, quad.nodes, err)
     return EvalResult(value=complex(value), err_estimate=float(err),

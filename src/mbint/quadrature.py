@@ -1,13 +1,14 @@
-"""Adaptive Gauss-Kronrod panels for complex-valued integrands.
+"""The nested trapezoidal rule for complex-valued integrands that decay
+double-exponentially at both ends of their window.
 
-The integrand must accept a real numpy array of abscissae and return complex
-values of the same shape, elementwise.  Refinement runs in rounds, and each
-round makes a single call of the integrand on the nodes of all its panels:
-the first round evaluates the caller's opening panels, and each later round
-bisects every panel whose estimate |K15 - G7| exceeds an equal share of the
-target (target / number of panels), the worst panels first when the node
-budget cannot take them all.  The final sum runs in interval order, so
-results are deterministic and independent of the refinement history.
+Both integrals of the package reach this rule through a map that makes
+them so: the Mellin-Barnes line by y = sinh u, the Laplace transform by
+t = exp(pi/2 sinh v).  On such integrands the trapezoidal rule converges
+geometrically in 1/h (Trefethen & Weideman, SIAM Rev. 56 (2014); Takahasi
+& Mori 1974), and halving h keeps every node: each halving evaluates only
+the new odd nodes, in one call of the integrand.  The nodes are the points
+of the lattice h Z in the window, so they do not depend on anything but
+the window and the level.
 """
 
 import math
@@ -19,29 +20,8 @@ import numpy as np
 from .errors import ParameterError
 
 MAX_NODES = 200000  # default integrand evaluations per integral
-
-# QUADPACK dqk15 abscissae/weights on [-1, 1]
-_XGK = np.array([
-    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245, 0.0,
-])
-_WGK = np.array([
-    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
-])
-_WG = np.array([
-    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
-])
-
-NODES = np.concatenate([-_XGK[:7], _XGK[::-1]])
-KRONROD_W = np.concatenate([_WGK[:7], _WGK[::-1]])
-GAUSS_W = np.zeros(15)
-GAUSS_W[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])
+STEP = 0.125  # the coarsest level's step, shared by every caller
+_EPS = float(np.finfo(float).eps)
 
 
 def modulus(value):
@@ -68,81 +48,49 @@ class QuadResult:
     converged: bool
 
 
-def panel_nodes(a, b):
-    """The 15 Kronrod abscissae of every panel [a[i], b[i]], panel by panel."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return (mid[:, None] + half[:, None] * NODES).ravel()
+kronrod_panel = None  # perfbench/tracing.py counts it by name (ROADMAP 0)
 
 
-def kronrod_panels(f, a, b, fx=None):
-    """K15 values and |K15 - G7| estimates on the panels [a[i], b[i]].
+def integrate_adaptive(f, lo, hi, tol_rel=1e-10, max_nodes=MAX_NODES):
+    """Integrate f over the window [lo, hi], widened outward to the lattice
+    2 STEP Z, by the trapezoidal rule with nested halving of the step.
 
-    Evaluates f once, on the 15 nodes of every panel (panel_nodes), unless
-    the caller passes those values as ``fx``.
+    ``f`` takes a real array of abscissae and returns (values, rounding):
+    the complex integrand and, per node, a bound on its rounding in units
+    of eps.  The first call evaluates the level of step STEP, whose even
+    nodes are the level 2 STEP, so the first comparison of two levels
+    costs one call; each halving after it adds the odd nodes, in one call.
+    Refinement stops once the last two levels differ by at most tol_rel
+    times the value, or by no more than the rounding floor: eps times the
+    rule applied to the rounding bounds, from the same sweep, below which
+    the difference says nothing.  The error reported is that difference
+    plus the floor.  A level the node budget cannot take, a non-finite
+    value and a sum past the double range end the refinement, unconverged.
     """
-    if fx is None:
-        fx = f(panel_nodes(a, b))
-    fx = fx.reshape(-1, 15)
-    half = 0.5 * (b - a)
-    # elementwise products, not BLAS `@`: the sums keep one fixed order, and
-    # the first BLAS call would add to the resident memory
-    vk = half * (fx * KRONROD_W).sum(axis=1)
-    vg = half * (fx * GAUSS_W).sum(axis=1)
-    return vk, np.abs(vk - vg)
-
-
-# no caller in the package: kept because perfbench/tracing.py wraps it by name
-def kronrod_panel(f, a, b):
-    """K15 value and |K15 - G7| estimate of one panel [a, b]."""
-    vk, err = kronrod_panels(f, np.array([a], dtype=float),
-                             np.array([b], dtype=float))
-    return complex(vk[0]), float(err[0])
-
-
-def integrate_adaptive(f, edges, tol_rel=1e-10, max_nodes=MAX_NODES,
-                       opening=None):
-    """Integrate f over [edges[0], edges[-1]] to the requested relative
-    target.
-
-    ``edges`` (increasing) are the opening panels' endpoints: the first
-    round evaluates every panel [edges[i], edges[i + 1]].  A mesh graded
-    toward a singular endpoint resolves it there at once, where bisection
-    from equal panels would take one round per halving.  ``opening`` is f
-    on the opening nodes, panel_nodes(edges[:-1], edges[1:]), when the
-    caller has it already; f is then called by refinement rounds only.
-    """
-    edges = np.asarray(edges, dtype=float)
-    left, right = edges[:-1], edges[1:]
-    vals, errs = kronrod_panels(f, left, right, opening)
-    nodes = 15 * left.size
+    h = 2.0 * STEP
+    start = h * math.floor(lo / h)
+    n = max(math.ceil(hi / h) - math.floor(lo / h), 1)  # intervals of h
+    fx, rx = f(start + STEP * np.arange(2 * n + 1))
+    nodes = 2 * n + 1
+    # each sum scales its values before adding them, so that a value in
+    # the double range does not overflow on the way; the level 2 STEP's
+    # endpoints carry half weight
+    value = complex((h * fx[::2]).sum() - 0.5 * h * (fx[0] + fx[-1]))
+    rounding = float((h * rx[::2]).sum() - 0.5 * h * (rx[0] + rx[-1]))
+    fx, rx = fx[1::2], rx[1::2]
     while True:
-        target = tol_rel * modulus(vals.sum())
-        room = (max_nodes - nodes) // 30
-        toterr = errs.sum()
-        if toterr <= target or room <= 0 or not np.isfinite(toterr):
+        h *= 0.5
+        n *= 2
+        previous = value
+        value = 0.5 * value + complex((h * fx).sum())
+        rounding = 0.5 * rounding + float((h * rx).sum())
+        diff = modulus(value - previous)
+        if diff <= tol_rel * modulus(value) or diff <= _EPS * rounding \
+                or not math.isfinite(modulus(value)) or nodes + n > max_nodes:
             break
-        split = errs > target / errs.size
-        # the worst panel always splits: a rounding-level excess of the sum
-        # must not stall the round
-        split[np.argmax(errs)] = True
-        idx = np.flatnonzero(split)
-        if idx.size > room:
-            idx = idx[np.argsort(-errs[idx], kind="stable")[:room]]
-        mid = 0.5 * (left[idx] + right[idx])
-        new_vals, new_errs = kronrod_panels(
-            f, np.concatenate([left[idx], mid]),
-            np.concatenate([mid, right[idx]]))
-        nodes += 30 * idx.size
-        keep = np.ones(errs.size, dtype=bool)
-        keep[idx] = False
-        left = np.concatenate([left[keep], left[idx], mid])
-        right = np.concatenate([right[keep], mid, right[idx]])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
-    order = np.argsort(left, kind="stable")
-    value = complex(vals[order].sum())
-    error = float(errs[order].sum())
+        fx, rx = f(start + h * (np.arange(n) + 0.5))
+        nodes += n
+    error = diff + _EPS * rounding
     # a sum whose modulus passes the double range has no relative target
     converged = error <= tol_rel * modulus(value) < math.inf
     return QuadResult(value, error, nodes, converged)

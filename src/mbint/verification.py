@@ -286,6 +286,30 @@ def contour_robustness(kernel, z, base):
             _ratio(abs(base.value - tall.value), base.err_estimate))
 
 
+def _empty_window_ratio(seed):
+    """Worst |error| / estimate of the line on G^{1,1}_{1,1}(z | b + 1 + g;
+    b) = Gamma(-g) z^b (1 + z)^g, g = 5e-4 and 1e-4, against mpmath: the
+    line crosses the pole b, where Gamma(1 - a + s) is g from a pole."""
+    import mpmath
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for gap in (5e-4, 1e-4):
+        for _ in range(12):
+            b = float(rng.uniform(-0.5, 2.0))
+            z = cmath.rect(rng.uniform(0.2, 3.0),
+                           rng.uniform(-0.75, 0.75) * math.pi)
+            a = b + 1.0 + gap
+            res = mb.integrate(sf.GParams(1, 1, 1, 1, (a,), (b,)).to_kernel(),
+                               z, tol=1e-10)
+            with mpmath.workdps(30):
+                a_, b_, z_ = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpc(z)
+                exact = complex(mpmath.gamma(1 - a_ + b_) * z_ ** b_
+                                * (1 + z_) ** (a_ - b_ - 1))
+            worst = max(worst, _ratio(abs(res.value - exact),
+                                      res.err_estimate))
+    return worst
+
+
 def suite_mb(seed, n_samples=None):
     checks = []
     worst_pair = 0.0
@@ -314,6 +338,8 @@ def suite_mb(seed, n_samples=None):
     checks.append(PropertyCheck("truncation soundness", worst_trunc, 1.0, n))
     checks.append(PropertyCheck("real kernels give real values", worst_imag,
                                 1e-12, n))
+    checks.append(PropertyCheck("empty-window line vs closed form",
+                                _empty_window_ratio(seed), 1.0, 24))
     return checks
 
 

@@ -176,6 +176,39 @@ def test_log_gamma_grid_against_mpmath():
             assert abs(g - ref) <= 1e-13 * max(1.0, abs(ref)), z
 
 
+def _near_poles():
+    """The poles 0, -1, ..., -40 at distances 1e-2 ... 1e-8 in five
+    directions, and 300 points with Re in [-30, 0.5] and |Im| <= 20."""
+    rng = np.random.default_rng(17)
+    dist = 10.0 ** -np.arange(2, 9)
+    turns = np.exp(2j * np.pi * np.arange(5) / 5)
+    near = (-np.arange(41.0)[:, None, None] + dist[:, None] * turns).ravel()
+    return np.concatenate([near, rng.uniform(-30.0, 0.5, 300)
+                           + 1j * rng.uniform(-20.0, 20.0, 300)])
+
+
+def test_log_gamma_near_poles_against_mpmath():
+    # the reflection's 1 - e^{2 pi i z} is formed from the offset to the
+    # nearest integer: taken directly it cancelled near a pole, leaving
+    # about eps / dist relative error (3e-9 at these points)
+    pts = _near_poles()
+    grid = cgamma.log_gamma_grid(pts)
+    with mpmath.workdps(30):
+        for z, g in zip(pts, grid):
+            ref = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
+            bound = 2e-15 * max(1.0, abs(ref))
+            assert abs(g - ref) <= bound, z
+            assert abs(cgamma.log_gamma_unchecked(z) - ref) <= bound, z
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_log_gamma_on_a_pole_is_infinite():
+    poles = np.array([0.0, -1.0, -7.0]) + 0j
+    assert (cgamma.log_gamma_grid(poles).real == math.inf).all()
+    for z in poles:
+        assert cgamma.log_gamma_unchecked(z).real == math.inf
+
+
 def test_log_gamma_grid_matches_scalar_branch():
     # the same branch of the imaginary part, not merely equal mod 2 pi
     pts = _adversarial_grid()

@@ -8,7 +8,7 @@ from mbint import cgamma, fde_solutions as fde, laplace, polyroots
 from mbint.duality import CoefficientMatrix, ode_singular_polynomial
 from mbint.errors import (DegreeError, DivergenceError, ParameterError,
                           QuadratureError, RepeatedRootError)
-from mbint.quadrature import QuadResult
+from mbint.quadrature import STEP, QuadResult
 
 BETA_MATRIX = CoefficientMatrix(((0.0, -1.0), (1.0, -1.0)))
 
@@ -113,19 +113,19 @@ def test_transform_matches_mpmath_beta(beta, x):
 
 
 def recorded_runs(monkeypatch):
-    """Patch laplace.integrate_adaptive to record, per call, its edges, its
-    QuadResult and the v nodes of each round."""
+    """Patch laplace.integrate_adaptive to record, per call, its window, its
+    QuadResult and the v nodes of each level."""
     runs = []
     integrate_adaptive = laplace.integrate_adaptive
 
-    def recorded(f, edges, **kwargs):
-        rounds = []
+    def recorded(f, lo, hi, **kwargs):
+        levels = []
 
         def g(v):
-            rounds.append(np.array(v))
+            levels.append(np.array(v))
             return f(v)
-        res = integrate_adaptive(g, edges, **kwargs)
-        runs.append((np.asarray(edges), res, rounds))
+        res = integrate_adaptive(g, lo, hi, **kwargs)
+        runs.append(((lo, hi), res, levels))
         return res
     monkeypatch.setattr(laplace, "integrate_adaptive", recorded)
     return runs
@@ -137,33 +137,21 @@ def the_one_run(runs):
     return runs[0]
 
 
-def test_singular_head_converges_in_its_opening_round(monkeypatch):
-    # psi ~ t^0.17: under the map the head is resolved by its opening
-    # panels, so no refinement round places a node at v < 0 (t < 1)
-    runs = recorded_runs(monkeypatch)
-    psi = laplace.solve_first_order_ode((0.0, -0.17), (1.0, -1.0))
-    laplace.laplace_transform(psi, 1.5, tol=1e-9)
-    _, res, rounds = the_one_run(runs)
-    assert res.converged
-    assert all(np.all(nodes > 0.0) for nodes in rounds[1:])
-
-
 @pytest.mark.parametrize("beta", [2.0, 3.0])
 def test_analytic_head_opens_on_equal_panels(monkeypatch, beta):
     # mu* = beta - 1 a positive integer: psi = (1 - e^{-t})^{beta - 1} is
-    # analytic at t = 0; the map opens equal panels of width 1/2 in v from
-    # the head cut through v = 0 (t = 1) to the far cut, and the head is
-    # resolved in the opening round
+    # analytic at t = 0; the window runs from the head cut through v = 0
+    # (t = 1) to the far cut, both multiples of 1/2, and the rule opens on
+    # its equal grid of step STEP
     runs = recorded_runs(monkeypatch)
     psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
     assert psi.singular_exponent() == beta - 1.0
     got = laplace.laplace_transform(psi, 1.5, tol=1e-9)
-    edges, res, rounds = the_one_run(runs)
-    assert np.array_equal(edges, 0.5 * np.arange(2 * edges[0],
-                                                 2 * edges[-1] + 1))
-    assert edges[0] < 0.0 < edges[-1]
+    (lo, hi), res, levels = the_one_run(runs)
+    assert lo < 0.0 < hi and (2 * lo).is_integer() and (2 * hi).is_integer()
+    assert np.array_equal(levels[0], lo + STEP * np.arange(
+        round((hi - lo) / STEP) + 1))
     assert res.converged
-    assert all(np.all(nodes > 0.0) for nodes in rounds[1:])
     with mpmath.workdps(30):
         oracle = complex(mpmath.beta(1.5, beta))
     assert abs(got - oracle) <= 1e-9 * abs(oracle)
@@ -176,8 +164,8 @@ def test_one_quadrature_call_per_transform(monkeypatch, beta):
     runs = recorded_runs(monkeypatch)
     psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
     laplace.laplace_transform(psi, 1.5, tol=1e-9)
-    edges, _, _ = the_one_run(runs)
-    assert edges[0] < 0.0 and 0.0 in edges
+    (lo, hi), _, levels = the_one_run(runs)
+    assert lo < 0.0 < hi and 0.0 in levels[0]
 
 
 @pytest.mark.parametrize("x,beta,tol", [(2.0, 5.0, 1e-6), (1.5, 50.0, 1e-9),
@@ -206,7 +194,7 @@ def test_flattened_head_on_a_tall_mesh_stays_finite():
 
 def test_non_finite_quadrature_is_refused(monkeypatch):
     monkeypatch.setattr(laplace, "integrate_adaptive",
-                        lambda f, edges, **kwargs: QuadResult(
+                        lambda f, lo, hi, **kwargs: QuadResult(
                             complex(math.nan, math.nan), math.nan, 0, False))
     psi = laplace.solve_first_order_ode((0.0, -1.0), (1.0, -1.0))
     with pytest.raises(QuadratureError):

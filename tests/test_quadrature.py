@@ -1,122 +1,142 @@
+import mpmath
 import numpy as np
+import pytest
 
 from mbint import mellin_barnes as mb
 from mbint import quadrature
 from mbint.cgamma import log_gamma_grid
-from mbint.special_functions import GParams, HParams
+from mbint.errors import QuadratureError
+from mbint.special_functions import GParams, HParams, meijer_g
+
+
+def plain(g):
+    """g as an integrand of the rule, each value charged |value| as its
+    rounding."""
+    def f(x):
+        values = g(x)
+        return values, np.abs(values)
+    return f
 
 
 def counting(f):
-    """f plus a record of the number of abscissae of every call."""
-    sizes = []
+    """f plus a record of the abscissae of every call."""
+    calls = []
 
     def wrapped(x):
-        sizes.append(np.size(x))
+        calls.append(np.array(x))
         return f(x)
-    return wrapped, sizes
+    return wrapped, calls
 
 
-# 8 equal opening panels on [-1, 2]
-EIGHT_PANELS = np.linspace(-1.0, 2.0, 9)
+def peaked(u, eps=1e-2):
+    # (1 + 2i) / (x^2 + eps^2) under x = sinh(pi/2 sinh u): double-
+    # exponential decay in u, a peak of width about eps at u = 0
+    x = np.sinh(0.5 * np.pi * np.sinh(u))
+    dx = 0.5 * np.pi * np.cosh(u) * np.cosh(0.5 * np.pi * np.sinh(u))
+    return (1.0 + 2.0j) * dx / (x * x + eps * eps)
 
 
-def peaked(x, eps=1e-3):
-    return (1.0 + 2.0j) / (x * x + eps * eps)
+PEAKED_EXACT = (1.0 + 2.0j) * np.pi / 1e-2  # over the whole real line
 
 
-def peaked_exact(a, b, eps=1e-3):
-    return (1.0 + 2.0j) * (np.arctan(b / eps) - np.arctan(a / eps)) / eps
+def oscillatory(v, w=-1.0 + 20.0j):
+    # e^{w t} under t = exp(pi/2 sinh v): 20 / (2 pi) turns per unit of t
+    log_t = 0.5 * np.pi * np.sinh(v)
+    t = np.exp(log_t)
+    return np.exp(w * t + log_t) * 0.5 * np.pi * np.cosh(v)
 
 
-def oscillatory(x, w=-0.1 + 60.0j):
-    return np.exp(w * x)
-
-
-def oscillatory_exact(a, b, w=-0.1 + 60.0j):
-    return (np.exp(w * b) - np.exp(w * a)) / w
-
-
-def test_one_panel_exact_to_degree_22():
-    rng = np.random.default_rng(5)
-    coeffs = rng.normal(size=23) + 1j * rng.normal(size=23)
-    poly = np.polynomial.Polynomial(coeffs)
-    a, b = -0.7, 1.3
-    exact = poly.integ()(b) - poly.integ()(a)
-    value, _ = quadrature.kronrod_panel(poly, a, b)
-    assert abs(value - exact) < 1e-13 * abs(exact)
-    one = quadrature.integrate_adaptive(poly, [a, b], max_nodes=15)
-    assert one.nodes == 15
-    assert one.value == value
+OSCILLATORY_EXACT = 1.0 / (1.0 - 20.0j)  # -1 / w over t in (0, inf)
 
 
 def test_peaked_integrand_closed_form():
-    res = quadrature.integrate_adaptive(peaked, EIGHT_PANELS, tol_rel=1e-12)
-    exact = peaked_exact(-1.0, 2.0)
+    res = quadrature.integrate_adaptive(plain(peaked), -4.0, 4.0,
+                                        tol_rel=1e-12)
     assert res.converged
-    assert abs(res.value - exact) < 1e-12 * abs(exact)
+    assert abs(res.value - PEAKED_EXACT) < 1e-12 * abs(PEAKED_EXACT)
     assert res.error <= 1e-12 * abs(res.value)
 
 
 def test_oscillatory_integrand_closed_form():
-    res = quadrature.integrate_adaptive(oscillatory,
-                                        np.linspace(0.0, 10.0, 9),
+    res = quadrature.integrate_adaptive(plain(oscillatory), -4.0, 3.0,
                                         tol_rel=1e-12)
-    exact = oscillatory_exact(0.0, 10.0)
     assert res.converged
-    assert abs(res.value - exact) < 1e-12 * abs(exact)
+    assert abs(res.value - OSCILLATORY_EXACT) < 1e-12 * abs(OSCILLATORY_EXACT)
+
+
+def test_rounding_floor_ends_refinement():
+    # a target below rounding: the levels settle on the floor, the rule
+    # stops there, unconverged, with the floor in its error
+    f, calls = counting(plain(oscillatory))
+    res = quadrature.integrate_adaptive(f, -4.0, 3.0, tol_rel=1e-18)
+    assert not res.converged
+    assert res.nodes < quadrature.MAX_NODES // 10
+    assert res.error >= np.finfo(float).eps * abs(OSCILLATORY_EXACT)
+    assert abs(res.value - OSCILLATORY_EXACT) <= res.error
 
 
 def test_node_budget_is_respected():
-    f, sizes = counting(peaked)
-    res = quadrature.integrate_adaptive(f, EIGHT_PANELS, tol_rel=1e-12,
+    # the window [-4, 4] opens on 65 nodes, and each halving adds 64, 128,
+    # ...: a budget of 200 takes the first halving only
+    f, calls = counting(plain(peaked))
+    res = quadrature.integrate_adaptive(f, -4.0, 4.0, tol_rel=1e-12,
                                         max_nodes=200)
     assert not res.converged
     assert res.nodes <= 200
-    assert sum(sizes) == res.nodes
-    # the budget admitted one round of the two worst panels
-    assert sizes == [120, 60]
+    assert [x.size for x in calls] == [65, 64]
+    assert sum(x.size for x in calls) == res.nodes
 
 
 def test_budget_below_first_round_stops_after_it():
-    f, sizes = counting(peaked)
-    res = quadrature.integrate_adaptive(f, EIGHT_PANELS, tol_rel=1e-12,
-                                        max_nodes=100)
+    f, calls = counting(plain(peaked))
+    res = quadrature.integrate_adaptive(f, -4.0, 4.0, tol_rel=1e-12,
+                                        max_nodes=50)
     assert not res.converged
-    assert res.nodes == 120
-    assert sizes == [120]
+    assert res.nodes == 65
+    assert [x.size for x in calls] == [65]
 
 
 def test_nan_estimate_stops_at_once():
-    f, sizes = counting(lambda x: np.full(np.shape(x), np.nan + 0j))
-    res = quadrature.integrate_adaptive(f, np.linspace(0.0, 1.0, 9))
+    f, calls = counting(plain(lambda x: np.full(np.shape(x), np.nan + 0j)))
+    res = quadrature.integrate_adaptive(f, 0.0, 1.0)
     assert not res.converged
-    assert res.nodes == 120
-    assert sizes == [120]
+    assert res.nodes == 9
+    assert [x.size for x in calls] == [9]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sum_past_the_double_range_ends_unconverged():
-    # finite parts, modulus 2.1e308: abs() of the sum raised OverflowError
-    res = quadrature.integrate_adaptive(
-        lambda x: np.full(np.shape(x), 0.75e308 * (1.0 + 1.0j)), [0.0, 2.0])
+    # finite parts, modulus 2.1e308: abs() of the sum raised OverflowError;
+    # the weights scale the values before the sum, which does not overflow
+    def f(x):
+        return np.full(np.shape(x), 0.75e308 * (1.0 + 1.0j)), np.zeros(x.size)
+    res = quadrature.integrate_adaptive(f, 0.0, 2.0)
     assert res.value.real == res.value.imag
     assert abs(res.value.real - 1.5e308) <= 1e-14 * 1.5e308
     assert not res.converged
+    assert res.nodes == 17
 
 
 def test_integrand_called_once_per_round():
-    f, sizes = counting(peaked)
-    res = quadrature.integrate_adaptive(f, EIGHT_PANELS, tol_rel=1e-12)
-    assert sizes[0] == 8 * 15
-    assert all(n > 0 and n % 30 == 0 for n in sizes[1:])
-    assert sum(sizes) == res.nodes
-    # every round bisects at least one panel, and often many at once
-    panels = res.nodes // 15
-    assert 1 < len(sizes) < panels // 4
+    # one call per level: the lattice STEP Z on the window widened outward,
+    # then the odd nodes of each halving, so every level's nodes are nested
+    f, calls = counting(plain(peaked))
+    res = quadrature.integrate_adaptive(f, -3.9, 4.0, tol_rel=1e-12)
+    step = quadrature.STEP
+    assert np.array_equal(calls[0], step * np.arange(-32, 33))
+    assert [x.size for x in calls[1:]] == [64 * 2 ** k
+                                           for k in range(len(calls) - 1)]
+    assert sum(x.size for x in calls) == res.nodes
+    nodes = np.sort(np.concatenate(calls))
+    finest = step / 2 ** (len(calls) - 1)
+    assert np.array_equal(nodes, -4.0 + finest * np.arange(nodes.size))
 
 
 def test_results_are_bit_reproducible():
-    first = quadrature.integrate_adaptive(peaked, EIGHT_PANELS, tol_rel=1e-12)
-    again = quadrature.integrate_adaptive(peaked, EIGHT_PANELS, tol_rel=1e-12)
+    first = quadrature.integrate_adaptive(plain(peaked), -4.0, 4.0,
+                                          tol_rel=1e-12)
+    again = quadrature.integrate_adaptive(plain(peaked), -4.0, 4.0,
+                                          tol_rel=1e-12)
     assert first == again
     kernel = GParams(2, 2, 2, 2, (0.3, -0.2), (0.1, 0.6)).to_kernel()
     one = mb.integrate(kernel, 0.7 + 0.2j)
@@ -125,41 +145,19 @@ def test_results_are_bit_reproducible():
         == (two.value, two.err_estimate, two.nodes_used)
 
 
-def test_equal_panel_edges_reproduce_pinned_results():
-    # float.hex of what integrate_adaptive(peaked, -1.0, 2.0, tol_rel=1e-12,
-    # initial_panels=n) returned before the opening panels became an
-    # argument: explicit linspace edges give the same bits
-    pinned = {8: ("0x1.8882f70572944p+11", "0x1.8882f70572944p+12",
-                  "0x1.4a5953ad2432ap-31", 1230),
-              3: ("0x1.8882f70572944p+11", "0x1.8882f70572944p+12",
-                  "0x1.9b8e8fd3b203fp-32", 1335)}
-    for panels, (re, im, err, nodes) in pinned.items():
-        res = quadrature.integrate_adaptive(
-            peaked, np.linspace(-1.0, 2.0, panels + 1), tol_rel=1e-12)
-        assert res.value == complex(float.fromhex(re), float.fromhex(im))
-        assert res.error == float.fromhex(err)
-        assert res.nodes == nodes
-
-
-def test_graded_opening_resolves_algebraic_endpoint_in_one_round():
-    # t^0.17 on [0, 1]: bisection from 8 equal panels halves the panel at
-    # t = 0 once per round; the graded mesh [0, 2^-29, ..., 1/2, 1] is that
-    # ladder built at once, with (2^-29)^1.17 <= tol in its innermost panel
-    def power(t):
-        return t ** 0.17 + 0.0j
-    exact = 1.0 / 1.17
-    tol = 1e-10
-    f, equal_sizes = counting(power)
-    equal = quadrature.integrate_adaptive(f, np.linspace(0.0, 1.0, 9),
-                                          tol_rel=tol)
-    f, graded_sizes = counting(power)
-    graded = quadrature.integrate_adaptive(
-        f, np.concatenate(([0.0], 0.5 ** np.arange(29, -1, -1))), tol_rel=tol)
-    for res in (equal, graded):
-        assert res.converged
-        assert abs(res.value - exact) < tol * exact
-    assert len(graded_sizes) == 1 and len(equal_sizes) >= 15
-    assert graded.nodes < 0.75 * equal.nodes
+def test_rounding_bound_refuses_a_cancelling_line_early():
+    # z^0.3 e^{-z} at z = 20 is 5.2e-9, against a line integral of |K z^s|
+    # near 1: the rounding floor passes the target within a few levels, so
+    # the line is refused after a few hundred nodes, where the budget used
+    # to be spent first (99,990 nodes), and the residues answer
+    params = GParams(1, 0, 0, 1, (), (0.3,))
+    with pytest.raises(QuadratureError) as info:
+        meijer_g(params, 20.0, method="quad")
+    assert info.value.context["nodes"] < 500
+    res = meijer_g(params, 20.0)
+    exact = float(mpmath.mpf(20) ** mpmath.mpf(0.3) * mpmath.exp(-20))
+    assert res.method == "residues_right"
+    assert abs(res.value - exact) <= res.err_estimate
 
 
 def _per_factor_log_grid(kernel, s):
@@ -181,44 +179,37 @@ def test_stacked_kernel_log_grid_matches_per_factor_sum():
                 (0.5,), (1.5, 0.75, 2.0)).to_kernel()
     s = 0.2 + 1j * np.linspace(-40.0, 40.0, 301)
     for kernel in (g, h):
-        stacked = mb.kernel_log_grid(kernel, s)
+        stacked, size = mb.kernel_log_grid(kernel, s)
         np.testing.assert_allclose(stacked, _per_factor_log_grid(kernel, s),
                                    rtol=1e-15, atol=0.0)
+        # the size bounds the sum it was taken from
+        assert (size >= np.abs(stacked) - np.abs(s * kernel.base_log)).all()
 
 
 def test_integrate_makes_one_log_gamma_call_per_round(monkeypatch):
-    grid_sizes, gamma_sizes, round_sizes = [], [], []
+    grids, gamma_sizes = [], []
     kernel_log_grid = mb.kernel_log_grid
-    kronrod_panels = quadrature.kronrod_panels
 
     def counted_grid(kernel, s):
-        grid_sizes.append(np.size(s))
+        grids.append(np.array(s))
         return kernel_log_grid(kernel, s)
 
     def counted_gamma(z):
         gamma_sizes.append(np.size(z))
         return log_gamma_grid(z)
-
-    def counted_round(f, a, b, fx=None):
-        round_sizes.append(15 * np.size(a))
-        return kronrod_panels(f, a, b, fx)
     monkeypatch.setattr(mb, "kernel_log_grid", counted_grid)
     monkeypatch.setattr(mb, "log_gamma_grid", counted_gamma)
-    monkeypatch.setattr(quadrature, "kronrod_panels", counted_round)
-    mb._opening_log_grid.cache_clear()
     kernel = GParams(2, 2, 2, 2, (0.3, -0.2), (0.1, 0.6)).to_kernel()
     res = mb.integrate(kernel, 0.7 + 0.2j)
-    # one kernel grid per round, the opening round's included, its four
-    # gamma factors stacked in one call
-    assert grid_sizes == round_sizes and len(round_sizes) > 1
-    assert sum(grid_sizes) == res.nodes_used
-    assert gamma_sizes == [4 * n for n in grid_sizes]
-    # the opening grid is built once per (kernel, sigma, T): a later call
-    # on the same line, at any z, makes one call per refinement round only
-    for z in (0.7 + 0.2j, 0.4 - 0.5j):
-        del grid_sizes[:], gamma_sizes[:], round_sizes[:]
-        again = mb.integrate(kernel, z)
-        assert again.contour == res.contour
-        assert grid_sizes == round_sizes[1:] and len(round_sizes) > 1
-        assert sum(round_sizes) == again.nodes_used
-        assert gamma_sizes == [4 * n for n in grid_sizes]
+    # one kernel grid per level, its four gamma factors stacked in one call
+    assert len(grids) > 2
+    assert sum(s.size for s in grids) == res.nodes_used
+    assert gamma_sizes == [4 * s.size for s in grids]
+    # the nodes depend on the line and its height, not on z: another z on
+    # the same line evaluates the kernel on the same levels
+    first = grids[:]
+    del grids[:], gamma_sizes[:]
+    again = mb.integrate(kernel, 0.4 - 0.5j)
+    assert again.contour == res.contour
+    for one, two in zip(first, grids):
+        assert np.array_equal(one, two)
