@@ -107,17 +107,14 @@ def log_gamma_unchecked(z):
     if z.imag < 0.0:
         return log_gamma_unchecked(z.conjugate()).conjugate()
     if z.real < 0.5:
-        factor = 1.0 - cmath.exp(2j * cmath.pi * z)
-        if abs(factor) < 0.5:
-            # the difference holds only eps / |factor| relative accuracy:
-            # near a pole, form it as log_gamma_grid does (costlier)
-            a = -2.0 * math.pi * z.imag
-            b = 2.0 * math.pi * (z.real - round(z.real))
-            factor = complex(2.0 * math.sin(0.5 * b) ** 2
-                             - math.expm1(a) * math.cos(b),
-                             -math.exp(a) * math.sin(b))
-            if not factor:
-                return complex(math.inf, 0.0)
+        # 1 - e^{2 i pi z} as log_gamma_grid forms it, without cancellation
+        a = -2.0 * math.pi * z.imag
+        b = 2.0 * math.pi * (z.real - round(z.real))
+        factor = complex(2.0 * math.sin(0.5 * b) ** 2
+                         - math.expm1(a) * math.cos(b),
+                         -math.exp(a) * math.sin(b))
+        if not factor:
+            return complex(math.inf, 0.0)
         return (LOG_2PI - 0.5j * cmath.pi + 1j * cmath.pi * z
                 - cmath.log(factor) - _lanczos_scalar(1.0 - z))
     return _lanczos_scalar(z)
@@ -141,8 +138,7 @@ def log_gamma_grid(z):
         # continuous branch of log sin(pi z) on the closed upper half plane:
         #   log sin(pi z) = log(i/2) - i pi z + Log(1 - e^{2 i pi z}),
         # 1 - e^{2 i pi z} = 2 sin^2(b/2) - expm1(a) cos b - i e^a sin b for
-        # a = -2 pi Im z, b = 2 pi (Re z - round(Re z)): a few eps relative
-        # near a pole, where the direct difference cancels
+        # a = -2 pi Im z, b = 2 pi (Re z - round(Re z)), without cancellation
         a = -2.0 * np.pi * zr.imag
         b = 2.0 * np.pi * (zr.real - np.round(zr.real))
         factor = np.empty_like(zr)

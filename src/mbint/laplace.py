@@ -24,7 +24,6 @@ from .quadrature import MAX_NODES, check_tolerance, integrate_adaptive, modulus
 
 _NEAR_ONE = 1e-9
 _HALF_PI = 0.5 * math.pi
-_CUT = 0.5  # the v-window's cuts are multiples of this
 _LOG_TAIL = math.log(0.25e-300)  # far tail target / tol: the floor 1e-300 / 4
 
 
@@ -147,14 +146,15 @@ def laplace_transform(psi, x, tol=1e-10):
 
     t = exp(pi/2 sinh v) maps all of (0, inf) (Takahasi & Mori 1974),
     flattening psi ~ t^mu* for every Re mu* > -1, and the rule runs over
-    the window from the head cut v_lo to the far cut v_hi, both multiples
-    of _CUT.  Each node's integrand is one log sum, exponentiated once:
+    the window from the head cut v_lo to the far cut v_hi (which the rule
+    widens outward to its lattice).  Each node's integrand is one log sum,
+    exponentiated once:
     (1 + mu*) log t + log(pi/2 cosh v) + mu* log((1 - e^{-t}) / t)
     - (x - lambda) t + log rest(t), with log t = pi/2 sinh v exact and rest
     the closed form without its root at 1 and its e^{lambda t}; a node's
     rounding bound is |value| times the summands' magnitudes, plus one.
-    The cut t_lo shrinks with tol, 1 + Re mu* and 1 / |x|; v_hi is the
-    first multiple of _CUT past t_hi, where the tail bound
+    The cut t_lo shrinks with tol, 1 + Re mu* and 1 / |x|; v_hi maps
+    t_hi, where the tail bound
     env e^{-(Re x - Re lambda) t} / (Re x - Re lambda) meets tol / 4 times
     1e-300, the acceptance check's floor on |value|.
     The head mass below t_lo, about |rest(0)| t_lo^{1 + Re mu*} /
@@ -180,11 +180,10 @@ def laplace_transform(psi, x, tol=1e-10):
     rest = replace(psi, exponent_lambda=0.0, factors=tuple(
         f for f in psi.factors if f[0] != 1.0))
     # the omitted head: about tol e^-12 / (1 + mu) of the scale |x|^-(1 + mu)
-    log_t_lo = (math.log(tol) - 12.0) / (1.0 + mu) \
-        - math.log(max(1.0, abs(x)))
-    n_lo = max(math.ceil(-math.asinh(log_t_lo / _HALF_PI) / _CUT), 1)
+    log_t_lo = min((math.log(tol) - 12.0) / (1.0 + mu)
+                   - math.log(max(1.0, abs(x))), 0.0)
     cut = math.exp(rest.log(0.0).real - math.log(1.0 + mu)
-                   + (1.0 + mu) * _HALF_PI * math.sinh(-_CUT * n_lo))
+                   + (1.0 + mu) * log_t_lo)
     # env = 1 + |N| + |rest(8)| bounds |e^{-lambda t} psi| past t = 8
     log_env = np.logaddexp.reduce(
         [0.0, math.log(abs(psi.normalization)), rest.log(8.0).real])
@@ -199,12 +198,10 @@ def laplace_transform(psi, x, tol=1e-10):
     # t_hi >= 1 where env e^{-rate t} / rate meets tol e^{_LOG_TAIL}
     rate_t_hi = rate_t_tol - _LOG_TAIL
     log_t_hi = math.log(max(rate_t_hi, rate)) - math.log(rate)
-    n_hi = math.ceil(math.asinh(log_t_hi / _HALF_PI) / _CUT)
-    log_T = _HALF_PI * math.sinh(_CUT * n_hi)
-    if log_T > -_LOG_TAIL:
+    if log_t_hi > -_LOG_TAIL:
         raise QuadratureError("the tail closes only past t = 1e300",
                               x=x, exponent_lambda=lam)
-    tail = math.exp(log_env - rate * math.exp(log_T) - math.log(rate))
+    tail = math.exp(log_env - rate * math.exp(log_t_hi) - math.log(rate))
 
     def integrand(v):
         log_t = _HALF_PI * np.sinh(v)
@@ -215,7 +212,8 @@ def laplace_transform(psi, x, tol=1e-10):
         out = np.exp(sum(terms))
         return out, np.abs(out) * sum(map(np.abs, terms), 1.0)
 
-    res = integrate_adaptive(integrand, -_CUT * n_lo, _CUT * n_hi,
+    res = integrate_adaptive(integrand, math.asinh(log_t_lo / _HALF_PI),
+                             math.asinh(log_t_hi / _HALF_PI),
                              tol_rel=0.25 * tol)
     mag, err = modulus(res.value), res.error + tail + cut
     if not (mag < math.inf and err <= 25.0 * tol * max(mag, 1e-300)):

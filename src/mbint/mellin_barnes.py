@@ -860,9 +860,13 @@ def _ladder_residues(kernel, ladder, shift, exact=False):
 def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
     """The residue sum over ``ladders``, merged lazily in opening order.
 
-    Returns (total, abs_sum, last, nterms, converged).  Summation stops
+    Returns (total, abs_sum, tail, nterms, converged).  Summation stops
     after three consecutive terms below tol * |partial|, counted once the
-    partial sum is nonzero; ``last`` is the magnitude of the last term.
+    partial sum is nonzero.  ``tail``, the charge for the terms left out,
+    is the last term's magnitude or, where they weigh more, the ladders'
+    geometric tails: r |t| / (1 - r) for a last term t that fell by
+    r = |t / t'| < 1 from the one before, bounding the rest while the
+    ratios keep falling; |t| if r >= 1; nothing once a ladder is drawn out.
     Terms are complex numbers, mpmath numbers or _Dyadic ones (the exact
     pass's Gamma-ratio recurrence), and the sum is of their type: the loop
     uses only +, complex() and the zero test.  A _Dyadic sum is exact.
@@ -876,7 +880,17 @@ def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
     abs_sum = 0.0
     ok = 0
     nterms = 0
-    last = 0.0
+    mag = 0.0
+    # each ladder's last two term magnitudes; the last 0 once drawn out
+    last, before = [0.0] * len(ladders), [0.0] * len(ladders)
+
+    def tail():
+        geometric = 0.0
+        for t, t0 in zip(last, before):
+            r = t / t0 if t0 else math.inf
+            geometric += t * r / (1.0 - r) if r < 1.0 else t
+        return max(mag, geometric)
+
     for _, _, idx, l, loc in _merged_poles(ladders):
         try:
             term = next(runs[idx])
@@ -886,25 +900,28 @@ def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
                 location=loc) from exc
         total += term
         # magnitudes in double suffice for the stop rule and the estimate
-        last = modulus(term)
-        abs_sum += last
+        mag = modulus(term)
+        before[idx], last[idx] = last[idx], mag
+        if l == ladders[idx].length - 1:
+            last[idx] = 0.0
+        abs_sum += mag
         nterms += 1
-        if not math.isfinite(last):
+        if not math.isfinite(mag):
             raise NonConvergentSeriesError("residue terms overflow",
                                            terms=nterms)
         # structurally zero leading terms (a denominator gamma at a pole)
         # say nothing about convergence while the partial sum is still zero
-        if total and last < tol * max(modulus(total), 1e-300):
+        if total and mag < tol * max(modulus(total), 1e-300):
             ok += 1
             if ok >= 3:
-                return total, abs_sum, last, nterms, True
+                return total, abs_sum, tail(), nterms, True
         else:
             ok = 0
         if l == budget - 1:
-            return total, abs_sum, last, nterms, False
+            return total, abs_sum, tail(), nterms, False
     if all(lad.length < budget for lad in ladders):
         return total, abs_sum, 0.0, nterms, True
-    return total, abs_sum, last, nterms, False
+    return total, abs_sum, tail(), nterms, False
 
 
 def _checked_argument(z, tol):
@@ -969,7 +986,7 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
                                            "side", location=loc)
     cuts = [_live_length(kernel, lad) for lad in ladders]
     logz = complex(np.log(z)) + 2j * np.pi * branch_k
-    total, abs_sum, last, nterms, converged = _sum_residues(
+    total, abs_sum, tail, nterms, converged = _sum_residues(
         kernel, [replace(lad, length=min(cut, n_max))
                  for lad, cut in zip(ladders, cuts)],
         kernel.base_log + logz, tol, n_max)
@@ -981,12 +998,11 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
                           contour=None, method=method, arg_branch=branch_k)
     if not converged:
         raise NonConvergentSeriesError("residue series did not settle",
-                                       terms=nterms,
-                                       last_term=last)
+                                       terms=nterms, tail=tail)
     sign = -1.0 if side == "right" else 1.0
     value = sign * total
     cancel = abs_sum / max(abs(value), 1e-300)
-    err = last + _EPS * abs_sum * max(10.0, nterms)
+    err = tail + _EPS * abs_sum * max(10.0, nterms)
     if err > tol * max(abs(value), 1e-300) and cancel > 1e3:
         dps = 22 + int(math.log10(cancel)) + 6
         budget = _EXACT_BUDGET * n_max
@@ -999,7 +1015,7 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
                 shift = mpmath.log(mpmath.mpmathify(z)) \
                     + 2j * mpmath.pi * branch_k \
                     + mpmath.log(mpmath.mpmathify(complex(kernel.base)))
-                total, abs_sum, last, nterms, converged = _sum_residues(
+                total, abs_sum, tail, nterms, converged = _sum_residues(
                     kernel, ladders, shift, tol * 1e-3, budget, exact=True)
                 value = sign * complex(total)
             if not converged:
@@ -1019,7 +1035,7 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
                 # the digits it calls for understate the next pass's need
                 digits = min(max(digits, 2 * dps), _MAX_DPS)
             dps = math.ceil(digits)
-        err = last + 5e-16 * abs(value)
+        err = tail + 5e-16 * abs(value)
     return EvalResult(value=value, err_estimate=float(err), nodes_used=nterms,
                       contour=None, method=method, arg_branch=branch_k)
 

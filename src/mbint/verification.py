@@ -293,20 +293,16 @@ def _empty_window_ratio(seed):
     import mpmath
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for gap in (5e-4, 1e-4):
-        for _ in range(12):
-            b = float(rng.uniform(-0.5, 2.0))
-            z = cmath.rect(rng.uniform(0.2, 3.0),
-                           rng.uniform(-0.75, 0.75) * math.pi)
-            a = b + 1.0 + gap
-            res = mb.integrate(sf.GParams(1, 1, 1, 1, (a,), (b,)).to_kernel(),
-                               z, tol=1e-10)
-            with mpmath.workdps(30):
-                a_, b_, z_ = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpc(z)
-                exact = complex(mpmath.gamma(1 - a_ + b_) * z_ ** b_
-                                * (1 + z_) ** (a_ - b_ - 1))
-            worst = max(worst, _ratio(abs(res.value - exact),
-                                      res.err_estimate))
+    for gap in (5e-4,) * 12 + (1e-4,) * 12:
+        b = float(rng.uniform(-0.5, 2.0))
+        z = cmath.rect(rng.uniform(0.2, 3.0), rng.uniform(-0.75, 0.75) * np.pi)
+        a = b + 1.0 + gap
+        res = mb.integrate(sf.GParams(1, 1, 1, 1, (a,), (b,)).to_kernel(), z)
+        with mpmath.workdps(30):
+            a_, b_, z_ = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpc(z)
+            exact = complex(mpmath.gamma(1 - a_ + b_) * z_ ** b_
+                            * (1 + z_) ** (a_ - b_ - 1))
+        worst = max(worst, _ratio(abs(res.value - exact), res.err_estimate))
     return worst
 
 

@@ -141,16 +141,18 @@ def the_one_run(runs):
 def test_analytic_head_opens_on_equal_panels(monkeypatch, beta):
     # mu* = beta - 1 a positive integer: psi = (1 - e^{-t})^{beta - 1} is
     # analytic at t = 0; the window runs from the head cut through v = 0
-    # (t = 1) to the far cut, both multiples of 1/2, and the rule opens on
-    # its equal grid of step STEP
+    # (t = 1) to the far cut, and the rule opens on the equal grid of step
+    # STEP over that window, widened outward to the lattice 2 STEP Z
     runs = recorded_runs(monkeypatch)
     psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
     assert psi.singular_exponent() == beta - 1.0
     got = laplace.laplace_transform(psi, 1.5, tol=1e-9)
     (lo, hi), res, levels = the_one_run(runs)
-    assert lo < 0.0 < hi and (2 * lo).is_integer() and (2 * hi).is_integer()
-    assert np.array_equal(levels[0], lo + STEP * np.arange(
-        round((hi - lo) / STEP) + 1))
+    grid = levels[0]
+    assert grid[0] <= lo < 0.0 < hi <= grid[-1]
+    assert grid[0] > lo - 2 * STEP and grid[-1] < hi + 2 * STEP
+    assert (grid[0] / (2 * STEP)).is_integer()
+    assert np.array_equal(grid, grid[0] + STEP * np.arange(len(grid)))
     assert res.converged
     with mpmath.workdps(30):
         oracle = complex(mpmath.beta(1.5, beta))

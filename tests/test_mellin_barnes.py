@@ -1206,6 +1206,42 @@ def test_line_on_a_rounding_plateau_is_refused_or_within_estimate():
     assert abs(res.value - oracle) <= res.err_estimate
 
 
+def _g11_closed_form(a, b, z):
+    """G^{1,1}_{1,1}(z | a; b) = Gamma(1 - a + b) z^b (1 + z)^{a - 1 - b}."""
+    with mpmath.workdps(30):
+        a_, b_, z_ = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpc(z)
+        return complex(mpmath.gamma(1 - a_ + b_) * z_ ** b_
+                       * (1 + z_) ** (a_ - b_ - 1))
+
+
+def test_default_route_near_the_cut_is_within_its_estimate():
+    # |arg z| = 0.995 kappa: the line's rounding floor refuses quadrature
+    # and the default route falls back to the left residues, whose terms
+    # fall by about 1 / |z| = 0.57 per pole; charged its last term alone,
+    # that reply was 1.4 times outside its estimate
+    z = -1.7631952510786175 + 0.027698484384667533j
+    exact = _g11_closed_form(0.056, 1.5404, z)
+    try:
+        res = meijer_g(GParams(1, 1, 1, 1, (0.056,), (1.5404,)), z)
+    except (QuadratureError, ConvergenceError, NonConvergentSeriesError):
+        return
+    assert abs(res.value - exact) <= res.err_estimate
+
+
+@pytest.mark.parametrize("z", [cmath.rect(r, theta) for r in (1.2, 1.76, 3.0)
+                               for theta in (3.1, -2.8, 2.0, 0.5)])
+def test_residue_estimate_charges_the_geometric_tail(z):
+    # the left residues of Gamma(1.5404 - s) Gamma(0.944 + s) fall by the
+    # ratio (l + 2.4844) / ((l + 1) |z|), which decreases to 1 / |z|: the
+    # tail past the stop is at most the geometric one from the last ratio.
+    # Charged the last term alone, |z| = 1.2 near the cut was 5x outside
+    res = meijer_g(GParams(1, 1, 1, 1, (0.056,), (1.5404,)), z,
+                   method="residues")
+    assert res.method == "residues_left"
+    assert abs(res.value - _g11_closed_form(0.056, 1.5404, z)) \
+        <= res.err_estimate
+
+
 def _scalar_log_mag(kernel, sigma, y, logz):
     """_log_mag_estimate one height and one factor at a time."""
     total = sigma * logz.real - y * (logz.imag + kernel.base_log.imag) \
