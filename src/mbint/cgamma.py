@@ -6,9 +6,20 @@ approached consistently with the recurrence), so sums of log-gamma values
 can be exponentiated once at the end of a kernel composition without
 overflow surprises in between.
 
-Two evaluation paths share the same Lanczos coefficients: a cmath scalar
-path (hot in residue sums and ratio checks) and a vectorized numpy path
-for contour grids.
+Two evaluation paths share the same Lanczos coefficients:
+
+- a cmath scalar path, hot in residue sums (once per gamma factor per
+  term) and ratio checks.  Its 14 partial fractions are spelled out, and
+  a point below the real axis is conjugated in place rather than by
+  recursion.
+- a vectorized numpy path for contour grids, one call per quadrature
+  level.  The partial fractions of each block of _BLOCK points fill one
+  (15, block) stack in one add and one divide and are summed row by row,
+  so the scratch is bounded whatever the grid's size; the principal logs
+  of t and of the Lanczos sum are taken in one call.
+
+``on_pole`` is detect_pole's decision without the report, for the
+residue terms; both read the nearest pole from ``_nearest_pole``.
 """
 
 import cmath
@@ -35,8 +46,20 @@ _LANCZOS_COEF = (
     0.84418223983852743293e-4, -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 )
+# unpacked once for the scalar path, which spells its partial fractions out
+(_C0, _C1, _C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11, _C12, _C13,
+ _C14) = _LANCZOS_COEF
+_T_SHIFT = _LANCZOS_G - 0.5  # t = z + g - 1/2
+# the grid path's partial fractions, coefficient k over z - 1 + k for
+# k >= 1, as complex columns: a float operand would be cast per element
+_SHIFTS = np.arange(1, len(_LANCZOS_COEF), dtype=np.complex128)[:, None]
+_NUMERATORS = np.array(_LANCZOS_COEF[1:], dtype=np.complex128)[:, None]
+# grid points per partial-fraction stack: (15, _BLOCK) is 120 KiB
+_BLOCK = 512
 LOG_2PI = np.log(2.0 * np.pi)
 _HALF_LOG_2PI = 0.5 * LOG_2PI
+_REFLECT_SHIFT = LOG_2PI - 0.5j * cmath.pi  # log pi - log(i/2)
+_I_PI = 1j * cmath.pi
 
 
 @dataclass(frozen=True)
@@ -48,13 +71,31 @@ class PoleReport:
     distance: float
 
 
+def _nearest_pole(z):
+    """(k, |z - k|) for the gamma pole k = 0, -1, -2, ... nearest complex z."""
+    k = round(z.real) if z.real < 0 else 0
+    return k, abs(z - k)
+
+
+def on_pole(z, tol=POLE_TOLERANCE):
+    """detect_pole(z, tol).is_pole for a finite complex ``z``, without the
+    report or the argument checks: the residue terms ask it once per gamma
+    factor."""
+    return _nearest_pole(z)[1] <= tol
+
+
 def detect_pole(z, tol=POLE_TOLERANCE):
-    """Locate the nearest gamma pole (0, -1, -2, ...) to ``z``."""
+    """Locate the nearest gamma pole (0, -1, -2, ...) to ``z``.
+
+    A tolerance that is not positive, or a non-finite ``z``, is a
+    DomainError.
+    """
     if tol <= 0:
         raise DomainError("pole tolerance must be positive", tol=tol)
     z = complex(z)
-    k = int(round(z.real)) if z.real < 0 else 0
-    dist = abs(z - k)
+    if not cmath.isfinite(z):
+        raise DomainError("pole detection needs a finite argument", z=z)
+    k, dist = _nearest_pole(z)
     return PoleReport(dist <= tol, -k, dist)
 
 
@@ -68,35 +109,53 @@ def _principal_log(x):
     """
     re, im = x.real, x.imag
     out = np.empty_like(x)
-    out.real = 0.5 * np.log(re * re + im * im)
-    out.imag = np.arctan2(im, re)
+    mod2 = re * re
+    mod2 += im * im
+    np.log(mod2, out=mod2)
+    np.multiply(mod2, 0.5, out=out.real)
+    np.arctan2(im, re, out=out.imag)
     return out
 
 
 def _lanczos(z):
-    # assumes Re z >= 0.5; the partial fractions accumulate in place, in
-    # coefficient order, so a grid needs two scratch arrays of its own size
-    zm1 = z - 1.0
-    series = np.full(z.shape, _LANCZOS_COEF[0], dtype=np.complex128)
-    term = np.empty_like(series)
-    for k in range(1, len(_LANCZOS_COEF)):
-        np.add(zm1, k, out=term)
-        np.divide(_LANCZOS_COEF[k], term, out=term)
-        series += term
-    t = z + (_LANCZOS_G - 0.5)
-    out = z - 0.5
-    out *= _principal_log(t)  # operand order as in (z - 0.5) * log t
+    """Lanczos log Gamma of an array with Re z >= 0.5.
+
+    The 14 partial fractions of a block of _BLOCK points fill rows 1..14
+    of one (15, block) stack under the leading coefficient, in two ufunc
+    calls, and are summed row after row, in coefficient order, as the
+    scalar path adds them.  The stack is summed as reals: a complex stack
+    of one column would be reduced along its only contiguous axis,
+    pairwise, not in row order.
+    """
+    flat = z.reshape(-1)
+    ts = np.empty((2, flat.size), dtype=np.complex128)  # t, the Lanczos sum
+    np.add(flat, _T_SHIFT, out=ts[0])
+    for lo in range(0, flat.size, _BLOCK):
+        block = flat[lo:lo + _BLOCK]
+        stack = np.empty((len(_LANCZOS_COEF), block.size), dtype=np.complex128)
+        stack[0] = _C0
+        parts = stack[1:]
+        np.add(block - 1.0, _SHIFTS, out=parts)
+        np.divide(_NUMERATORS, parts, out=parts)
+        np.add.reduce(stack.view(np.float64), axis=0,
+                      out=ts[1, lo:lo + _BLOCK].view(np.float64))
+    logs = _principal_log(ts)
+    out = flat - 0.5
+    out *= logs[0]  # operand order as in (z - 0.5) * log t
     out += _HALF_LOG_2PI
-    out -= t
-    out += _principal_log(series)
-    return out
+    out -= ts[0]
+    out += logs[1]
+    return out.reshape(z.shape)
 
 
 def _lanczos_scalar(z):
-    series = _LANCZOS_COEF[0]
-    for k in range(1, len(_LANCZOS_COEF)):
-        series += _LANCZOS_COEF[k] / (z - 1.0 + k)
-    t = z + (_LANCZOS_G - 0.5)
+    zm1 = z - 1.0
+    series = (_C0 + _C1 / (zm1 + 1) + _C2 / (zm1 + 2) + _C3 / (zm1 + 3)
+              + _C4 / (zm1 + 4) + _C5 / (zm1 + 5) + _C6 / (zm1 + 6)
+              + _C7 / (zm1 + 7) + _C8 / (zm1 + 8) + _C9 / (zm1 + 9)
+              + _C10 / (zm1 + 10) + _C11 / (zm1 + 11) + _C12 / (zm1 + 12)
+              + _C13 / (zm1 + 13) + _C14 / (zm1 + 14))
+    t = z + _T_SHIFT
     return _HALF_LOG_2PI + (z - 0.5) * cmath.log(t) - t + cmath.log(series)
 
 
@@ -104,8 +163,9 @@ def log_gamma_unchecked(z):
     """Scalar log-gamma on the standard branch, without pole detection; a
     pole gives +inf."""
     z = complex(z)
-    if z.imag < 0.0:
-        return log_gamma_unchecked(z.conjugate()).conjugate()
+    lower = z.imag < 0.0
+    if lower:
+        z = z.conjugate()
     if z.real < 0.5:
         # 1 - e^{2 i pi z} as log_gamma_grid forms it, without cancellation
         a = -2.0 * math.pi * z.imag
@@ -114,10 +174,13 @@ def log_gamma_unchecked(z):
                          - math.expm1(a) * math.cos(b),
                          -math.exp(a) * math.sin(b))
         if not factor:
-            return complex(math.inf, 0.0)
-        return (LOG_2PI - 0.5j * cmath.pi + 1j * cmath.pi * z
-                - cmath.log(factor) - _lanczos_scalar(1.0 - z))
-    return _lanczos_scalar(z)
+            out = complex(math.inf, 0.0)
+        else:
+            out = (_REFLECT_SHIFT + _I_PI * z - cmath.log(factor)
+                   - _lanczos_scalar(1.0 - z))
+    else:
+        out = _lanczos_scalar(z)
+    return out.conjugate() if lower else out
 
 
 def log_gamma_grid(z):
@@ -146,8 +209,7 @@ def log_gamma_grid(z):
         factor.imag = -np.exp(a) * np.sin(b)
         with np.errstate(divide="ignore"):  # log 0 = -inf on a pole
             log_factor = _principal_log(factor)
-        out[refl] = (LOG_2PI - 0.5j * np.pi + 1j * np.pi * zr
-                     - log_factor - out[refl])
+        out[refl] = (_REFLECT_SHIFT + _I_PI * zr - log_factor - out[refl])
     return np.where(neg, out.conj(), out)
 
 
@@ -155,8 +217,8 @@ def log_gamma(z):
     """Principal-branch log-gamma of a complex scalar.
 
     Raises PoleError when ``z`` is within POLE_TOLERANCE of a non-positive
-    integer.  Satisfies log_gamma(z + 1) = log_gamma(z) + log(z) and exact
-    conjugate symmetry.
+    integer, and DomainError when ``z`` is not finite.  Satisfies
+    log_gamma(z + 1) = log_gamma(z) + log(z) and exact conjugate symmetry.
     """
     z = complex(z)
     report = detect_pole(z)

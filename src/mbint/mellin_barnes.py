@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .cgamma import (POLE_TOLERANCE, asymptotic_log_abs_gamma, detect_pole,
-                     log_gamma_grid, log_gamma_unchecked)
+                     log_gamma_grid, log_gamma_unchecked, on_pole)
 from .errors import (ContourError, ConvergenceError, HigherOrderPoleError,
                      NonConvergentSeriesError, ParameterError, PoleError,
                      QuadratureError)
@@ -222,7 +222,7 @@ def _log_gammas(terms, s):
     total = 0.0 + 0.0j
     for coeff, slope, sign in terms:
         w = coeff + slope * s
-        if detect_pole(w).is_pole:
+        if on_pole(w):
             if sign > 0:
                 raise PoleError("kernel evaluated at a numerator pole",
                                 s=s, argument=w)

@@ -27,6 +27,16 @@ def _complex_tuple(values):
     return tuple(complex(v) for v in values)
 
 
+def _check_finite_parameters(a, b):
+    """ParameterError for a non-finite a_j or b_k: the series and its
+    gamma prefactor are undefined there."""
+    for name, values in (("a", a), ("b", b)):
+        for v in values:
+            if not cmath.isfinite(v):
+                raise ParameterError("parameters must be finite",
+                                     **{name: v})
+
+
 @dataclass(frozen=True)
 class _Orders:
     """The orders and parameters GParams and HParams share, and the one
@@ -104,11 +114,13 @@ def pfq(a, b, z, tol=1e-14, max_terms=100000):
 
     Terminating upper parameters take precedence over denominator
     validation, so a polynomial case evaluates even when some b_k is a
-    non-positive integer further down the ladder.  A non-finite z, or a
-    ``tol`` that is not a positive finite number, is a ParameterError.
+    non-positive integer further down the ladder.  A non-finite a_j, b_k
+    or z, or a ``tol`` that is not a positive finite number, is a
+    ParameterError.
     """
     a = _complex_tuple(a)
     b = _complex_tuple(b)
+    _check_finite_parameters(a, b)
     z = complex(z)
     if not cmath.isfinite(z):
         raise ParameterError("argument must be finite", z=z)
@@ -267,12 +279,14 @@ def pfq_via_g(a, b, z, tol=1e-10):
 
     Evaluates the (1, p; p, q+1)-order G function at -z with parameters
     (1 - a_j; 0, 1 - b_k) and restores the gamma prefactor.  Upper
-    parameters on the pole ladder are rejected, as is z on the positive
-    real axis where arg(-z) hits the branch cut.  A prefactor or value past
-    the double range raises ConvergenceError.
+    parameters on the pole ladder are rejected, as are non-finite
+    parameters and z on the positive real axis, where arg(-z) hits the
+    branch cut.  A prefactor or value past the double range raises
+    ConvergenceError.
     """
     a = _complex_tuple(a)
     b = _complex_tuple(b)
+    _check_finite_parameters(a, b)
     z = complex(z)
     for a_j in a:
         if detect_pole(a_j).is_pole:

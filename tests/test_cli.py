@@ -196,6 +196,17 @@ def test_eval_pfq_non_finite_argument_is_domain_error(capsys, z):
     assert obj["error"]["code"] == "parameter_error"
 
 
+@pytest.mark.parametrize("param", [("--num=-inf", "--den", "1"),
+                                   ("--num", "inf", "--den", "1"),
+                                   ("--num", "1", "--den", "nan")])
+def test_eval_pfq_non_finite_parameter_is_parameter_error(capsys, param):
+    # -inf used to exit 1 with a traceback, inf and nan to spend the term
+    # budget and exit 3
+    code, obj = run_json(capsys, "eval", "pfq", *param, "--z", "0.5")
+    assert code == 2
+    assert obj["error"]["code"] == "parameter_error"
+
+
 def test_numeric_error_exit_code(capsys):
     # all-denominator kernel has no decay: the integral diverges
     code, obj = run_json(capsys, "eval", "g", "--orders", "0,0,1,1",

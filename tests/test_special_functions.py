@@ -208,6 +208,23 @@ def test_pfq_via_g_parameter_ladder_rejected():
         sf.pfq_via_g((-1.0, 1.0), (2.0,), -0.5)
 
 
+@pytest.mark.parametrize("a, b", [((-math.inf,), (1.0,)),
+                                  ((math.inf, 1.0), (2.0,)),
+                                  ((1.0,), (math.nan,)),
+                                  ((1.0,), (complex(2.0, math.inf),))])
+def test_non_finite_parameters_rejected_before_any_term(monkeypatch, a, b):
+    # pfq used to spend its term budget (ConvergenceError) or raise an
+    # untyped OverflowError; pfq_via_g must not reach its G function
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the G function was evaluated")
+
+    monkeypatch.setattr(sf, "_evaluate_kernel", no_kernel)
+    with pytest.raises(ParameterError):
+        sf.pfq(a, b, 0.5)
+    with pytest.raises(ParameterError):
+        sf.pfq_via_g(a, b, -0.5)
+
+
 def test_pfq_via_g_positive_axis_rejected():
     with pytest.raises(ParameterError):
         sf.pfq_via_g((1.0, 1.0), (2.0,), 0.5)
