@@ -13,10 +13,7 @@ Two evaluation paths share the same Lanczos coefficients:
   a point below the real axis is conjugated in place rather than by
   recursion.
 - a vectorized numpy path for contour grids, one call per quadrature
-  level.  The partial fractions of each block of _BLOCK points fill one
-  (15, block) stack in one add and one divide and are summed row by row,
-  so the scratch is bounded whatever the grid's size; the principal logs
-  of t and of the Lanczos sum are taken in one call.
+  level.
 
 ``on_pole`` is detect_pole's decision without the report, for the
 residue terms; both read the nearest pole from ``_nearest_pole``.
@@ -50,12 +47,6 @@ _LANCZOS_COEF = (
 (_C0, _C1, _C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11, _C12, _C13,
  _C14) = _LANCZOS_COEF
 _T_SHIFT = _LANCZOS_G - 0.5  # t = z + g - 1/2
-# the grid path's partial fractions, coefficient k over z - 1 + k for
-# k >= 1, as complex columns: a float operand would be cast per element
-_SHIFTS = np.arange(1, len(_LANCZOS_COEF), dtype=np.complex128)[:, None]
-_NUMERATORS = np.array(_LANCZOS_COEF[1:], dtype=np.complex128)[:, None]
-# grid points per partial-fraction stack: (15, _BLOCK) is 120 KiB
-_BLOCK = 512
 LOG_2PI = np.log(2.0 * np.pi)
 _HALF_LOG_2PI = 0.5 * LOG_2PI
 _REFLECT_SHIFT = LOG_2PI - 0.5j * cmath.pi  # log pi - log(i/2)
@@ -77,11 +68,11 @@ def _nearest_pole(z):
     return k, abs(z - k)
 
 
-def on_pole(z, tol=POLE_TOLERANCE):
-    """detect_pole(z, tol).is_pole for a finite complex ``z``, without the
-    report or the argument checks: the residue terms ask it once per gamma
+def on_pole(z):
+    """detect_pole(z).is_pole for a finite complex ``z``, without the report
+    or the argument checks: the residue terms ask it once per gamma
     factor."""
-    return _nearest_pole(z)[1] <= tol
+    return _nearest_pole(z)[1] <= POLE_TOLERANCE
 
 
 def detect_pole(z, tol=POLE_TOLERANCE):
@@ -109,43 +100,28 @@ def _principal_log(x):
     """
     re, im = x.real, x.imag
     out = np.empty_like(x)
-    mod2 = re * re
-    mod2 += im * im
-    np.log(mod2, out=mod2)
-    np.multiply(mod2, 0.5, out=out.real)
-    np.arctan2(im, re, out=out.imag)
+    out.real = 0.5 * np.log(re * re + im * im)
+    out.imag = np.arctan2(im, re)
     return out
 
 
 def _lanczos(z):
-    """Lanczos log Gamma of an array with Re z >= 0.5.
-
-    The 14 partial fractions of a block of _BLOCK points fill rows 1..14
-    of one (15, block) stack under the leading coefficient, in two ufunc
-    calls, and are summed row after row, in coefficient order, as the
-    scalar path adds them.  The stack is summed as reals: a complex stack
-    of one column would be reduced along its only contiguous axis,
-    pairwise, not in row order.
-    """
-    flat = z.reshape(-1)
-    ts = np.empty((2, flat.size), dtype=np.complex128)  # t, the Lanczos sum
-    np.add(flat, _T_SHIFT, out=ts[0])
-    for lo in range(0, flat.size, _BLOCK):
-        block = flat[lo:lo + _BLOCK]
-        stack = np.empty((len(_LANCZOS_COEF), block.size), dtype=np.complex128)
-        stack[0] = _C0
-        parts = stack[1:]
-        np.add(block - 1.0, _SHIFTS, out=parts)
-        np.divide(_NUMERATORS, parts, out=parts)
-        np.add.reduce(stack.view(np.float64), axis=0,
-                      out=ts[1, lo:lo + _BLOCK].view(np.float64))
-    logs = _principal_log(ts)
-    out = flat - 0.5
-    out *= logs[0]  # operand order as in (z - 0.5) * log t
+    # assumes Re z >= 0.5; the partial fractions accumulate in place, in
+    # coefficient order, so a grid needs two scratch arrays of its own size
+    zm1 = z - 1.0
+    series = np.full(z.shape, _LANCZOS_COEF[0], dtype=np.complex128)
+    term = np.empty_like(series)
+    for k in range(1, len(_LANCZOS_COEF)):
+        np.add(zm1, k, out=term)
+        np.divide(_LANCZOS_COEF[k], term, out=term)
+        series += term
+    t = z + (_LANCZOS_G - 0.5)
+    out = z - 0.5
+    out *= _principal_log(t)  # operand order as in (z - 0.5) * log t
     out += _HALF_LOG_2PI
-    out -= ts[0]
-    out += logs[1]
-    return out.reshape(z.shape)
+    out -= t
+    out += _principal_log(series)
+    return out
 
 
 def _lanczos_scalar(z):
@@ -209,7 +185,8 @@ def log_gamma_grid(z):
         factor.imag = -np.exp(a) * np.sin(b)
         with np.errstate(divide="ignore"):  # log 0 = -inf on a pole
             log_factor = _principal_log(factor)
-        out[refl] = (_REFLECT_SHIFT + _I_PI * zr - log_factor - out[refl])
+        out[refl] = (LOG_2PI - 0.5j * np.pi + 1j * np.pi * zr
+                     - log_factor - out[refl])
     return np.where(neg, out.conj(), out)
 
 
@@ -233,12 +210,14 @@ def pochhammer(alpha, n):
 
     Direct product for n <= 64 (exact termination when a factor vanishes),
     log-domain gamma ratio above that whenever neither endpoint sits on a
-    pole ladder.
+    pole ladder.  A non-finite ``alpha`` is a DomainError for every n.
     """
     n = int(n)
     if n < 0:
         raise DomainError("pochhammer index must be a nonnegative integer", n=n)
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise DomainError("pochhammer needs a finite alpha", alpha=alpha)
     if n <= 64 or detect_pole(alpha).is_pole or detect_pole(alpha + n).is_pole:
         out = 1.0 + 0.0j
         for k in range(n):
