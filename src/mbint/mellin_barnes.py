@@ -24,6 +24,7 @@ route.
 import cmath
 import functools
 import heapq
+import itertools
 import logging
 import math
 import numbers
@@ -265,14 +266,14 @@ class Pole:
 
 @dataclass(slots=True)  # not frozen: a frozen __init__ costs 3x as much
 class _Ladder:
-    """The poles of one numerator gamma: an arithmetic progression in s.
+    """The poles of one gamma factor: an arithmetic progression in s.
 
     s_l = (origin + step * l) / mult for 0 <= l < length.  Gamma(b - beta s)
     (family up_left) has the right-opening poles, step +1 from origin b;
     Gamma(1 - a + alpha s) (up_right) the left-opening ones, step -1 from
     origin a - 1; ``mult`` is beta or alpha, and ``idx`` the factor's index
-    in its family.  The contour code uses unbounded ladders (length
-    math.inf).
+    in its family; denominator gammas have ladders of the same two shapes.
+    The contour code uses unbounded ladders (length math.inf).
     """
     step: int
     idx: int
@@ -287,9 +288,46 @@ class _Ladder:
     def location(self, l):
         return (self.origin + self.step * l) / self.mult
 
-    def nearest(self, loc):
-        """The index l >= 0 whose pole lies nearest ``loc``."""
-        return max(round(self.step * (loc * self.mult - self.origin).real), 0)
+    def ratio(self, other):
+        """k if other.mult is a whole k >= 1 times mult, to POLE_TOLERANCE."""
+        k = round(other.mult / self.mult)
+        return k if k and abs(other.mult / self.mult - k) <= POLE_TOLERANCE \
+            else None
+
+    def meets(self, other):
+        """The first index pair (l, l'), by l, with s_l within
+        POLE_TOLERANCE of the pole s'_l' of ``other``, else None.
+
+        At a whole ratio k (ratio) they meet only on l' = n + step * step'
+        * k * l for one integer n: closed form.  Otherwise a numpy sweep
+        holds each pole short of other's far end (its head if it opens the
+        other way, else its last pole, which must be finite) against the
+        nearest pole of ``other``.
+        """
+        k = self.ratio(other)
+        if k is not None:
+            n = round((other.step * (k * self.origin - other.origin)).real)
+            # the first l >= 0 whose l' lies in 0 .. other.length - 1
+            l = max(0, -(n // k)) if self.step == other.step \
+                else 0 if n < other.length else -((other.length - 1 - n) // k)
+            l2 = n + self.step * other.step * k * l
+            if l < self.length and 0 <= l2 < other.length and abs(
+                    self.location(l) - other.location(l2)) <= POLE_TOLERANCE:
+                return l, l2
+            return None
+        far = other.location(0 if self.step != other.step
+                             else other.length - 1).real
+        count = min(self.length, 2 + math.floor(self.mult * (
+            self.step * far + POLE_TOLERANCE) - self.step * self.origin.real))
+        for lo in range(0, count, 4096):  # bounded memory for a huge count
+            s = self.location(np.arange(lo, min(count, lo + 4096)))
+            near = np.rint(other.step * (s * other.mult - other.origin).real)
+            near = np.clip(near, 0, other.length - 1)
+            hit = np.flatnonzero(np.abs(s - other.location(near))
+                                 <= POLE_TOLERANCE)
+            if hit.size:
+                return lo + int(hit[0]), int(near[hit[0]])
+        return None
 
     def short_of(self, bound):
         """The poles s_l, in ladder order, before the ladder reaches the
@@ -303,13 +341,14 @@ class _Ladder:
             l += 1
 
 
-def _pole_ladders(kernel, side, length):
-    """The ladders that closing the contour on ``side`` encircles."""
+def _pole_ladders(kernel, side, length, den=False):
+    """The ladders that closing the contour on ``side`` encircles; with
+    ``den``, those of the denominator gammas whose poles open that way."""
     if side == "right":
-        return [_Ladder(1, idx, length, f.coeff, f.mult)
-                for idx, f in enumerate(kernel.up_left)]
-    return [_Ladder(-1, idx, length, f.coeff - 1.0, f.mult)
-            for idx, f in enumerate(kernel.up_right)]
+        return [_Ladder(1, idx, length, f.coeff, f.mult) for idx, f
+                in enumerate(kernel.down_right if den else kernel.up_left)]
+    return [_Ladder(-1, idx, length, f.coeff - 1.0, f.mult) for idx, f
+            in enumerate(kernel.down_left if den else kernel.up_right)]
 
 
 def _ladder_poles(ladder):
@@ -331,51 +370,23 @@ def _merged_poles(ladders):
     return heapq.merge(*map(_ladder_poles, ladders))
 
 
-def _coincident_pole(a, b):
-    """A pole of ladder ``a`` within POLE_TOLERANCE of one of ladder ``b``
-    (same family, same length), or None."""
-    n = a.length
-    if a.mult == b.mult:
-        # s_l - s'_l' depends on j = l - l' alone: only the j nearest the
-        # gap between the origins can bring two poles together
-        j = round(a.step * (b.origin - a.origin).real)
-        if abs(j) >= n:
-            return None
-        l = max(j, 0)
-        loc = b.location(l - j)
-        return loc if abs(a.location(l) - loc) <= POLE_TOLERANCE else None
-    # unequal steps: every pole of a against the nearest pole of b
-    sa = (a.origin + a.step * np.arange(n)) / a.mult
-    lb = np.clip(np.rint(a.step * (sa * b.mult - b.origin).real), 0, n - 1)
-    sb = (b.origin + a.step * lb) / b.mult
-    hit = np.flatnonzero(np.abs(sa - sb) <= POLE_TOLERANCE)
-    return complex(sa[hit[0]]) if hit.size else None
+def _first_meeting(pairs):
+    """s_l of a at the first pair (a, b) that meets (_Ladder.meets) or None."""
+    return next((a.location(hit[0]) for a, b in pairs
+                 if (hit := a.meets(b))), None)
 
 
-def _live_length(kernel, ladder):
+def _live_length(ladder, dens):
     """The index from which every residue on ``ladder`` vanishes, else
-    math.inf.
-
-    A denominator gamma whose argument moves by a non-positive integer from
-    pole to pole sits on a pole at every pole of the ladder from the first
-    one where its argument is a non-positive integer.
-    """
-    step = ladder.step / ladder.mult
-    s0 = ladder.origin / ladder.mult
-    end = math.inf
-    for coeff, slope, sign in _signed_terms(kernel):
-        move = slope * step
-        k = round(move)
-        w0 = coeff + slope * s0
-        n0 = round(w0.real)
-        if sign > 0 or k > 0 or abs(move - k) > POLE_TOLERANCE \
-                or abs(w0 - n0) > POLE_TOLERANCE:
-            continue
-        if k < 0:
-            end = min(end, max(0, -(-n0 // -k)))  # ceil(n0 / -k)
-        elif n0 <= 0:
-            end = 0
-    return end
+    math.inf: its first meeting with a ladder in ``dens`` (opening the same
+    way) at a whole multiplier ratio (_Ladder.ratio), whose denominator
+    gamma from there on sits on a pole at every pole of the ladder."""
+    if not dens:
+        return math.inf
+    unbounded = _Ladder(ladder.step, ladder.idx, math.inf, ladder.origin,
+                        ladder.mult)  # replace() costs 7 times as much
+    return min([hit[0] for den in dens if ladder.ratio(den)
+                and (hit := unbounded.meets(den))], default=math.inf)
 
 
 def pole_families(kernel, count):
@@ -386,45 +397,37 @@ def pole_families(kernel, count):
     right-opening ones from Gamma(b - beta s), moving rightward, in the
     order the residue route draws them (_merged_poles): poles with equal
     real parts by ascending Im.  Poles where distinct factors collide
-    carry order > 1.
+    carry order > 1: a pole joins the first earlier one within
+    POLE_TOLERANCE, among those whose merge key is that close.
     """
     if count < 1:
         raise ParameterError("count must be >= 1", count=count)
     out = []
     for side in ("left", "right"):
         ladders = _pole_ladders(kernel, side, count)
-        clusters = []
-        for _, _, idx, l, loc in _merged_poles(ladders):
+        clusters = []  # [key, location, sources], in merge order
+        for key, _, idx, l, loc in _merged_poles(ladders):
             src = (ladders[idx].family, idx, l)
-            if clusters and abs(loc - clusters[-1][0]) <= POLE_TOLERANCE:
-                clusters[-1][1].append(src)
-            else:
-                clusters.append([loc, [src]])
+            near = itertools.takewhile(
+                lambda c: key - c[0] <= POLE_TOLERANCE, reversed(clusters))
+            hit = next((c for c in near
+                        if abs(loc - c[1]) <= POLE_TOLERANCE), None)
+            if hit is None:
+                hit = [key, loc, []]
+                clusters.append(hit)
+            hit[2].append(src)
         out.append([Pole(loc, len(srcs), tuple(srcs))
-                    for loc, srcs in clusters])
+                    for _, loc, srcs in clusters])
     return tuple(out)
 
 
 def find_pole_collision(kernel):
-    """A point where the two opening families collide, or None.
-
-    Only finitely many collisions are possible because right-opening
-    ladders increase in real part and left-opening ones decrease: walking
-    each right-opening ladder up to each left-opening head makes the
-    search exact.
-    """
-    lefts = [(left, left.location(0).real + POLE_TOLERANCE)
-             for left in _pole_ladders(kernel, "left", math.inf)]
-    rights = _pole_ladders(kernel, "right", math.inf)
-    if min((r.location(0).real for r in rights), default=math.inf) \
-            >= max((bound for _, bound in lefts), default=-math.inf):
-        return None  # separable: no right-opening pole left of a bound
-    for right in rights:
-        for left, bound in lefts:
-            for s in right.short_of(bound):
-                if abs(left.location(left.nearest(s)) - s) <= POLE_TOLERANCE:
-                    return s
-    return None
+    """The first right-opening pole on a left-opening ladder, or None
+    (_first_meeting, ladders in factor order).  Unbounded ladders opening
+    apart meet only short of the other's head, so the search ends."""
+    return _first_meeting(itertools.product(
+        _pole_ladders(kernel, "right", math.inf),
+        _pole_ladders(kernel, "left", math.inf)))
 
 
 # --------------------------------------------------------------------------
@@ -522,9 +525,9 @@ def _crossed_poles(kernel, anchor):
     (ladder, terms) pairs (_ladder_model) whose poles l < ladder.length are
     crossed: right-opening poles left of the line, left-opening ones right
     of it.  Refuses, with ContourError, a pole on the line, two crossed
-    poles of one family that meet (by _coincident_pole, as residue_series
-    does) and more than MAX_NODES crossed poles on a ladder, one residue
-    each.  Memoized per (kernel, anchor), as choose_contour is.
+    poles of one family that meet (_first_meeting, as residue_series does)
+    and more than MAX_NODES crossed poles on a ladder, one residue each.
+    Memoized per (kernel, anchor), as choose_contour is.
     """
     out = []
     for side in ("right", "left"):
@@ -541,16 +544,11 @@ def _crossed_poles(kernel, anchor):
                                    location=locs[-1], anchor=anchor)
             if locs:
                 crossed.append(replace(lad, length=len(locs)))
-        for i, a in enumerate(crossed):
-            for b in crossed[i + 1:]:
-                # two poles that meet are crossed together, so the longer of
-                # the two walks holds any pair that meets
-                n = max(a.length, b.length)
-                loc = _coincident_pole(replace(a, length=n),
-                                       replace(b, length=n))
-                if loc is not None:
-                    raise ContourError("crossed pole has order > 1",
-                                       location=loc, anchor=anchor)
+        # two poles that meet are crossed together
+        loc = _first_meeting(itertools.combinations(crossed, 2))
+        if loc is not None:
+            raise ContourError("crossed pole has order > 1", location=loc,
+                               anchor=anchor)
         for lad in crossed:
             lad, terms, _ = _ladder_model(kernel, lad, exact=False)
             out.append((lad, tuple(terms)))  # shared by every caller
@@ -978,13 +976,12 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
                                        side=side)
     # refused before summing: a denominator gamma can vanish on each shared
     # pole (Gamma(2 - s)^2 / Gamma(-1 - s)), making every term there zero
-    for i, a in enumerate(ladders):
-        for b in ladders[i + 1:]:
-            loc = _coincident_pole(a, b)
-            if loc is not None:
-                raise HigherOrderPoleError("coincident poles on the chosen "
-                                           "side", location=loc)
-    cuts = [_live_length(kernel, lad) for lad in ladders]
+    loc = _first_meeting(itertools.combinations(ladders, 2))
+    if loc is not None:
+        raise HigherOrderPoleError("coincident poles on the chosen side",
+                                   location=loc)
+    dens = _pole_ladders(kernel, side, math.inf, den=True)
+    cuts = [_live_length(lad, dens) for lad in ladders]
     logz = complex(np.log(z)) + 2j * np.pi * branch_k
     total, abs_sum, tail, nterms, converged = _sum_residues(
         kernel, [replace(lad, length=min(cut, n_max))

@@ -116,7 +116,8 @@ def pfq(a, b, z, tol=1e-14, max_terms=100000):
     validation, so a polynomial case evaluates even when some b_k is a
     non-positive integer further down the ladder.  A non-finite a_j, b_k
     or z, or a ``tol`` that is not a positive finite number, is a
-    ParameterError.
+    ParameterError; a term or partial sum past the double range is a
+    ConvergenceError at once (pfq_via_g sums a large |z| by residues).
     """
     a = _complex_tuple(a)
     b = _complex_tuple(b)
@@ -152,6 +153,8 @@ def pfq(a, b, z, tol=1e-14, max_terms=100000):
             factor /= b_k + n
         term = term * factor
         total += term
+        if not cmath.isfinite(total):  # a non-finite term makes it so too
+            raise ConvergenceError("series terms overflow", terms=n + 1)
         if abs(term) < tol * max(abs(total), 1e-300):
             ok += 1
             if ok >= 3:

@@ -207,6 +207,15 @@ def test_eval_pfq_non_finite_parameter_is_parameter_error(capsys, param):
     assert obj["error"]["code"] == "parameter_error"
 
 
+def test_eval_pfq_overflow_is_numerical_failure(capsys):
+    # the sum e^720 overflows: it used to exit 0 and print Infinity, which
+    # is not JSON
+    code, obj = run_json(capsys, "eval", "pfq", "--num", "1", "--den", "1",
+                         "--z", "720")
+    assert code == 3
+    assert obj["error"]["code"] == "convergence_error"
+
+
 def test_numeric_error_exit_code(capsys):
     # all-denominator kernel has no decay: the integral diverges
     code, obj = run_json(capsys, "eval", "g", "--orders", "0,0,1,1",

@@ -620,8 +620,10 @@ def test_residue_series_unequal_steps_collide_past_first_pole():
     kernel = mb.MellinKernel(up_left=((0.0, 1.0), (1.0, 2.0)))
     with pytest.raises(HigherOrderPoleError):
         mb.residue_series(kernel, 0.3, "right")
-    assert mb._coincident_pole(*mb._pole_ladders(kernel, "right", 2)) == 1.0
-    assert mb._coincident_pole(*mb._pole_ladders(kernel, "right", 1)) is None
+    a, b = mb._pole_ladders(kernel, "right", 2)
+    assert a.meets(b) == (1, 1) and a.location(1) == b.location(1) == 1.0
+    a, b = mb._pole_ladders(kernel, "right", 1)
+    assert a.meets(b) is None
 
 
 def test_residue_series_draws_at_most_terms_plus_ladders(monkeypatch):
@@ -1337,10 +1339,6 @@ def test_ladder_step_sets_direction():
         == [(0.5 + 0.25j + l) / 2.0 for l in range(3)]
     assert [left.location(l) for l in range(3)] \
         == [(0.5 + 0.25j - l) / 2.0 for l in range(3)]
-    for l in range(5):
-        assert right.nearest(right.location(l) + 0.1) == l
-        assert left.nearest(left.location(l) - 0.1) == l
-    assert left.nearest(10.0) == 0 and right.nearest(-10.0) == 0
 
 
 def test_pole_families_list_the_residue_merge_order():
@@ -1364,9 +1362,10 @@ def test_residue_series_builds_its_ladders_once(monkeypatch):
     calls = []
     build = mb._pole_ladders
 
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
+    def counted(*args, **kwargs):
+        if not kwargs.get("den"):  # numerator ladders only: the cut asks
+            calls.append(args)     # for the denominator ones
+        return build(*args, **kwargs)
     monkeypatch.setattr(mb, "_pole_ladders", counted)
     exact = []
     real_sum = mb._sum_residues
@@ -1378,3 +1377,146 @@ def test_residue_series_builds_its_ladders_once(monkeypatch):
     mb.residue_series(kernel, -0.8040259380530045 + 0.5091693353898146j,
                       "right", n_max=800, tol=1e-10)
     assert exact == [False, True] and len(calls) == 1
+
+
+def _scan_meets(a, b, horizon=80):
+    """The first (l, l') an all-pairs scan finds, unbounded ladders cut at
+    ``horizon`` poles."""
+    la, lb = min(a.length, horizon), min(b.length, horizon)
+    for l in range(la):
+        for l2 in range(lb):
+            if abs(a.location(l) - b.location(l2)) <= POLE_TOLERANCE:
+                return l, l2
+    return None
+
+
+def _random_ladder(rng, step, length, idx=0):
+    """A ladder with a lattice origin (quarter integers, some complex, some
+    off by less or more than POLE_TOLERANCE) or an off-lattice one."""
+    if rng.random() < 0.75:
+        origin = complex(rng.randint(-12, 12) / 4,
+                         rng.choice((0.0, 0.0, 0.0, 0.5)))
+        origin += rng.choice((0.0, 0.0, 0.0, 4e-10, 5e-9))
+    else:
+        origin = complex(rng.uniform(-3, 3), rng.choice((0.0, 0.25)))
+    return mb._Ladder(step, idx, length, origin,
+                      rng.choice((0.5, 1.0, 1.5, 2.0, 3.0)))
+
+
+def test_meets_matches_an_all_pairs_scan():
+    rng = random.Random(11)
+    kinds = collections.Counter()
+    for _ in range(2000):
+        sa, sb = rng.choice((1, -1)), rng.choice((1, -1))
+        la = rng.choice((1, 3, 8, 30, math.inf))
+        # two unbounded ladders opening the same way meet without end
+        lb = rng.choice((1, 3, 8, 30) + ((math.inf,) if sa != sb else ()))
+        a, b = _random_ladder(rng, sa, la), _random_ladder(rng, sb, lb)
+        got = a.meets(b)
+        # |origin| <= 3 and mult in [0.5, 3]: ladders opening apart meet
+        # within 36 poles; an unbounded one meets a finite one of 30 poles
+        # opening the same way within 207
+        assert got == _scan_meets(a, b, 210 if sa == sb else 80), (a, b)
+        kinds[(sa == sb, (b.mult / a.mult).is_integer(),
+               got is not None and got != (0, 0))] += 1
+    # both branches, both directions, meetings past the heads of both
+    assert len(kinds) == 8, kinds
+
+
+def _eager_cut(kernel, ladder, n):
+    """The first l <= n - 3 from which one denominator gamma sits on a pole
+    (within POLE_TOLERANCE in s) at every pole l..n-1 of ``ladder``, else
+    inf: a run that long needs a whole multiplier ratio."""
+    runs = []
+    for f, slope in [(f, f.mult) for f in kernel.down_left] \
+            + [(f, -f.mult) for f in kernel.down_right]:
+        coeff = 1.0 - f.coeff if slope > 0 else f.coeff
+        hits = [cgamma._nearest_pole(coeff + slope * ladder.location(l))[1]
+                / f.mult <= POLE_TOLERANCE for l in range(n)]
+        l = n
+        while l > 0 and hits[l - 1]:
+            l -= 1
+        runs.append(l)
+    first = min(runs, default=n)
+    return first if first <= n - 3 else math.inf
+
+
+def test_live_length_matches_an_eager_per_pole_check():
+    rng = random.Random(12)
+    n = 60
+    cuts = collections.Counter()
+
+    def factors(k):
+        return tuple((_random_ladder(rng, 1, 1).origin,
+                      rng.choice((0.5, 1.0, 1.5, 2.0, 3.0)))
+                     for _ in range(k))
+
+    for _ in range(600):
+        kernel = mb.MellinKernel(up_left=factors(rng.randint(0, 2)),
+                                 up_right=factors(rng.randint(0, 2)),
+                                 down_left=factors(rng.randint(0, 3)),
+                                 down_right=factors(rng.randint(0, 3)))
+        for side in ("left", "right"):
+            dens = mb._pole_ladders(kernel, side, math.inf, den=True)
+            for ladder in mb._pole_ladders(kernel, side, n):
+                cut = mb._live_length(ladder, dens)
+                assert (cut if cut <= n - 3 else math.inf) \
+                    == _eager_cut(kernel, ladder, n), (kernel, side)
+                cuts[0 if cut == 0 else 1 if cut < math.inf else 2] += 1
+    assert min(cuts.values()) > 10, cuts
+
+
+def test_live_length_tolerance_is_in_s():
+    # Gamma(-s / 2) against 1/Gamma(a - s / 2): the poles s = 2l against
+    # s = 2(a + l'); a = 7e-10 moves them by 1.4e-9 in s, though only by
+    # 7e-10 in the argument, so no cut; a = 4e-10 by 8e-10, a cut at l = 0
+    for a, cut in ((7e-10, math.inf), (4e-10, 0)):
+        kernel = mb.MellinKernel(up_left=((0.0, 0.5),),
+                                 down_right=((a, 0.5),))
+        ladder, = mb._pole_ladders(kernel, "right", 10)
+        dens = mb._pole_ladders(kernel, "right", math.inf, den=True)
+        assert mb._live_length(ladder, dens) == cut
+
+
+def test_a_ratio_whole_to_rounding_is_whole():
+    # 0.9 / 0.3 is 3.0000000000000004 in double: the closed form and the cut
+    # take it as 3; s = l / 0.3 meets s' = (3 + l') / 0.9 on l' = 3l - 3
+    a, b = mb._Ladder(1, 0, 50, 0.0, 0.3), mb._Ladder(1, 0, 50, 3.0, 0.9)
+    assert a.ratio(b) == 3 and b.ratio(a) is None
+    assert a.meets(b) == _scan_meets(a, b) == (1, 0)
+    kernel = mb.MellinKernel(up_left=((0.0, 0.3),), down_right=((3.0, 0.9),))
+    ladder, = mb._pole_ladders(kernel, "right", 50)
+    dens = mb._pole_ladders(kernel, "right", math.inf, den=True)
+    assert mb._live_length(ladder, dens) == _eager_cut(kernel, ladder, 50) \
+        == 1
+
+
+def test_pole_families_merge_across_an_interleaved_pole():
+    # 1 + 0.5i sorts between s = 1 and s = 1 + 5e-10, which residue_series
+    # refuses as one double pole
+    kernel = mb.MellinKernel(up_left=((1, 1), (1 + 5e-10, 1), (1 + 0.5j, 1)))
+    _, right = mb.pole_families(kernel, 2)
+    assert [(p.location, p.order) for p in right[:2]] \
+        == [(1.0, 2), (1 + 0.5j, 1)]
+    assert right[0].sources == (("up_left", 0, 0), ("up_left", 1, 0))
+    with pytest.raises(HigherOrderPoleError):
+        mb.residue_series(kernel, 0.5, "right")
+
+
+def test_pole_families_order_matches_meets():
+    rng = random.Random(13)
+    shared = collections.Counter()
+    for _ in range(400):
+        side = rng.choice(("left", "right"))
+        factors = tuple((_random_ladder(rng, 1, 1).origin,
+                         rng.choice((0.5, 1.0, 1.5, 2.0, 3.0)))
+                        for _ in range(rng.randint(1, 3)))
+        kernel = mb.MellinKernel(up_left=factors) if side == "right" \
+            else mb.MellinKernel(up_right=factors)
+        poles = mb.pole_families(kernel, 12)[side == "right"]
+        hit = mb._first_meeting(itertools.combinations(
+            mb._pole_ladders(kernel, side, 12), 2))
+        assert any(p.order > 1 for p in poles) == (hit is not None), factors
+        assert sum(p.order for p in poles) == 12 * len(factors)
+        shared[hit is not None] += 1
+    assert min(shared.values()) > 20, shared

@@ -52,6 +52,20 @@ def test_pfq_invalid_denominator():
         sf.pfq((1.0,), (-2.0,), 0.5)
 
 
+@pytest.mark.parametrize("a, b, z, terms", [
+    ((1.0,), (1.0,), 720.0, 616),    # e^720: the sum used to return inf
+    ((1.0,), (2.0,), -800.0, 470),   # (1 - e^-800) / 800: terms overflow
+])
+def test_pfq_refuses_an_overflowing_series_at_once(a, b, z, terms):
+    # the second used to run all 100,000 terms before its ConvergenceError;
+    # pfq_via_g sums it by residues
+    with pytest.raises(ConvergenceError) as info:
+        sf.pfq(a, b, z)
+    assert info.value.context["terms"] == terms
+    if z < 0:
+        assert sf.pfq_via_g(a, b, z).value == pytest.approx(1 / 800, 1e-12)
+
+
 def test_pfq_divergence_guards():
     with pytest.raises(DivergentSeriesError):
         sf.pfq((1.0, 1.0, 1.0), (2.0,), 0.1)      # p > q + 1
