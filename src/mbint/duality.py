@@ -12,6 +12,7 @@ swap (m, p) <-> (p, m) and the round trips are identities of the data model
 rather than theorems about it.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,15 @@ def _as_entries(rows):
     if not out or width == 0:
         raise ParameterError("coefficient matrix must be non-empty")
     return tuple(out)
+
+
+def _is_real(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_whole(v):
+    return _is_real(v) and (isinstance(v, numbers.Integral)
+                            or float(v).is_integer())
 
 
 @dataclass(frozen=True)
@@ -70,14 +80,26 @@ class CoefficientMatrix:
 
     @classmethod
     def from_json(cls, obj):
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        flat = obj["entries"]
-        if len(flat) != rows * cols:
-            raise ParameterError("entry count does not match rows*cols",
-                                 rows=rows, cols=cols, entries=len(flat))
-        data = [[complex(flat[i * cols + j][0], flat[i * cols + j][1])
-                 for j in range(cols)] for i in range(rows)]
-        return cls(tuple(tuple(r) for r in data))
+        """The matrix of a to_json object; any other shape is a
+        ParameterError."""
+        if not isinstance(obj, dict):
+            raise ParameterError("matrix JSON must be an object")
+        rows, cols, flat = (obj.get(k) for k in ("rows", "cols", "entries"))
+        if not (_is_whole(rows) and _is_whole(cols)):
+            raise ParameterError("matrix JSON needs integer rows and cols",
+                                 rows=rows, cols=cols)
+        rows, cols = int(rows), int(cols)
+        if not isinstance(flat, (list, tuple)) or len(flat) != rows * cols:
+            raise ParameterError("entries must be a list of rows*cols pairs",
+                                 rows=rows, cols=cols)
+        for entry in flat:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                    and all(map(_is_real, entry))):
+                raise ParameterError("matrix entry must be a pair [re, im] "
+                                     "of numbers", entry=entry)
+        return cls(tuple(
+            tuple(complex(*e) for e in flat[i * cols:(i + 1) * cols])
+            for i in range(rows)))
 
 
 @dataclass(frozen=True)

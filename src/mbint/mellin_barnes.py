@@ -693,7 +693,7 @@ def _gamma_residue(ladder, terms, l, shift):
     term = mpmath.mpf(-ladder.step if l % 2 == 0 else ladder.step)
     for coeff, slope, sign in terms:
         w = coeff + slope * s
-        if detect_pole(w).is_pole:
+        if on_pole(complex(w)):
             if sign > 0:
                 raise PoleError("kernel evaluated at a numerator pole",
                                 s=complex(s), argument=complex(w))

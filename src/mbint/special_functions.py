@@ -22,6 +22,9 @@ from .errors import (ConvergenceError, DivergentSeriesError,
 from .fde_solutions import coefficient_roots, split_parameters
 from .quadrature import check_tolerance
 
+PFQ_MAX_TERMS = 100000  # pfq's term budget
+G_ODE_EVAL_TOL = 1e-12  # the tol of g_ode_residual's meijer_g evaluations
+
 
 def _complex_tuple(values):
     return tuple(complex(v) for v in values)
@@ -109,7 +112,7 @@ def _termination_index(a):
     return best
 
 
-def pfq(a, b, z, tol=1e-14, max_terms=100000):
+def pfq(a, b, z, tol=1e-14):
     """Partial sums of the generalized hypergeometric series.
 
     Terminating upper parameters take precedence over denominator
@@ -143,7 +146,7 @@ def pfq(a, b, z, tol=1e-14, max_terms=100000):
     term = 1.0 + 0.0j
     total = term
     ok = 0
-    for n in range(max_terms):
+    for n in range(PFQ_MAX_TERMS):
         if n_stop is not None and n >= n_stop:
             return total
         factor = z / (n + 1.0)
@@ -162,7 +165,7 @@ def pfq(a, b, z, tol=1e-14, max_terms=100000):
         else:
             ok = 0
     raise ConvergenceError("series did not settle within the term budget",
-                           terms=max_terms)
+                           terms=PFQ_MAX_TERMS)
 
 
 def series_recurrence_residual(a, b, n):
@@ -381,11 +384,11 @@ def _theta_derivatives(u_of, z, radius, max_order):
             for k in range(max_order + 1)]
 
 
-def g_ode_residual(params, z, step=1e-2, tol_eval=1e-12, u=None):
+def g_ode_residual(params, z, step=1e-2, u=None):
     """Normalized defect of the factored operator applied to the function.
 
-    ``u`` overrides the evaluator (default: meijer_g at tol_eval), which
-    lets callers check the operator against closed forms or a zero
+    ``u`` overrides the evaluator (default: meijer_g at G_ODE_EVAL_TOL),
+    which lets callers check the operator against closed forms or a zero
     function.  theta^k u comes from u on the circle |log(z'/z)| = step
     (_theta_derivatives), which must stay on the principal branch: z
     finite and nonzero with |arg z| + step < pi, and step > 0; any other
@@ -400,7 +403,7 @@ def g_ode_residual(params, z, step=1e-2, tol_eval=1e-12, u=None):
     form = theta_form_from_g(params)
     if u is None:
         def u(zz):
-            return meijer_g(params, zz, tol=tol_eval).value
+            return meijer_g(params, zz, tol=G_ODE_EVAL_TOL).value
     thetas = _theta_derivatives(u, z, step, max(params.p, params.q))
     left_poly = polyroots.from_roots(form.left_factors)
     right_poly = polyroots.from_roots(form.right_factors)

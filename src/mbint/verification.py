@@ -14,10 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cgamma, duality, fde_solutions as fde, laplace
+from . import cgamma, duality, fde_solutions as fde, laplace, polyroots
 from . import mellin_barnes as mb
 from . import special_functions as sf
 from .errors import MBIntError
+
+# random instances per suite
+GAMMA_SAMPLES = 300
+DUALITY_SAMPLES = 300
+FDE_SAMPLES = 300
+BINOMIAL_SAMPLES = 5  # laplace: psi with a root off u = 1
+SPECIAL_SAMPLES = 60  # special: series term-ratio recurrences
 
 # (GParams, z) pairs with nonempty separation windows; every entry converges
 # absolutely for quadrature and sums a convergent right-side residue series.
@@ -69,11 +76,12 @@ def _random_complex(rng, n, box=3.0):
 # --------------------------------------------------------------------------
 
 
-def suite_gamma(seed, n_samples=300):
+def suite_gamma(seed):
     rng = np.random.default_rng(seed)
     checks = []
 
-    z = rng.uniform(0.5, 10.0, n_samples) + 1j * rng.uniform(-10, 10, n_samples)
+    z = (rng.uniform(0.5, 10.0, GAMMA_SAMPLES)
+         + 1j * rng.uniform(-10, 10, GAMMA_SAMPLES))
     worst = 0.0
     for zz in z:
         zz = complex(zz)
@@ -81,7 +89,7 @@ def suite_gamma(seed, n_samples=300):
         res = abs(cgamma.log_gamma(zz + 1) - lg0 - np.log(zz))
         worst = max(worst, res / (1.0 + abs(lg0)))
     checks.append(PropertyCheck("log_gamma recurrence", worst, 1e-13,
-                                n_samples))
+                                GAMMA_SAMPLES))
 
     worst = 0.0
     for zz in z[:100]:
@@ -102,29 +110,25 @@ def suite_gamma(seed, n_samples=300):
     checks.append(PropertyCheck("pochhammer recurrence (exact)", worst,
                                 1e-300 + np.finfo(float).tiny, 200))
 
-    err50 = max(abs(cgamma.asymptotic_log_abs_gamma(a, 50.0)
-                    - cgamma.log_gamma(complex(a, 50.0)).real)
-                for a in (0.5, 1.0, 2.0))
-    err100 = max(abs(cgamma.asymptotic_log_abs_gamma(a, 100.0)
-                     - cgamma.log_gamma(complex(a, 100.0)).real)
-                 for a in (0.5, 1.0, 2.0))
-    err200 = max(abs(cgamma.asymptotic_log_abs_gamma(a, 200.0)
-                     - cgamma.log_gamma(complex(a, 200.0)).real)
-                 for a in (0.5, 1.0, 2.0))
+    err50, err100, err200 = (
+        max(abs(cgamma.asymptotic_log_abs_gamma(a, eta)
+                - cgamma.log_gamma(complex(a, eta)).real)
+            for a in (0.5, 1.0, 2.0))
+        for eta in (50.0, 100.0, 200.0))
     checks.append(PropertyCheck("asymptotic |Gamma| error at eta=50",
                                 err50, 0.02, 3))
-    mono = 0.0 if (err100 < err50 and err200 < err100) else 1.0
+    mono = 0.0 if err200 < err100 < err50 else 1.0
     checks.append(PropertyCheck("asymptotic error decreasing 50->100->200",
                                 mono, 0.5, 3))
     return checks
 
 
-def suite_duality(seed, n_samples=300):
+def suite_duality(seed):
     rng = np.random.default_rng(seed)
     checks = []
     worst_rt = 0.0
     worst_orders = 0.0
-    for _ in range(n_samples):
+    for _ in range(DUALITY_SAMPLES):
         rows = int(rng.integers(1, 5))
         cols = int(rng.integers(1, 5))
         entries = _random_complex(rng, rows * cols).reshape(rows, cols)
@@ -144,9 +148,9 @@ def suite_duality(seed, n_samples=300):
         if duality.CoefficientMatrix.from_json(A.to_json()).entries != A.entries:
             worst_rt = 1.0
     checks.append(PropertyCheck("matrix<->spec round trips entry-exact",
-                                worst_rt, 0.5, n_samples))
+                                worst_rt, 0.5, DUALITY_SAMPLES))
     checks.append(PropertyCheck("order/degree swap (m,p)<->(p,m)",
-                                worst_orders, 0.5, n_samples))
+                                worst_orders, 0.5, DUALITY_SAMPLES))
     return checks
 
 
@@ -157,21 +161,19 @@ def _random_fde_instance(rng, max_deg=4):
     sigma = _random_complex(rng, q)
     lead_p = complex(rng.uniform(0.5, 2.0), rng.uniform(-1, 1))
     lead_q = complex(rng.uniform(0.5, 2.0), rng.uniform(-1, 1))
-    from . import polyroots
     return fde.FirstOrderFDE(tuple(polyroots.from_roots(rho, lead_p)),
                              tuple(polyroots.from_roots(sigma, lead_q)))
 
 
-def suite_fde(seed, n_samples=300):
+def suite_fde(seed):
     rng = np.random.default_rng(seed)
     checks = []
     worst_ratio = 0.0
     worst_rec = 0.0
     worst_form = 0.0
-    for _ in range(n_samples):
+    for _ in range(FDE_SAMPLES):
         inst = _random_fde_instance(rng)
         roots = fde.coefficient_roots(inst)
-        from . import polyroots
         rebuilt = polyroots.from_roots(np.asarray(roots.rho), inst.lead_p)
         scale = max(abs(c) for c in inst.p_poly)
         worst_rec = max(worst_rec, float(np.max(np.abs(
@@ -193,15 +195,15 @@ def suite_fde(seed, n_samples=300):
         for j in (1, 2):
             worst_form = max(worst_form, abs(vals[j] / vals[0] - 1.0))
     checks.append(PropertyCheck("root reconstruction", worst_rec, 1e-9,
-                                n_samples))
+                                FDE_SAMPLES))
     checks.append(PropertyCheck("gamma-quotient ratio identity", worst_ratio,
-                                1e-11, n_samples))
+                                1e-11, FDE_SAMPLES))
     checks.append(PropertyCheck("arrangement equivalence (unit-spaced)",
-                                worst_form, 1e-10, n_samples))
+                                worst_form, 1e-10, FDE_SAMPLES))
     return checks
 
 
-def suite_laplace(seed, n_samples=20):
+def suite_laplace(seed):
     rng = np.random.default_rng(seed)
     checks = []
     worst_beta = 0.0
@@ -232,8 +234,7 @@ def suite_laplace(seed, n_samples=20):
     # a root off u = 1: psi = e^{lam t} (1 - e^{-t}/z)^mu against its
     # binomial series sum_k C(mu, k) (-1/z)^k / (x - lam + k), |z| >= 1.5
     worst_binom = 0.0
-    n_binom = n_samples // 4 or 1
-    for _ in range(n_binom):
+    for _ in range(BINOMIAL_SAMPLES):
         z = cmath.rect(rng.uniform(1.5, 4.0), rng.uniform(-math.pi, math.pi))
         mu = complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0))
         lam = rng.uniform(-1.0, 2.0)
@@ -251,7 +252,7 @@ def suite_laplace(seed, n_samples=20):
         worst_binom = max(worst_binom, abs(got - total) / abs(total))
     checks.append(PropertyCheck("transform of a root off 1 matches its "
                                 "binomial series", worst_binom, 1e-7,
-                                n_binom))
+                                BINOMIAL_SAMPLES))
     return checks
 
 
@@ -306,7 +307,7 @@ def _empty_window_ratio(seed):
     return worst
 
 
-def suite_mb(seed, n_samples=None):
+def suite_mb(seed):
     checks = []
     worst_pair = 0.0
     worst_anchor = 0.0
@@ -339,7 +340,7 @@ def suite_mb(seed, n_samples=None):
     return checks
 
 
-def suite_special(seed, n_samples=60):
+def suite_special(seed):
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -364,7 +365,7 @@ def suite_special(seed, n_samples=60):
     # orders restricted to p <= q+1: beyond that the term ratio itself grows
     # like n^(p-q-1) and its representation error alone exceeds the bound
     worst_rec = 0.0
-    for _ in range(n_samples):
+    for _ in range(SPECIAL_SAMPLES):
         q = int(rng.integers(0, 4))
         p = int(rng.integers(0, q + 2))
         a = tuple(rng.uniform(0.3, 3.0, p))
@@ -372,7 +373,7 @@ def suite_special(seed, n_samples=60):
         n = int(rng.integers(0, 51))
         worst_rec = max(worst_rec, sf.series_recurrence_residual(a, b, n))
     checks.append(PropertyCheck("series term-ratio recurrence", worst_rec,
-                                1e-14, n_samples))
+                                1e-14, SPECIAL_SAMPLES))
 
     worst_cls = 0.0
     for p in range(6):

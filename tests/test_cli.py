@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import subprocess
@@ -272,3 +274,181 @@ def test_import_loads_neither_mpmath_nor_scipy():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# every numeric flag of every subcommand, each with a malformed value: the
+# value is appended to a valid argv (argparse keeps the last one)
+_VALID = {
+    "eval pfq": ["eval", "pfq", "--num", "1", "--den", "2", "--z", "0.5"],
+    "eval g": ["eval", "g", "--orders", "1,0,0,1", "--b", "0", "--z", "1"],
+    "eval h": ["eval", "h", "--orders", "1,0,0,1", "--b", "0", "--beta", "1",
+               "--z", "1"],
+    "solve-fde": ["solve-fde", "--p-coeffs", "0,1", "--q-coeffs", "-1,-1"],
+    "pochhammer-check": ["pochhammer-check", "--matrix", "{matrix}", "--x",
+                         "1.5"],
+    "dump-integrand": ["dump-integrand", "--orders", "1,0,0,1", "--b", "0",
+                       "--z", "1", "--out", "{out}"],
+    "verify": ["verify", "--suite", "duality"],
+}
+
+_MALFORMED = [
+    ("eval pfq", "--num", "1,x"), ("eval pfq", "--den", "y"),
+    ("eval pfq", "--z", "0.5,1,2"), ("eval pfq", "--z", "x"),
+    ("eval pfq", "--z", ""), ("eval pfq", "--tol", "x"),
+    ("eval pfq", "--tol", "0"),
+    ("eval g", "--orders", "1,0,x,1"), ("eval g", "--orders", "1,0,0"),
+    ("eval g", "--orders", "1,0,0,1.5"), ("eval g", "--a", "x"),
+    ("eval g", "--b", "0,y"), ("eval g", "--z", "x,y"),
+    ("eval g", "--z", "1+2"), ("eval g", "--tol", "-1e-10"),
+    ("eval h", "--orders", "1,0,0,1,0"), ("eval h", "--a", "x"),
+    ("eval h", "--alpha", "x"), ("eval h", "--b", "x"),
+    ("eval h", "--beta", "x"), ("eval h", "--beta", "1j"),
+    ("eval h", "--z", "1,2,3"), ("eval h", "--tol", "nan"),
+    ("solve-fde", "--p-coeffs", "0,x"), ("solve-fde", "--q-coeffs", "y"),
+    ("solve-fde", "--m", "x"), ("solve-fde", "--n", "1.5"),
+    ("pochhammer-check", "--x", "1,b"), ("pochhammer-check", "--x", "x"),
+    ("pochhammer-check", "--beta", "x"), ("pochhammer-check", "--tol", "0"),
+    ("dump-integrand", "--orders", "1,0,x,1"), ("dump-integrand", "--a", "x"),
+    ("dump-integrand", "--b", "x"), ("dump-integrand", "--z", "x,y"),
+    ("dump-integrand", "--points", "x"),
+    ("verify", "--seed", "x"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", _MALFORMED)
+def test_malformed_flag_is_usage_error(capsys, beta_matrix, tmp_path,
+                                       command, flag, value):
+    # each of these used to exit 1 with a traceback (or, for --tol, to be
+    # refused in run() after parsing)
+    out = tmp_path / "dump.csv"
+    argv = [a.format(matrix=beta_matrix, out=out) for a in _VALID[command]]
+    code = cli.run(argv + [f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert flag in captured.err.splitlines()[0]
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_malformed_flag_cases_start_from_valid_argv(capsys, beta_matrix,
+                                                    tmp_path):
+    assert {command for command, _, _ in _MALFORMED} == set(_VALID)
+    for command, argv in _VALID.items():
+        out = tmp_path / "dump.csv"
+        argv = [a.format(matrix=beta_matrix, out=out) for a in argv]
+        assert cli.run(argv) == 0, command
+
+
+@pytest.mark.parametrize("func", ["pfq", "g"])
+def test_infinite_tolerance_reaches_the_library(capsys, func):
+    command = f"eval {func}"
+    code, obj = run_json(capsys, *_VALID[command], "--tol", "inf")
+    assert code == 2
+    assert obj["error"]["code"] == "parameter_error"
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
+    return str(path)
+
+
+@pytest.mark.parametrize("content,code", [
+    (None, "io_error"),                   # unreadable: was parameter_error
+    ("{", "parameter_error"),                 # invalid JSON
+    (b"\xff\xfe{}", "parameter_error"),       # not UTF-8
+    ("[1, 2]", "parameter_error"),            # not an object: was ignored
+    ('{"num": ["x"]}', "parameter_error"),    # an entry that does not parse
+    ('{"num": [[1, 2]]}', "parameter_error"),
+    ('{"beta": ["x"]}', None),                # eval pfq reads no beta
+])
+def test_params_file_defects(capsys, tmp_path, content, code):
+    path = (str(tmp_path / "missing.json") if content is None
+            else _write(tmp_path, "params.json", content))
+    got, obj = run_json(capsys, "eval", "pfq", "--z", "1", "--params", path)
+    if code is None:
+        assert got == 0 and abs(obj["value"][0] - math.e) < 1e-12
+    else:
+        assert got == 2 and obj["error"]["code"] == code
+
+
+@pytest.mark.parametrize("content,code", [
+    (None, "io_error"),
+    ("{", "parameter_error"),                 # was JSONDecodeError, exit 1
+    (b"\xff\xfe{}", "parameter_error"),
+    ("[1, 2]", "parameter_error"),            # was TypeError
+    ('{"rows": 2, "entries": []}', "parameter_error"),  # was KeyError
+    ('{"rows": "x", "cols": 2, "entries": []}', "parameter_error"),
+    ('{"rows": 1, "cols": 2, "entries": [[1], [1, 0]]}',  # was IndexError
+     "parameter_error"),
+    ('{"rows": 1, "cols": 2, "entries": [["1", 0], [1, 0]]}',
+     "parameter_error"),
+])
+@pytest.mark.parametrize("command", [["dual", "--as", "fde"],
+                                     ["pochhammer-check", "--x", "1.5"]])
+def test_matrix_file_defects(capsys, tmp_path, content, code, command):
+    path = (str(tmp_path / "missing.json") if content is None
+            else _write(tmp_path, "matrix.json", content))
+    got, obj = run_json(capsys, *command, "--matrix", path)
+    assert got == 2
+    assert obj["error"]["code"] == code
+
+
+def test_g_params_file_ignores_h_multipliers(capsys, tmp_path):
+    # a G file may hold alpha: eval g reads a and b only
+    path = _write(tmp_path, "g.json",
+                  json.dumps({"a": [0.5], "b": [0.2], "alpha": [2.0]}))
+    base = ("eval", "g", "--orders", "1,1,1,1", "--z", "0.5")
+    _, from_file = run_cli(capsys, *base, "--params", path)
+    _, from_flags = run_cli(capsys, *base, "--a", "0.5", "--b", "0.2")
+    assert from_file == from_flags
+
+
+def test_h_params_file_supplies_multipliers(capsys, tmp_path):
+    path = _write(tmp_path, "h.json", json.dumps(
+        {"a": [0.5], "alpha": [1.5], "b": [0.2], "beta": "1"}))
+    base = ("eval", "h", "--orders", "1,1,1,1", "--z", "0.5")
+    _, from_file = run_cli(capsys, *base, "--params", path)
+    _, from_flags = run_cli(capsys, *base, "--a", "0.5", "--alpha", "1.5",
+                            "--b", "0.2", "--beta", "1")
+    assert json.loads(from_file)["command"] == "eval h"
+    assert from_file == from_flags
+
+
+def test_complex_argument_forms_agree(capsys):
+    base = ("eval", "h", "--orders", "1,0,0,1", "--b", "0", "--beta", "2")
+    outs = {run_cli(capsys, *base, "--z", z)[1]
+            for z in ("0.5,0.3", "0.5+0.3j", " 0.5 + 0.3j ")}
+    assert len(outs) == 1
+    assert json.loads(outs.pop())["command"] == "eval h"
+
+
+def _csv_rows(out):
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"]
+    assert [r[0] for r in rows[1:]] == sorted(r[0] for r in rows[1:])
+    return dict(rows[1:])
+
+
+def test_csv_output_flattens_nested_keys(capsys):
+    argv = ("eval", "g", "--orders", "1,0,0,1", "--b", "0", "--z", "1")
+    code, out = run_cli(capsys, "--output", "csv", *argv)
+    assert code == 0
+    rows = _csv_rows(out)
+    _, obj = run_json(capsys, *argv)
+    assert rows["contour.anchor"] == json.dumps(obj["contour"]["anchor"])
+    assert rows["contour.truncation"] == \
+        json.dumps(obj["contour"]["truncation"])
+    assert rows["value"] == json.dumps(obj["value"])
+    assert "contour" not in rows
+
+    argv = ("verify", "--suite", "duality", "--seed", "7")
+    code, out = run_cli(capsys, "--output", "csv", *argv)
+    assert code == 0
+    rows = _csv_rows(out)
+    _, obj = run_json(capsys, *argv)
+    assert rows["checks[0].name"] == json.dumps(obj["checks"][0]["name"])
+    assert rows["checks[1].passed"] == "true"
+    assert "checks" not in rows

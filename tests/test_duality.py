@@ -3,7 +3,7 @@ import pytest
 
 from mbint import duality, polyroots
 from mbint.duality import CoefficientMatrix
-from mbint.errors import DegenerateMatrixError
+from mbint.errors import DegenerateMatrixError, ParameterError
 
 BETA = CoefficientMatrix(((0.0, -1.0), (1.0, -1.0)))
 
@@ -120,3 +120,43 @@ def test_degenerate_matrices_rejected():
         CoefficientMatrix(((1.0, 0.0), (1.0, 0.0)))   # zero top column
     with pytest.raises(DegenerateMatrixError):
         CoefficientMatrix(((0.0,),))
+
+
+BETA_JSON = {"rows": 2, "cols": 2,
+             "entries": [[0, 0], [-1, 0], [1, 0], [-1, 0]]}
+
+
+def test_from_json_reads_integral_sizes_and_numeric_pairs():
+    # a size written as 2.0, and numpy numbers from a caller's own dict
+    obj = {"rows": np.int64(2), "cols": 2.0,
+           "entries": [[0, 0], [np.float32(-1.0), 0], (1, 0), [-1.0, 0.0]]}
+    expected = CoefficientMatrix.from_json(BETA_JSON).entries
+    assert CoefficientMatrix.from_json(obj).entries == expected
+    assert expected == ((0j, -1 + 0j), (1 + 0j, -1 + 0j))
+
+
+@pytest.mark.parametrize("obj", [
+    [1, 2], "beta", None,                            # not an object
+    {"cols": 2, "entries": BETA_JSON["entries"]},    # missing rows
+    {"rows": 2, "entries": BETA_JSON["entries"]},    # missing cols
+    {**BETA_JSON, "rows": "2"},                      # non-integer sizes
+    {**BETA_JSON, "cols": 1.5},
+    {**BETA_JSON, "rows": True},
+    {**BETA_JSON, "rows": float("nan")},
+    {"rows": 10 ** 400, "cols": 1, "entries": []},   # an int past float
+    {"rows": 2, "cols": 2},                          # no entries list
+    {**BETA_JSON, "entries": {"0": [1, 0]}},
+    {**BETA_JSON, "entries": [[0, 0], [-1, 0], [1, 0]]},  # wrong count
+    {**BETA_JSON, "entries": [[0, 0], [-1], [1, 0], [-1, 0]]},  # not pairs
+    {**BETA_JSON, "entries": [[0, 0], [-1, 0, 0], [1, 0], [-1, 0]]},
+    {**BETA_JSON, "entries": [[0, 0], -1, [1, 0], [-1, 0]]},
+    {**BETA_JSON, "entries": [[0, 0], ["-1", 0], [1, 0], [-1, 0]]},
+    {**BETA_JSON, "entries": [[0, 0], [None, 0], [1, 0], [-1, 0]]},
+    {**BETA_JSON, "entries": [[0, 0], [True, 0], [1, 0], [-1, 0]]},
+    {"rows": 0, "cols": 0, "entries": []},           # empty
+    {"rows": -1, "cols": -1, "entries": [[1, 0]]},
+])
+def test_from_json_refuses_a_malformed_shape(obj):
+    # KeyError, IndexError or TypeError before: the CLI exited 1
+    with pytest.raises(ParameterError):
+        CoefficientMatrix.from_json(obj)

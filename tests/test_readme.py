@@ -1,13 +1,19 @@
 """README's "Library sketch" block runs as written, and each line that
-carries a comment produces the value the comment states."""
+carries a comment produces the value the comment states; each command of
+its "CLI" block runs and prints one JSON object."""
 
 import ast
 import cmath
+import json
 import math
 import pathlib
 import re
+import shlex
+
+import pytest
 
 import mbint
+from mbint import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -70,3 +76,30 @@ def test_library_sketch_runs_and_matches_its_comments():
         checked.add(code)
     assert checked == set(CHECKS)
     assert namespace["mbint"] is mbint
+
+
+def _cli_lines():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("mbint ")]
+
+
+def test_cli_block_shows_every_subcommand():
+    shown = {line.split()[1] for line in _cli_lines()}
+    assert shown == {"eval", "dual", "solve-fde", "pochhammer-check",
+                     "dump-integrand", "verify"}
+
+
+@pytest.mark.parametrize("line", _cli_lines())
+def test_cli_block_runs(line, tmp_path, monkeypatch, capsys):
+    # the optional [...] parts left out; beta.json in the Notes' format
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "beta.json").write_text(json.dumps({
+        "rows": 2, "cols": 2,
+        "entries": [[0, 0], [-1, 0], [1, 0], [-1, 0]]}))
+    argv = shlex.split(re.sub(r"\[[^]]*\]", "", line))[1:]
+    assert cli.run(argv) == 0, line
+    out = capsys.readouterr().out
+    assert out.endswith("}\n") and out.count("\n") == 1, line
+    assert isinstance(json.loads(out), dict), line
