@@ -11,7 +11,10 @@ Two evaluation paths share the same Lanczos coefficients:
 - a cmath scalar path, hot in residue sums (once per gamma factor per
   term) and ratio checks.  Its 14 partial fractions are spelled out, and
   a point below the real axis is conjugated in place rather than by
-  recursion.
+  recursion.  It computes in plain Python ``complex`` throughout (its
+  constants are Python floats), so ``log_gamma``, ``pochhammer`` and the
+  residue terms built on them never pass through numpy scalars, whose
+  arithmetic costs about twice as much per operation.
 - a vectorized numpy path for contour grids, one call per quadrature
   level.
 
@@ -47,7 +50,8 @@ _LANCZOS_COEF = (
 (_C0, _C1, _C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11, _C12, _C13,
  _C14) = _LANCZOS_COEF
 _T_SHIFT = _LANCZOS_G - 0.5  # t = z + g - 1/2
-LOG_2PI = np.log(2.0 * np.pi)
+# Python floats, not numpy scalars: the scalar path stays in Python complex
+LOG_2PI = float(np.log(2.0 * np.pi))
 _HALF_LOG_2PI = 0.5 * LOG_2PI
 _REFLECT_SHIFT = LOG_2PI - 0.5j * cmath.pi  # log pi - log(i/2)
 _I_PI = 1j * cmath.pi

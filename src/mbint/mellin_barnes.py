@@ -299,12 +299,17 @@ class _Ladder:
         POLE_TOLERANCE of the pole s'_l' of ``other``, else None.
 
         At a whole ratio k (ratio) they meet only on l' = n + step * step'
-        * k * l for one integer n: closed form.  Otherwise a numpy sweep
-        holds each pole short of other's far end (its head if it opens the
-        other way, else its last pole, which must be finite) against the
-        nearest pole of ``other``.
+        * k * l for one integer n: closed form.  The same holds with the
+        roles swapped, and on a pair opening the same way l then rises with
+        l', so other's first meeting is the first by l too.  Otherwise a
+        numpy sweep holds each pole short of other's far end (its head if
+        it opens the other way, else its last pole, which must be finite)
+        against the nearest pole of ``other``.
         """
         k = self.ratio(other)
+        if k is None and self.step == other.step and other.ratio(self):
+            hit = other.meets(self)
+            return hit and hit[::-1]
         if k is not None:
             n = round((other.step * (k * self.origin - other.origin)).real)
             # the first l >= 0 whose l' lies in 0 .. other.length - 1
@@ -669,7 +674,9 @@ def _ladder_model(kernel, ladder, exact):
 
 def _log_residue(ladder, terms, l, shift):
     """The residue at pole l of ``ladder`` in double, composed in log space
-    by _log_gammas and exponentiated once."""
+    by _log_gammas and exponentiated once, all in Python complex: cmath.exp
+    costs a fifth of np.exp on one scalar, and equals it bit for bit below
+    Re 708.3 (above, it scales by e and may differ by an ulp)."""
     s = ladder.location(l)
     total = _log_gammas(terms, s)
     if total is None:
@@ -680,7 +687,7 @@ def _log_residue(ladder, terms, l, shift):
         # past the double range: the sum's typed overflow check fires
         return complex(math.inf, 0.0)
     parity = -ladder.step if l % 2 == 0 else ladder.step
-    return parity * complex(np.exp(total))
+    return parity * cmath.exp(total)
 
 
 def _gamma_residue(ladder, terms, l, shift):
@@ -909,7 +916,7 @@ def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
                                            terms=nterms)
         # structurally zero leading terms (a denominator gamma at a pole)
         # say nothing about convergence while the partial sum is still zero
-        if total and mag < tol * max(modulus(total), 1e-300):
+        if total and mag < tol * modulus(total):
             ok += 1
             if ok >= 3:
                 return total, abs_sum, tail(), nterms, True

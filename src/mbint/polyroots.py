@@ -14,8 +14,9 @@ RESIDUAL_TOL = 1e-8
 
 
 def trim(coeffs):
-    """Drop exactly-zero trailing coefficients; keeps at least one entry."""
-    c = list(coeffs)
+    """Drop exactly-zero trailing coefficients; keeps at least one entry,
+    so an empty list reads as the zero polynomial [0]."""
+    c = list(coeffs) or [0]
     while len(c) > 1 and c[-1] == 0:
         c.pop()
     return np.asarray(c, dtype=np.complex128)

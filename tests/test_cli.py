@@ -146,6 +146,16 @@ def test_dump_integrand_refuses_zero_argument(capsys, tmp_path):
     assert obj["error"]["code"] == "parameter_error"
 
 
+@pytest.mark.parametrize("flag", ["--p-coeffs", "--q-coeffs"])
+@pytest.mark.parametrize("value", ["", ",", "0"])
+def test_solve_fde_refuses_a_zero_polynomial(capsys, flag, value):
+    # an empty list is the zero polynomial too; it used to exit 1 with an
+    # IndexError traceback
+    code, obj = run_json(capsys, *_VALID["solve-fde"], f"{flag}={value}")
+    assert code == 2
+    assert obj["error"]["code"] == "parameter_error"
+
+
 @pytest.mark.parametrize("points", ["1", "0", "-3"])
 def test_dump_integrand_refuses_fewer_than_two_points(capsys, tmp_path,
                                                       points):

@@ -181,6 +181,16 @@ def test_lead_zero_rejected():
         fde.FirstOrderFDE((0.0,), (1.0, 2.0))
 
 
+@pytest.mark.parametrize("p,q", [((), (1.0,)), ((1.0,), ()), ((), ())])
+def test_empty_polynomial_rejected(p, q):
+    # an empty coefficient list is the zero polynomial, refused as (0,) is;
+    # it used to raise IndexError from lead_p
+    with pytest.raises(ParameterError):
+        fde.FirstOrderFDE(p, q)
+    with pytest.raises(ParameterError):
+        fde.FirstOrderFDE.from_coefficient_columns(p, q)
+
+
 def test_gamma_quotient_refuses_non_finite_roots():
     for roots in (fde.RootData((math.nan, 1.5), (0.5,), complex(2.0)),
                   fde.RootData((1.5,), (complex(0.5, math.inf),),

@@ -17,8 +17,9 @@ from mbint import cgamma, verification
 from mbint import mellin_barnes as mb
 from mbint.cgamma import POLE_TOLERANCE
 from mbint.errors import (ContourError, ConvergenceError,
-                          HigherOrderPoleError, NonConvergentSeriesError,
-                          ParameterError, PoleError, QuadratureError)
+                          HigherOrderPoleError, MBIntError,
+                          NonConvergentSeriesError, ParameterError,
+                          PoleError, QuadratureError)
 from mbint.special_functions import GParams, HParams, fox_h, meijer_g, pfq
 
 E_INV = 0.36787944117144233          # e^{-1}
@@ -1242,6 +1243,21 @@ def test_residue_estimate_charges_the_geometric_tail(z):
     assert res.method == "residues_left"
     assert abs(res.value - _g11_closed_form(0.056, 1.5404, z)) \
         <= res.err_estimate
+
+
+@pytest.mark.parametrize("a,refusable", [(175.5, False), (180.5, False),
+                                          (190.5, True)])
+def test_residue_stop_rule_reads_a_subnormal_partial_sum(a, refusable):
+    # the right residues start below the double range and rise for about
+    # a hundred poles; a stop rule floored at 1e-300 |partial| stopped after
+    # three of them, at -9.29e-313 +/- 9.07e-313 for -1.139e-285 (a = 175.5)
+    exact = _g11_closed_form(a, 0.3, 0.5)
+    try:
+        res = meijer_g(GParams(1, 1, 1, 1, (a,), (0.3,)), 0.5)
+    except MBIntError:
+        assert refusable
+        return
+    assert abs(res.value - exact) <= res.err_estimate
 
 
 def _scalar_log_mag(kernel, sigma, y, logz):

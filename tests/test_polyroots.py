@@ -55,3 +55,10 @@ def test_failed_reconstruction_raises(monkeypatch):
     monkeypatch.setattr(np, "roots", lambda c: np.array([1.0, 3.0]))
     with pytest.raises(RootFindingError):
         polyroots.roots([2.0, -3.0, 1.0])  # (x-1)(x-2)
+
+
+def test_trim_keeps_one_entry():
+    # an empty list reads as the zero polynomial, as an all-zero one does
+    for coeffs in ([], [0.0], [0.0, 0.0]):
+        assert polyroots.trim(coeffs).tolist() == [0j]
+    assert polyroots.trim([1.0, 2.0, 0.0]).tolist() == [1 + 0j, 2 + 0j]
