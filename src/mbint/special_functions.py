@@ -17,12 +17,13 @@ from . import mellin_barnes as mb
 from . import polyroots
 from .cgamma import detect_pole, log_gamma, pochhammer
 from .errors import (ConvergenceError, DivergentSeriesError,
-                     InvalidDenominatorError, ParameterError,
+                     InvalidDenominatorError, MBIntError, ParameterError,
                      QuadratureError)
 from .fde_solutions import coefficient_roots, split_parameters
 from .quadrature import check_tolerance
 
 PFQ_MAX_TERMS = 100000  # pfq's term budget
+_EPS = np.finfo(float).eps
 G_ODE_EVAL_TOL = 1e-12  # the tol of g_ode_residual's meijer_g evaluations
 
 
@@ -121,6 +122,10 @@ def pfq(a, b, z, tol=1e-14):
     or z, or a ``tol`` that is not a positive finite number, is a
     ParameterError; a term or partial sum past the double range is a
     ConvergenceError at once (pfq_via_g sums a large |z| by residues).
+    A sum whose terms cancel past ``tol``, eps * sum |t_n| > tol * |sum|,
+    returns pfq_via_g's value instead, and raises ConvergenceError when
+    pfq_via_g refuses the input (a terminating series, z on the positive
+    real axis).
     """
     a = _complex_tuple(a)
     b = _complex_tuple(b)
@@ -145,10 +150,11 @@ def pfq(a, b, z, tol=1e-14):
                                        z=z)
     term = 1.0 + 0.0j
     total = term
+    size = 1.0  # sum |t_n|: eps times it bounds the sum's rounding
     ok = 0
     for n in range(PFQ_MAX_TERMS):
         if n_stop is not None and n >= n_stop:
-            return total
+            break
         factor = z / (n + 1.0)
         for a_j in a:
             factor *= a_j + n
@@ -156,16 +162,26 @@ def pfq(a, b, z, tol=1e-14):
             factor /= b_k + n
         term = term * factor
         total += term
+        size += abs(term)
         if not cmath.isfinite(total):  # a non-finite term makes it so too
             raise ConvergenceError("series terms overflow", terms=n + 1)
         if abs(term) < tol * max(abs(total), 1e-300):
             ok += 1
             if ok >= 3:
-                return total
+                break
         else:
             ok = 0
-    raise ConvergenceError("series did not settle within the term budget",
-                           terms=PFQ_MAX_TERMS)
+    else:
+        raise ConvergenceError("series did not settle within the term "
+                               "budget", terms=PFQ_MAX_TERMS)
+    if _EPS * size <= tol * abs(total):
+        return total
+    try:
+        return pfq_via_g(a, b, z, tol).value
+    except MBIntError as exc:
+        raise ConvergenceError("series terms cancel past tol, and the "
+                               "contour integral refuses the input",
+                               sum_abs_terms=size, value=total) from exc
 
 
 def series_recurrence_residual(a, b, n):
@@ -200,23 +216,41 @@ def series_recurrence_residual(a, b, n):
 
 
 def _residue_side(kernel, z):
-    """Which residue family sums to a convergent series, if any."""
-    slack = sum(f.mult for f in kernel.up_left + kernel.down_left) \
-        - sum(f.mult for f in kernel.up_right + kernel.down_right)
-    z_eff = abs(complex(z)) * abs(complex(kernel.base))
+    """Which residue family sums to a convergent series, if any.
+
+    By Delta = sum beta - sum alpha, the multipliers of the gammas whose
+    argument falls and rises with s: the right side for Delta > 0, the left
+    for Delta < 0, and for Delta = 0 the right side inside the radius
+    prod beta^beta prod alpha^-alpha of |z base|, the left outside it
+    (Kilbas & Saigo, H-Transforms, 2004, section 1.1).  That radius is 1
+    for every G kernel.
+    """
+    betas = [f.mult for f in kernel.up_left + kernel.down_left]
+    alphas = [f.mult for f in kernel.up_right + kernel.down_right]
+    slack = sum(betas) - sum(alphas)
     if slack > 1e-12:
         return "right"
     if slack < -1e-12:
         return "left"
-    if z_eff < 1.0:
+    radius = math.exp(sum(m * math.log(m) for m in betas)
+                      - sum(m * math.log(m) for m in alphas))
+    z_eff = abs(complex(z)) * abs(complex(kernel.base))
+    if z_eff < radius:
         return "right"
-    if z_eff > 1.0:
+    if z_eff > radius:
         return "left"
     return None
 
 
 def _evaluate_kernel(kernel, z, tol, method=None, branch_k=0):
-    """Shared quadrature-first driver with a residue-series fallback."""
+    """The one route rule of meijer_g, fox_h and pfq_via_g.
+
+    Exactly 0 when the convergent residue side's loop encloses no pole
+    (DLMF 16.17(ii), (iii)); the line for method="quad", and by default
+    when it converges absolutely, no residue side converges or the kernel
+    has no numerator gamma (integrate refuses a divergent line); else the
+    convergent residue side, also after a quadrature that misses ``tol``.
+    """
     if method not in (None, "quad", "residues"):
         raise ParameterError("method must be 'quad' or 'residues'",
                              method=method)
@@ -225,29 +259,24 @@ def _evaluate_kernel(kernel, z, tol, method=None, branch_k=0):
         raise ParameterError("argument must be finite and nonzero", z=z)
     check_tolerance(tol)
     side = _residue_side(kernel, z)
-    numerators = {"right": kernel.up_left, "left": kernel.up_right}
-    if method != "quad" and side is not None and not numerators[side] \
-            and kernel.up_left + kernel.up_right:
-        # the convergent loop encloses no pole (DLMF 16.17(ii), (iii)); a
-        # kernel with no numerator gamma at all is refused below
+    numerators = kernel.up_left + kernel.up_right
+    if method == "quad" or method is None and (side is None
+                                               or not numerators):
+        return mb.integrate(kernel, z, tol=tol, branch_k=branch_k)
+    if side is None:
+        raise ConvergenceError("no residue side converges for this "
+                               "argument", z=z)
+    if numerators and not {"right": kernel.up_left,
+                           "left": kernel.up_right}[side]:
         return mb.EvalResult(value=0j, err_estimate=0.0, nodes_used=0,
                              method="residues_" + side,
                              arg_branch=branch_k)
-    if method == "residues":
-        if side is None:
-            raise ConvergenceError("no residue side converges for this "
-                                   "argument", z=z)
-    else:
-        cls = mb.convergence_class(kernel, z, branch_k)
-        if cls is mb.ConvergenceClass.DIVERGENT:
-            raise ConvergenceError("integral representation diverges", z=z)
-        if cls is mb.ConvergenceClass.ABSOLUTE or method == "quad" \
-                or side is None:
-            try:
-                return mb.integrate(kernel, z, tol=tol, branch_k=branch_k)
-            except QuadratureError:
-                if method == "quad" or side is None:
-                    raise
+    if method is None and mb.convergence_class(kernel, z, branch_k) \
+            is mb.ConvergenceClass.ABSOLUTE:
+        try:
+            return mb.integrate(kernel, z, tol=tol, branch_k=branch_k)
+        except QuadratureError:
+            pass  # the residue side below
     return mb.residue_series(kernel, z, side, n_max=800, tol=tol,
                              branch_k=branch_k)
 
@@ -255,9 +284,12 @@ def _evaluate_kernel(kernel, z, tol, method=None, branch_k=0):
 def meijer_g(params, z, tol=1e-10, method=None, branch_k=0):
     """G function of the given orders by contour integration.
 
-    ``method`` forces "quad" or "residues"; by default quadrature runs when
-    the integral converges absolutely and the residue series covers the
-    conditional cases.
+    ``method`` forces "quad" or "residues".  By default (_evaluate_kernel)
+    quadrature runs when the line integral converges absolutely, or when
+    no residue series converges; every other input, a divergent line
+    included, is summed on the side whose residue series converges, as is
+    a line whose quadrature misses ``tol``.  z^0.3 e^-z = G^{1,0}_{0,1}(z |
+    0.3) at z = -2, where the line diverges, is such a residue sum.
 
     For p = q the two residue series converge on opposite sides of
     |z| = 1, and when m + n - p <= 0 no vertical line joins them.  The
@@ -274,7 +306,12 @@ def meijer_g(params, z, tol=1e-10, method=None, branch_k=0):
 
 
 def fox_h(params, z, tol=1e-10, method=None, branch_k=0):
-    """H function: the G machinery with scaled gamma arguments."""
+    """H function: the G machinery with scaled gamma arguments.
+
+    The route is meijer_g's.  With Delta = sum beta - sum alpha = 0 the
+    residue side is picked against the radius prod beta^beta
+    prod alpha^-alpha of |z|, not against 1 (_residue_side).
+    """
     if not isinstance(params, HParams):
         raise ParameterError("expected HParams")
     return _evaluate_kernel(params.to_kernel(), z, tol, method, branch_k)
@@ -284,34 +321,29 @@ def pfq_via_g(a, b, z, tol=1e-10):
     """The series rebuilt from its contour-integral representation.
 
     Evaluates the (1, p; p, q+1)-order G function at -z with parameters
-    (1 - a_j; 0, 1 - b_k) and restores the gamma prefactor.  Upper
-    parameters on the pole ladder are rejected, as are non-finite
-    parameters and z on the positive real axis, where arg(-z) hits the
-    branch cut.  A prefactor or value past the double range raises
+    (1 - a_j; 0, 1 - b_k) by meijer_g's route rule, and restores the gamma
+    prefactor.  Upper parameters on the pole ladder are a ParameterError
+    (the poles of Gamma(-s) and Gamma(a_j + s) collide), as are non-finite
+    parameters, z = 0 and z on the positive real axis, where arg(-z) hits
+    the branch cut.  A prefactor or value past the double range raises
     ConvergenceError.
     """
     a = _complex_tuple(a)
     b = _complex_tuple(b)
     _check_finite_parameters(a, b)
     z = complex(z)
-    for a_j in a:
-        if detect_pole(a_j).is_pole:
-            raise ParameterError("upper parameters must avoid 0, -1, -2, ...",
-                                 a=a_j)
-    for b_k in b:
-        if detect_pole(b_k).is_pole:
-            raise InvalidDenominatorError(
-                "denominator parameter is a non-positive integer", b=b_k)
-    if z == 0:
-        raise ParameterError("argument must be nonzero")
-    w = -z
-    if w.imag == 0.0 and w.real < 0.0:
-        raise ParameterError("z on the positive real axis sits on the "
-                             "arg(-z) branch cut", z=z)
     p, q = len(a), len(b)
     params = GParams(m=1, n=p, p=p, q=q + 1,
                      a=tuple(1.0 - a_j for a_j in a),
                      b=(0.0,) + tuple(1.0 - b_k for b_k in b))
+    for b_k in b:
+        if detect_pole(b_k).is_pole:
+            raise InvalidDenominatorError(
+                "denominator parameter is a non-positive integer", b=b_k)
+    w = -z
+    if w.imag == 0.0 and w.real < 0.0:
+        raise ParameterError("z on the positive real axis sits on the "
+                             "arg(-z) branch cut", z=z)
     inner = _evaluate_kernel(params.to_kernel(), w, tol)
     pref_log = sum(log_gamma(b_k) for b_k in b) \
         - sum(log_gamma(a_j) for a_j in a)

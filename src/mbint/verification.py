@@ -17,7 +17,7 @@ import numpy as np
 from . import cgamma, duality, fde_solutions as fde, laplace, polyroots
 from . import mellin_barnes as mb
 from . import special_functions as sf
-from .errors import MBIntError
+from .errors import MBIntError, ParameterError
 
 # random instances per suite
 GAMMA_SAMPLES = 300
@@ -25,6 +25,7 @@ DUALITY_SAMPLES = 300
 FDE_SAMPLES = 300
 BINOMIAL_SAMPLES = 5  # laplace: psi with a root off u = 1
 SPECIAL_SAMPLES = 60  # special: series term-ratio recurrences
+DIVERGENT_SAMPLES = 30  # special: G inputs whose line diverges
 
 # (GParams, z) pairs with nonempty separation windows; every entry converges
 # absolutely for quadrature and sums a convergent right-side residue series.
@@ -340,6 +341,49 @@ def suite_mb(seed):
     return checks
 
 
+def _divergent_line_ratio(seed):
+    """Worst |error| / estimate of meijer_g's default route on random G
+    inputs whose line diverges, which it sums on the convergent residue
+    side, against mpmath.meijerg; for p = q and |z| > 1 that side is the L-
+    loop, mpmath.meijerg of the swapped parameters at 1/z (DLMF 16.19.1).
+    |z| stays 0.5 or more off 1, where the p = q series converge slowly;
+    m and n are drawn so that the side's loop encloses poles.  A refusal
+    counts as an infinite ratio."""
+    import mpmath
+    rng = np.random.default_rng(seed)
+    worst, count = 0.0, 0
+    while count < DIVERGENT_SAMPLES:
+        q = int(rng.integers(1, 4))
+        p = int(rng.integers(0, q + 1))
+        m, n = int(rng.integers(1, q + 1)), int(rng.integers(min(p, 1), p + 1))
+        a = tuple(rng.uniform(-1.0, 2.0, p).round(4))
+        b = tuple(rng.uniform(-1.0, 2.0, q).round(4))
+        z = cmath.rect(rng.choice((rng.uniform(0.1, 0.5),
+                                   rng.uniform(1.5, 3.0))),
+                       rng.uniform(-np.pi, np.pi))
+        try:
+            params = sf.GParams(m, n, p, q, a, b)
+        except ParameterError:
+            continue
+        if mb.convergence_class(params.to_kernel(), z) \
+                is not mb.ConvergenceClass.DIVERGENT:
+            continue
+        count += 1
+        with mpmath.workdps(30):
+            zz = mpmath.mpc(z)
+            if p == q and abs(z) > 1:
+                a, b = [1 - v for v in b], [1 - v for v in a]
+                m, n, zz = n, m, 1 / zz
+            exact = complex(mpmath.meijerg([a[:n], a[n:]], [b[:m], b[m:]],
+                                           zz))
+        try:
+            res = sf.meijer_g(params, z, tol=1e-10)
+        except MBIntError:
+            return math.inf
+        worst = max(worst, _ratio(abs(res.value - exact), res.err_estimate))
+    return worst
+
+
 def suite_special(seed):
     rng = np.random.default_rng(seed)
     checks = []
@@ -416,6 +460,10 @@ def suite_special(seed):
     exact = 1.0 - math.exp(-1.0)
     bridge = max(bridge, abs(got - exact) / abs(exact))
     checks.append(PropertyCheck("series/contour bridge", bridge, 1e-8, 3))
+
+    checks.append(PropertyCheck("default route on divergent lines",
+                                _divergent_line_ratio(seed), 1.0,
+                                DIVERGENT_SAMPLES))
 
     gode = max(sf.g_ode_residual(params, z) for params, z in KERNEL_BANK)
     checks.append(PropertyCheck("factored-operator residual", gode, 1e-8,

@@ -53,6 +53,15 @@ def test_eval_g_method_flag(capsys):
     assert code == 0 and obj["method"] == "residues_right"
 
 
+def test_eval_g_divergent_line_by_residues(capsys):
+    # z^0.3 e^-z at z = -2, whose line diverges: it used to exit 3
+    code, obj = run_json(capsys, "eval", "g", "--orders", "1,0,0,1",
+                         "--b", "0.3", "--z", "-2")
+    assert code == 0 and obj["method"] == "residues_right"
+    exact = (-2) ** 0.3 * math.exp(2.0)
+    assert abs(complex(*obj["value"]) - exact) < 1e-9 * abs(exact)
+
+
 def test_eval_h_unit_multipliers(capsys):
     code, obj = run_json(capsys, "eval", "h", "--orders", "1,0,0,1",
                          "--b", "0", "--beta", "1", "--z", "1")

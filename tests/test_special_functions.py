@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -9,8 +10,9 @@ from mbint import mellin_barnes as mb
 from mbint import special_functions as sf
 from mbint import verification
 from mbint.errors import (ConvergenceError, DivergentSeriesError,
-                          InvalidDenominatorError, NonConvergentSeriesError,
-                          OrderError, ParameterError, QuadratureError)
+                          InvalidDenominatorError, MBIntError,
+                          NonConvergentSeriesError, OrderError,
+                          ParameterError, QuadratureError)
 from mbint.fde_solutions import FirstOrderFDE
 
 TWO_LOG_TWO = 1.3862943611198906        # 2F1(1,1;2;1/2) = -log(1-z)/z
@@ -453,3 +455,109 @@ def test_conditional_boundary_sums_residues(z):
     assert abs(res.value - ref) <= res.err_estimate
     with pytest.raises(QuadratureError):
         sf.meijer_g(g, -z, method="quad")
+
+
+def _route_probe():
+    """300 G inputs: random.Random(3); q in 1..3, p in 0..q, m in 0..q,
+    n in 0..p with m + n >= 1; parameters round(U(-1, 2), 4); z uniform in
+    [-2, 2]^2; draws GParams refuses are skipped."""
+    rng = random.Random(3)
+    cases = []
+    while len(cases) < 300:
+        q = rng.randint(1, 3)
+        p = rng.randint(0, q)
+        m, n = rng.randint(0, q), rng.randint(0, p)
+        if m + n < 1:
+            continue
+        a = tuple(round(rng.uniform(-1, 2), 4) for _ in range(p))
+        b = tuple(round(rng.uniform(-1, 2), 4) for _ in range(q))
+        try:
+            params = sf.GParams(m, n, p, q, a, b)
+        except ParameterError:
+            continue
+        cases.append((params, complex(rng.uniform(-2, 2), rng.uniform(-2, 2))))
+    return cases
+
+
+def _meijerg(params, z):
+    """mpmath.meijerg at 30 digits; for p = q and |z| > 1 the L- loop's
+    value, mpmath.meijerg of the swapped parameters at 1/z (DLMF 16.19.1)."""
+    m, n, a, b = params.m, params.n, list(params.a), list(params.b)
+    with mpmath.workdps(30):
+        if params.p == params.q and abs(z) > 1:
+            a, b = [1 - v for v in b], [1 - v for v in a]
+            m, n, z = n, m, 1 / mpmath.mpc(z)
+        return complex(mpmath.meijerg([a[:n], a[n:]], [b[:m], b[m:]],
+                                      mpmath.mpc(z)))
+
+
+def test_default_route_answers_what_the_residue_side_answers():
+    # the default route used to refuse every divergent line: 124 of these
+    answered = 0
+    for params, z in _route_probe():
+        try:
+            got = sf.meijer_g(params, z)
+        except MBIntError:
+            with pytest.raises(MBIntError):
+                sf.meijer_g(params, z, method="residues")
+            continue
+        answered += 1
+        assert abs(got.value - _meijerg(params, z)) <= got.err_estimate, \
+            (params, z)
+    assert answered >= 299
+
+
+@pytest.mark.parametrize("z", [-2.0, -2.0 + 0.5j, 3j])
+def test_divergent_line_sums_the_residue_side(z):
+    # z^0.3 e^-z: kappa = pi/2 < |arg z|, so the line diverges
+    params = sf.GParams(1, 0, 0, 1, (), (0.3,))
+    assert mb.convergence_class(params.to_kernel(), z) \
+        is mb.ConvergenceClass.DIVERGENT
+    got = sf.meijer_g(params, z)
+    assert got.method == "residues_right"
+    assert abs(got.value - z ** 0.3 * cmath.exp(-z)) <= got.err_estimate
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 3.0, 6.0, 10.0])
+def test_mittag_leffler_half_on_its_divergent_line(x):
+    # E_{1/2}(x) = H^{1,1}_{1,2}(-x | (0, 1); (0, 1), (0, 1/2))
+    # = e^{x^2} erfc(-x); kappa = 3 pi / 4 < pi = |arg(-x)|
+    params = sf.HParams(1, 1, 1, 2, (0.0,), (0.0, 0.0), (1.0,), (1.0, 0.5))
+    got = sf.fox_h(params, -x)
+    with mpmath.workdps(30):
+        exact = complex(mpmath.exp(mpmath.mpf(x) ** 2) * mpmath.erfc(-x))
+    assert abs(got.value - exact) <= got.err_estimate
+
+
+@pytest.mark.parametrize("params, side, zs", [
+    # Delta = 0, radius prod beta^beta prod alpha^-alpha = 1/4 and 4
+    (sf.HParams(1, 1, 1, 2, (0.3,), (0.2, 0.6), (2.0,), (1.0, 1.0)),
+     "left", (0.3, 0.5, 0.9)),
+    (sf.HParams(1, 1, 2, 1, (0.3, 0.7), (0.2,), (1.0, 1.0), (2.0,)),
+     "right", (2.0, 3.0)),
+])
+def test_balanced_fox_h_sums_the_side_its_radius_picks(params, side, zs):
+    # the side used to be picked against |z| = 1, where the series diverges
+    for z in zs:
+        line = sf.fox_h(params, z)
+        got = sf.fox_h(params, z, method="residues")
+        assert line.method == "quadrature"
+        assert got.method == "residues_" + side
+        assert abs(got.value - line.value) <= 1e-10 * abs(line.value)
+
+
+@pytest.mark.parametrize("a, b, z", [((0.5,), (1.5,), -40.0),
+                                     ((1.3,), (2.1,), -30.0 + 5.0j)])
+def test_pfq_cancellation_goes_to_the_contour_integral(a, b, z):
+    # the terms reach 1e14 against a value near 0.1: the series alone was
+    # 0.158 and 1.6e-3 off
+    with mpmath.workdps(30):
+        exact = complex(mpmath.hyper(a, b, z))
+    assert abs(sf.pfq(a, b, z, tol=1e-10) - exact) <= 1e-10 * abs(exact)
+
+
+def test_pfq_cancellation_the_contour_integral_refuses_is_loud():
+    # the Laguerre polynomial L_40(30) terminates, so pfq_via_g refuses it;
+    # the series returned -3.7e6 for -2.4e5
+    with pytest.raises(ConvergenceError):
+        sf.pfq((-40.0,), (1.0,), 30.0, tol=1e-10)
