@@ -8,6 +8,7 @@ parameter/domain errors, 3 numerical failure, 64 usage errors.
 """
 
 import argparse
+import cmath
 import csv
 import json
 import logging
@@ -379,8 +380,8 @@ def _cmd_dump_integrand(args):
         raise ParameterError("--points must be at least 2",
                              points=args.points)
     kernel = _kernel_params(args).to_kernel()
-    if args.z == 0:
-        raise ParameterError("argument must be nonzero")
+    if args.z == 0 or not cmath.isfinite(args.z):
+        raise ParameterError("argument must be finite and nonzero", z=args.z)
     contour = mb.choose_contour(kernel)
     logz = np.log(args.z)
     # the height integrate takes at this z and eval g's default tol

@@ -9,8 +9,11 @@ whether they sit above or below the fraction bar:
 * down_left  Gamma(1 - b + beta*s)  denominator
 * down_right Gamma(a - alpha*s)     denominator
 
-plus a ``base`` constant contributing base**s.  Evaluation composes
-log-gamma values and exponentiates once.  The integral
+plus a ``base`` constant contributing base**s.  The families are read
+once, by the table _FAMILIES when the kernel is built, into
+``kernel.terms``: Gamma(coeff + slope*s)^sign per factor, the one list the
+pole ladders, residue terms, quadrature grid and decay rates all read.
+Evaluation composes log-gamma values and exponentiates once.  The integral
 
     (1 / 2 pi i) * integral over L of  K(s) z^s ds
 
@@ -54,31 +57,32 @@ _CANCEL_TOL = 1e-12  # MellinKernel.simplify's parameter match
 mpmath = None  # see _mpmath
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GammaFactor:
     coeff: complex
     mult: float = 1.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", complex(self.coeff))
-        object.__setattr__(self, "mult", float(self.mult))
-        if not (cmath.isfinite(self.coeff) and math.isfinite(self.mult)):
+    # sets each field once (a dataclass __init__ and __post_init__: twice)
+    def __init__(self, coeff, mult=1.0):
+        coeff, mult = complex(coeff), float(mult)
+        if not (cmath.isfinite(coeff) and math.isfinite(mult)):
             raise ParameterError("gamma-factor parameters must be finite",
-                                 coeff=self.coeff, mult=self.mult)
-        if self.mult <= 0:
+                                 coeff=coeff, mult=mult)
+        if mult <= 0:
             raise ParameterError("gamma-factor multiplier must be positive",
-                                 mult=self.mult)
+                                 mult=mult)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "mult", mult)
 
 
-def _factors(items):
-    out = []
-    for it in items:
-        if isinstance(it, GammaFactor):
-            out.append(it)
-        else:
-            coeff, mult = it
-            out.append(GammaFactor(coeff, mult))
-    return tuple(out)
+# (family, whether its argument rises with s, power), read once per kernel
+_FAMILIES = (("up_left", False, 1), ("up_right", True, 1),
+             ("down_left", True, -1), ("down_right", False, -1))
+
+
+def _coeff(a, slope):
+    """a for Gamma(a - m s), 1 - a for Gamma(1 - a + m s), in a's type."""
+    return 1 - a if slope > 0 else a
 
 
 @dataclass(frozen=True)
@@ -90,12 +94,20 @@ class MellinKernel:
     base: complex = 1.0
     # principal branch of log(base); the recorded c^x branch choice
     base_log: complex = field(init=False, repr=False, compare=False)
+    # (coeff, slope, sign, a): Gamma(coeff + slope s)^sign, parameter a
+    terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "up_left", _factors(self.up_left))
-        object.__setattr__(self, "up_right", _factors(self.up_right))
-        object.__setattr__(self, "down_left", _factors(self.down_left))
-        object.__setattr__(self, "down_right", _factors(self.down_right))
+        terms = []
+        for name, rising, sign in _FAMILIES:
+            factors = []
+            for f in getattr(self, name):
+                f = f if isinstance(f, GammaFactor) else GammaFactor(*f)
+                factors.append(f)
+                slope = f.mult if rising else -f.mult
+                terms.append((_coeff(f.coeff, slope), slope, sign, f.coeff))
+            object.__setattr__(self, name, tuple(factors))
+        object.__setattr__(self, "terms", tuple(terms))
         object.__setattr__(self, "base", complex(self.base))
         if self.base == 0 or not cmath.isfinite(self.base):
             raise ParameterError("kernel base must be finite and nonzero",
@@ -158,28 +170,14 @@ def g_kernel(m, n, a, b, alpha=None, beta=None, base=1.0):
     return MellinKernel(b[:m], a[:n], b[m:], a[n:], base)
 
 
-def _signed_terms(kernel):
-    """(coeff, slope, sign) per gamma factor: Gamma(coeff + slope*s)."""
-    terms = []
-    for f in kernel.up_left:
-        terms.append((f.coeff, -f.mult, +1))
-    for f in kernel.up_right:
-        terms.append((1.0 - f.coeff, f.mult, +1))
-    for f in kernel.down_left:
-        terms.append((1.0 - f.coeff, f.mult, -1))
-    for f in kernel.down_right:
-        terms.append((f.coeff, -f.mult, -1))
-    return terms
-
-
 @functools.lru_cache(maxsize=256)
 def _stacked_terms(kernel):
-    """The (coeff, slope, sign) columns of _signed_terms as (k, 1) arrays,
+    """The (coeff, slope, sign) columns of kernel.terms as (k, 1) arrays,
     built once per kernel; None for a kernel without gamma factors."""
-    terms = _signed_terms(kernel)
-    if not terms:
+    if not kernel.terms:
         return None
-    cols = tuple(np.array(col)[:, None] for col in zip(*terms))
+    cols = tuple(np.array(col)[:, None]
+                 for col in tuple(zip(*kernel.terms))[:3])
     for col in cols:
         col.flags.writeable = False  # shared by every caller of the kernel
     return cols
@@ -205,7 +203,7 @@ def kernel_log_grid(kernel, s):
         size = np.abs(logs).sum(axis=0).reshape(s.shape)
         # negated, not multiplied by -1: (-1 + 0j)(inf + ib) has a NaN part
         np.negative(logs, out=logs, where=sign < 0)
-        # rows added in _signed_terms order, equal to one call per factor
+        # rows added in kernel.terms order, equal to one call per factor
         out = out + logs.sum(axis=0).reshape(s.shape)
         size[np.isinf(size)] = 0.0
     if kernel.base != 1.0:
@@ -221,7 +219,7 @@ def _log_gammas(terms, s):
     denominator gamma on a pole makes the product zero, returned as None.
     """
     total = 0.0 + 0.0j
-    for coeff, slope, sign in terms:
+    for coeff, slope, sign, _ in terms:
         w = coeff + slope * s
         if on_pole(w):
             if sign > 0:
@@ -239,7 +237,7 @@ def kernel_log_eval(kernel, s):
     pole (a zero of the kernel) yields -inf instead.
     """
     s = complex(s)
-    total = _log_gammas(_signed_terms(kernel), s)
+    total = _log_gammas(kernel.terms, s)
     if total is None:
         return _NEG_INF
     return total + s * kernel.base_log
@@ -268,15 +266,14 @@ class Pole:
 class _Ladder:
     """The poles of one gamma factor: an arithmetic progression in s.
 
-    s_l = (origin + step * l) / mult for 0 <= l < length.  Gamma(b - beta s)
-    (family up_left) has the right-opening poles, step +1 from origin b;
-    Gamma(1 - a + alpha s) (up_right) the left-opening ones, step -1 from
-    origin a - 1; ``mult`` is beta or alpha, and ``idx`` the factor's index
-    in its family; denominator gammas have ladders of the same two shapes.
-    The contour code uses unbounded ladders (length math.inf).
+    Gamma(coeff + slope s), kernel.terms[term], has the poles s_l =
+    (origin + step * l) / mult, 0 <= l < length, with step = -sgn(slope),
+    origin = step * coeff and mult = |slope|: right-opening for
+    Gamma(b - beta s) (up_left), left-opening for Gamma(1 - a + alpha s)
+    (up_right).  The contour code uses unbounded ladders (length inf).
     """
     step: int
-    idx: int
+    term: int
     length: int
     origin: complex
     mult: float
@@ -289,39 +286,49 @@ class _Ladder:
         return (self.origin + self.step * l) / self.mult
 
     def ratio(self, other):
-        """k if other.mult is a whole k >= 1 times mult, to POLE_TOLERANCE."""
-        k = round(other.mult / self.mult)
-        return k if k and abs(other.mult / self.mult - k) <= POLE_TOLERANCE \
+        """(p, q) in lowest terms if other.mult is p / q times mult, q <= 12,
+        to POLE_TOLERANCE, else None: past the whole ratios, the multiple of
+        1 / 27720 = 1 / lcm(1, ..., 12) nearest the ratio, reduced."""
+        r = other.mult / self.mult
+        k = round(r)
+        if k and abs(r - k) <= POLE_TOLERANCE:
+            return k, 1
+        n = round(r * 27720)
+        g = math.gcd(n, 27720)
+        p, q = n // g, 27720 // g
+        return (p, q) if p and q <= 12 and abs(r - p / q) <= POLE_TOLERANCE \
             else None
 
     def meets(self, other):
         """The first index pair (l, l'), by l, with s_l within
         POLE_TOLERANCE of the pole s'_l' of ``other``, else None.
 
-        At a whole ratio k (ratio) they meet only on l' = n + step * step'
-        * k * l for one integer n: closed form.  The same holds with the
-        roles swapped, and on a pair opening the same way l then rises with
-        l', so other's first meeting is the first by l too.  Otherwise a
-        numpy sweep holds each pole short of other's far end (its head if
-        it opens the other way, else its last pole, which must be finite)
-        against the nearest pole of ``other``.
-        """
-        k = self.ratio(other)
-        if k is None and self.step == other.step and other.ratio(self):
-            hit = other.meets(self)
-            return hit and hit[::-1]
-        if k is not None:
-            n = round((other.step * (k * self.origin - other.origin)).real)
-            # the first l >= 0 whose l' lies in 0 .. other.length - 1
-            l = max(0, -(n // k)) if self.step == other.step \
-                else 0 if n < other.length else -((other.length - 1 - n) // k)
-            l2 = n + self.step * other.step * k * l
+        At a ratio p / q (ratio) they meet only on q step' l' = p step l
+        + n, n the integer nearest p origin - q origin': l on one residue
+        class modulo q, l' moving by step step' p per q; a closed form.
+        Otherwise a numpy sweep holds each pole short of other's far end
+        (its head if opening the other way, else its last pole, which must
+        be finite) against its nearest pole."""
+        step, step2 = self.step, other.step
+        if step != step2 and (other.location(0) - self.location(0)).real \
+                * step < -POLE_TOLERANCE:
+            return None  # opening apart from heads that do not overlap
+        ratio = self.ratio(other)
+        if ratio is not None:
+            p, q = ratio
+            n = round(p * self.origin.real - q * other.origin.real)
+            l = -n * pow(p * step, -1, q) % q if q > 1 else 0
+            l2 = step2 * (p * step * l + n) // q
+            move = step * step2 * p
+            # the first j >= 0 that puts l2 + move j in 0 .. other.length - 1
+            j = max(0, -(l2 // p)) if move > 0 else 0 if l2 < other.length \
+                else -((other.length - 1 - l2) // p)
+            l, l2 = l + q * j, l2 + move * j
             if l < self.length and 0 <= l2 < other.length and abs(
                     self.location(l) - other.location(l2)) <= POLE_TOLERANCE:
                 return l, l2
             return None
-        far = other.location(0 if self.step != other.step
-                             else other.length - 1).real
+        far = other.location(0 if step != step2 else other.length - 1).real
         count = min(self.length, 2 + math.floor(self.mult * (
             self.step * far + POLE_TOLERANCE) - self.step * self.origin.real))
         for lo in range(0, count, 4096):  # bounded memory for a huge count
@@ -334,37 +341,40 @@ class _Ladder:
                 return lo + int(hit[0]), int(near[hit[0]])
         return None
 
-    def short_of(self, bound):
-        """The poles s_l, in ladder order, before the ladder reaches the
-        line Re s = ``bound``: those with step * (Re s_l - bound) < 0."""
-        l = 0
-        while l < self.length:
-            loc = self.location(l)
-            if self.step * (loc.real - bound) >= 0:
-                return
-            yield loc
+    def before(self, bound):
+        """How many poles precede the line Re s = bound: read off the
+        progression, settled on location(), monotone in l in floats too."""
+        l = math.ceil(self.step * (bound * self.mult - self.origin.real))
+        l = min(max(l, 0), self.length)
+        while l > 0 and self.step * (self.location(l - 1).real - bound) >= 0:
+            l -= 1
+        while l < self.length \
+                and self.step * (self.location(l).real - bound) < 0:
             l += 1
+        return l
 
 
 def _pole_ladders(kernel, side, length, den=False):
     """The ladders that closing the contour on ``side`` encircles; with
     ``den``, those of the denominator gammas whose poles open that way."""
-    if side == "right":
-        return [_Ladder(1, idx, length, f.coeff, f.mult) for idx, f
-                in enumerate(kernel.down_right if den else kernel.up_left)]
-    return [_Ladder(-1, idx, length, f.coeff - 1.0, f.mult) for idx, f
-            in enumerate(kernel.down_left if den else kernel.up_right)]
+    step = 1 if side == "right" else -1
+    sign = -1 if den else 1
+    out = []  # a loop: a comprehension costs a third more
+    for i, (coeff, slope, power, _) in enumerate(kernel.terms):
+        if power == sign and step * slope < 0:
+            out.append(_Ladder(step, i, length, step * coeff, abs(slope)))
+    return out
 
 
-def _ladder_poles(ladder):
+def _ladder_poles(ladder, idx):
     """(key, Im s_l, idx, l, s_l) for l = 0, 1, ..., in ladder order.
 
     The key is step * Re s_l (Re s_l rightward, -Re s_l leftward), so
     merging a family's ladders lists its poles in opening order, ties
-    broken by Im s_l, then by factor index; (key, Im, idx, l) is unique per
-    pole, so the merge never compares s_l itself.
+    broken by Im s_l, then by ``idx``, the ladder's place in the merge;
+    (key, Im, idx, l) is unique per pole, so s_l is never compared.
     """
-    step, idx = ladder.step, ladder.idx
+    step = ladder.step
     for l in range(ladder.length):
         loc = ladder.location(l)
         yield step * loc.real, loc.imag, idx, l, loc
@@ -372,7 +382,7 @@ def _ladder_poles(ladder):
 
 def _merged_poles(ladders):
     """The poles of one family's ladders, drawn lazily in opening order."""
-    return heapq.merge(*map(_ladder_poles, ladders))
+    return heapq.merge(*map(_ladder_poles, ladders, range(len(ladders))))
 
 
 def _first_meeting(pairs):
@@ -383,14 +393,14 @@ def _first_meeting(pairs):
 
 def _live_length(ladder, dens):
     """The index from which every residue on ``ladder`` vanishes, else
-    math.inf: its first meeting with a ladder in ``dens`` (opening the same
-    way) at a whole multiplier ratio (_Ladder.ratio), whose denominator
-    gamma from there on sits on a pole at every pole of the ladder."""
+    math.inf: its first meeting with a ladder in ``dens`` at a ratio p / 1,
+    whose denominator gamma then sits on a pole at every pole after."""
     if not dens:
         return math.inf
-    unbounded = _Ladder(ladder.step, ladder.idx, math.inf, ladder.origin,
+    unbounded = _Ladder(ladder.step, ladder.term, math.inf, ladder.origin,
                         ladder.mult)  # replace() costs 7 times as much
-    return min([hit[0] for den in dens if ladder.ratio(den)
+    return min([hit[0] for den in dens
+                if (ratio := ladder.ratio(den)) and ratio[1] == 1
                 and (hit := unbounded.meets(den))], default=math.inf)
 
 
@@ -405,8 +415,8 @@ def pole_families(kernel, count):
     carry order > 1: a pole joins the first earlier one within
     POLE_TOLERANCE, among those whose merge key is that close.
     """
-    if count < 1:
-        raise ParameterError("count must be >= 1", count=count)
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise ParameterError("count must be an integer >= 1", count=count)
     out = []
     for side in ("left", "right"):
         ladders = _pole_ladders(kernel, side, count)
@@ -463,7 +473,7 @@ class Contour:
 def decay_rate(kernel):
     """Exponential decay rate kappa of |K| along a vertical line."""
     total = 0.0
-    for _, slope, sign in _signed_terms(kernel):
+    for _, slope, sign, _ in kernel.terms:
         total += sign * abs(slope)
     return 0.5 * np.pi * total
 
@@ -471,7 +481,7 @@ def decay_rate(kernel):
 def _algebraic_exponent(kernel, sigma):
     """Coefficient of log|y| in log|K(sigma + iy)| for large |y|."""
     total = 0.0
-    for coeff, slope, sign in _signed_terms(kernel):
+    for coeff, slope, sign, _ in kernel.terms:
         total += sign * ((coeff + slope * sigma).real - 0.5)
     return total
 
@@ -517,7 +527,9 @@ def choose_contour(kernel):
     # pole, placed in the widest gap between right-opening abscissae
     cuts = sorted({loc.real
                    for lad in _pole_ladders(kernel, "right", math.inf)
-                   for loc in lad.short_of(lo + 1.0) if loc.real > lo})
+                   for loc in map(lad.location, range(lad.before(lo),
+                                                      lad.before(lo + 1.0)))
+                   if loc.real > lo})
     bounds = [lo] + cuts + [lo + 1.0]
     widths = [bounds[i + 1] - bounds[i] for i in range(len(bounds) - 1)]
     i_best = int(np.argmax(widths))
@@ -538,17 +550,18 @@ def _crossed_poles(kernel, anchor):
     for side in ("right", "left"):
         crossed = []
         for lad in _pole_ladders(kernel, side, MAX_NODES + 1):
-            # the ladder's real parts are monotone: only the last pole walked
-            # can sit within POLE_TOLERANCE of the line
-            locs = list(lad.short_of(anchor + lad.step * POLE_TOLERANCE))
-            if len(locs) > MAX_NODES:
+            # the ladder's real parts are monotone: only the last pole
+            # crossed can sit within POLE_TOLERANCE of the line
+            count = lad.before(anchor + lad.step * POLE_TOLERANCE)
+            if count > MAX_NODES:
                 raise ContourError("the line crosses more poles than the "
                                    "node budget", anchor=anchor)
-            if locs and abs(locs[-1].real - anchor) <= POLE_TOLERANCE:
+            if count and abs((loc := lad.location(count - 1)).real
+                             - anchor) <= POLE_TOLERANCE:
                 raise ContourError("a pole lies on the integration line",
-                                   location=locs[-1], anchor=anchor)
-            if locs:
-                crossed.append(replace(lad, length=len(locs)))
+                                   location=loc, anchor=anchor)
+            if count:
+                crossed.append(replace(lad, length=count))
         # two poles that meet are crossed together
         loc = _first_meeting(itertools.combinations(crossed, 2))
         if loc is not None:
@@ -645,30 +658,21 @@ def _mp_number(x):
 def _ladder_model(kernel, ladder, exact):
     """(ladder, terms, moves): the other gamma factors along ``ladder``.
 
-    ``terms`` holds (coeff, slope, sign) of every factor but the one owning
-    the ladder, in _signed_terms order, and ``moves`` the step of each
-    one's argument from pole to pole: +/-1 when its multiplier equals the
-    ladder's, else None.  In double the numbers are _signed_terms' own.
-    With ``exact`` every coeff and slope, and the ladder's origin and
-    multiplier, are mpmath numbers built from the kernel's parameters, so
-    the poles ladder.location(l) are exact too: the origin is
-    step * coeff of the owning factor's own term.
+    ``terms`` holds kernel.terms but the ladder's own, and ``moves`` the
+    step of each one's argument from pole to pole: +/-1 when its
+    multiplier equals the ladder's, else None.  With ``exact`` they and
+    the ladder are mpmath numbers read from the exact parameters.
     """
-    # _signed_terms lists the up_right factors right after the up_left ones
-    own = ladder.idx + (ladder.step < 0) * len(kernel.up_left)
-    factors = kernel.up_left + kernel.up_right + kernel.down_left \
-        + kernel.down_right
-    terms = _signed_terms(kernel)
-    moves = [ladder.step * (1 if slope > 0 else -1) if f.mult == ladder.mult
-             else None for f, (_, slope, _) in zip(factors, terms)]
+    terms = list(kernel.terms)
+    moves = [ladder.step * (1 if slope > 0 else -1)
+             if abs(slope) == ladder.mult else None
+             for _, slope, _, _ in terms]
     if exact:
-        # exact 1 - a for the Gamma(1 - a + alpha s) factors (slope > 0)
-        terms = [(1 - _mp_number(f.coeff) if slope > 0
-                  else _mp_number(f.coeff), mpmath.mpf(slope), sign)
-                 for f, (_, slope, sign) in zip(factors, terms)]
-        ladder = replace(ladder, origin=ladder.step * terms[own][0],
+        terms = [(_coeff(_mp_number(a), slope), mpmath.mpf(slope), sign, a)
+                 for _, slope, sign, a in terms]
+        ladder = replace(ladder, origin=ladder.step * terms[ladder.term][0],
                          mult=mpmath.mpf(ladder.mult))
-    del terms[own], moves[own]
+    del terms[ladder.term], moves[ladder.term]
     return ladder, terms, moves
 
 
@@ -698,7 +702,7 @@ def _gamma_residue(ladder, terms, l, shift):
     about 1.5 times as much."""
     s = ladder.location(l)
     term = mpmath.mpf(-ladder.step if l % 2 == 0 else ladder.step)
-    for coeff, slope, sign in terms:
+    for coeff, slope, sign, _ in terms:
         w = coeff + slope * s
         if on_pole(complex(w)):
             if sign > 0:
@@ -779,7 +783,7 @@ def _ratio_residues(ladder, terms, moves, shift):
     products, converted exactly.
     """
     prec = mpmath.mp.prec
-    values = [_dyadic(ladder.origin)] + [_dyadic(c) for c, _, _ in terms]
+    values = [_dyadic(ladder.origin)] + [_dyadic(t[0]) for t in terms]
     exp = min(0, *(v.exp for v in values))
     (o_re, o_im), *coeffs = [(v.re << (v.exp - exp), v.im << (v.exp - exp))
                              for v in values]
@@ -789,7 +793,7 @@ def _ratio_residues(ladder, terms, moves, shift):
     # one at l: that w is c + m l, with Im w = c_im.  Real arguments
     # multiply as plain integers.
     num, den, num_c, den_c = [], [], [], []
-    for (c_re, c_im), (_, slope, sign), move in zip(coeffs, terms, moves):
+    for (c_re, c_im), (_, slope, sign, _), move in zip(coeffs, terms, moves):
         side = 1 if slope > 0 else -1
         c_re += side * o_re - (one if move > 0 else 0)
         c_im += side * o_im
@@ -866,8 +870,9 @@ def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
     """The residue sum over ``ladders``, merged lazily in opening order.
 
     Returns (total, abs_sum, tail, nterms, converged).  Summation stops
-    after three consecutive terms below tol * |partial|, counted once the
-    partial sum is nonzero.  ``tail``, the charge for the terms left out,
+    after three consecutive terms of at most tol * |partial|, counted once
+    the partial sum is nonzero: a term that underflows to 0 counts where
+    tol * |partial| does too.  ``tail``, the charge for the terms left out,
     is the last term's magnitude or, where they weigh more, the ladders'
     geometric tails: r |t| / (1 - r) for a last term t that fell by
     r = |t / t'| < 1 from the one before, bounding the rest while the
@@ -916,7 +921,7 @@ def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
                                            terms=nterms)
         # structurally zero leading terms (a denominator gamma at a pole)
         # say nothing about convergence while the partial sum is still zero
-        if total and mag < tol * modulus(total):
+        if total and mag <= tol * modulus(total):
             ok += 1
             if ok >= 3:
                 return total, abs_sum, tail(), nterms, True
@@ -940,6 +945,7 @@ def _checked_argument(z, tol):
 
 
 _RESIDUE_METHOD = {"left": "residues_left", "right": "residues_right"}
+_SUBNORMAL = 2.0 ** -1073  # a double term's rounding on the subnormal grid
 _EXACT_BUDGET = 4  # the exact pass's ladders: this many times n_max poles
 _MAX_DPS = 300  # the exact pass's precision cap, in digits
 
@@ -952,9 +958,12 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     a pole ladder of up to ``n_max`` poles, cut where a denominator gamma
     makes its residues vanish for good; the ladders are merged lazily in
     opening order, and a ladder pair sharing a pole is refused before
-    summing.  Summation stops after three consecutive terms below
-    tol * |partial|, counted once the partial sum is nonzero; a series
-    whose terms are all exactly zero evaluates to an exact 0.
+    summing.  Summation stops after three consecutive terms of at most
+    tol * |partial|, counted once the partial sum is nonzero.  The double
+    pass charges each term 2^-1073, its rounding on the subnormal grid; so
+    a series whose terms all underflow to zero evaluates to 0 within that
+    estimate, and one with no term at all (every ladder cut to length 0)
+    to an exact 0.
     When alternating cancellation makes double precision insufficient the
     same residues are summed again in mpmath, on ladders of up to
     _EXACT_BUDGET * n_max poles under a 1000x stricter stop rule, first at
@@ -974,6 +983,8 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     z = _checked_argument(z, tol)
     if side not in ("left", "right"):
         raise ParameterError("side must be 'left' or 'right'", side=side)
+    if not isinstance(n_max, numbers.Integral):
+        raise ParameterError("n_max must be an integer", n_max=n_max)
     if n_max <= 0:
         raise NonConvergentSeriesError("no residue terms accumulated",
                                        n_max=n_max)
@@ -997,22 +1008,24 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     method = _RESIDUE_METHOD[side]
     if abs_sum == 0.0:
         # every term was exactly zero (or every ladder vanishes): terms
-        # below the double range, or denominator gammas at the poles
-        return EvalResult(value=0j, err_estimate=0.0, nodes_used=nterms,
-                          contour=None, method=method, arg_branch=branch_k)
+        # below the double range, each charged its rounding to zero, or
+        # denominator gammas at the poles
+        return EvalResult(value=0j, err_estimate=nterms * _SUBNORMAL,
+                          nodes_used=nterms, contour=None, method=method,
+                          arg_branch=branch_k)
     if not converged:
         raise NonConvergentSeriesError("residue series did not settle",
                                        terms=nterms, tail=tail)
     sign = -1.0 if side == "right" else 1.0
     value = sign * total
     cancel = abs_sum / max(abs(value), 1e-300)
-    err = tail + _EPS * abs_sum * max(10.0, nterms)
+    err = tail + _EPS * abs_sum * max(10.0, nterms) + nterms * _SUBNORMAL
     if err > tol * max(abs(value), 1e-300) and cancel > 1e3:
         dps = 22 + int(math.log10(cancel)) + 6
         budget = _EXACT_BUDGET * n_max
         ladders = [replace(lad, length=min(cut, budget))
                    for lad, cut in zip(ladders, cuts)]
-        factors = len(_signed_terms(kernel))
+        factors = len(kernel.terms)
         while True:
             log.debug("residue series escalating to mpmath dps=%d", dps)
             with _MP_LOCK, _mpmath().workdps(dps):
@@ -1061,7 +1074,7 @@ def _log_mag_estimate(kernel, sigma, y, logz):
     # asymptotic_log_abs_gamma needs |eta| >= 1: smaller ones count as 1
     eta = np.maximum(np.abs(coeff.imag + slope * y), 1.0)
     logs = sign * asymptotic_log_abs_gamma((coeff + slope * sigma).real, eta)
-    for row in logs:  # factor by factor, in _signed_terms order
+    for row in logs:  # factor by factor, in kernel.terms order
         total = total + row
     return total
 
@@ -1125,7 +1138,7 @@ def _crossed_sum(crossed, shift):
                 s = ladder.location(l)
                 size = 1.0 + abs(s * shift) + math.lgamma(l + 1) \
                     + abs(math.log(ladder.mult))
-                for coeff, slope, _ in terms:
+                for coeff, slope, _, _ in terms:
                     w = coeff + slope * s
                     size += abs(log_gamma_unchecked(w)) \
                         + (abs(coeff) + abs(slope * s)) * (
@@ -1142,8 +1155,7 @@ def _conjugate_symmetric(kernel):
     """K(conj s) = conj K(s): real gamma coefficients and a real positive
     base (the multipliers are real already)."""
     return kernel.base.imag == 0.0 and kernel.base.real > 0.0 and all(
-        f.coeff.imag == 0.0 for f in kernel.up_left + kernel.up_right
-        + kernel.down_left + kernel.down_right)
+        coeff.imag == 0.0 for coeff, _, _, _ in kernel.terms)
 
 
 def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):

@@ -218,15 +218,15 @@ def series_recurrence_residual(a, b, n):
 def _residue_side(kernel, z):
     """Which residue family sums to a convergent series, if any.
 
-    By Delta = sum beta - sum alpha, the multipliers of the gammas whose
-    argument falls and rises with s: the right side for Delta > 0, the left
-    for Delta < 0, and for Delta = 0 the right side inside the radius
-    prod beta^beta prod alpha^-alpha of |z base|, the left outside it
-    (Kilbas & Saigo, H-Transforms, 2004, section 1.1).  That radius is 1
-    for every G kernel.
+    By Delta = -sum sign * slope over kernel.terms = sum beta - sum alpha:
+    the right side for Delta > 0, the left for Delta < 0, and for Delta = 0
+    the right side inside the radius prod beta^beta prod alpha^-alpha of
+    |z base|, the left outside it (Kilbas & Saigo, H-Transforms, 2004,
+    section 1.1).  That radius is 1 for every G kernel.
     """
-    betas = [f.mult for f in kernel.up_left + kernel.down_left]
-    alphas = [f.mult for f in kernel.up_right + kernel.down_right]
+    betas, alphas = [], []  # by sign * slope < 0 and > 0, in term order
+    for _, slope, sign, _ in kernel.terms:
+        (betas if sign * slope < 0 else alphas).append(abs(slope))
     slack = sum(betas) - sum(alphas)
     if slack > 1e-12:
         return "right"
@@ -259,15 +259,15 @@ def _evaluate_kernel(kernel, z, tol, method=None, branch_k=0):
         raise ParameterError("argument must be finite and nonzero", z=z)
     check_tolerance(tol)
     side = _residue_side(kernel, z)
-    numerators = kernel.up_left + kernel.up_right
+    # where the numerator gammas' poles open: True for rightward
+    opening = {slope < 0 for _, slope, sign, _ in kernel.terms if sign > 0}
     if method == "quad" or method is None and (side is None
-                                               or not numerators):
+                                               or not opening):
         return mb.integrate(kernel, z, tol=tol, branch_k=branch_k)
     if side is None:
         raise ConvergenceError("no residue side converges for this "
                                "argument", z=z)
-    if numerators and not {"right": kernel.up_left,
-                           "left": kernel.up_right}[side]:
+    if opening and (side == "right") not in opening:
         return mb.EvalResult(value=0j, err_estimate=0.0, nodes_used=0,
                              method="residues_" + side,
                              arg_branch=branch_k)

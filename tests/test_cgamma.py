@@ -396,9 +396,9 @@ def test_term_loop_pole_decision_matches_detect_pole():
         assert cgamma.on_pole(w) is expected, w
         # the double residue pass's term loop: a denominator gamma on a pole
         # zeroes the term, a numerator one raises
-        assert (mb._log_gammas([(w, 0.0, -1)], 0j) is None) is expected, w
+        assert (mb._log_gammas([(w, 0.0, -1, w)], 0j) is None) is expected, w
         if expected:
             with pytest.raises(PoleError):
-                mb._log_gammas([(w, 0.0, 1)], 0j)
+                mb._log_gammas([(w, 0.0, 1, w)], 0j)
         decided += expected
     assert decided == 41 * 8  # every point just inside, none outside

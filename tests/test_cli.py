@@ -142,17 +142,19 @@ def test_dump_integrand_csv(capsys, tmp_path):
 
 
 def test_dump_integrand_refuses_zero_argument(capsys, tmp_path):
-    # as `eval g --z 0` does: z^s has no value at z = 0
+    # as `eval g --z 0` does: z^s has no value at z = 0, nor at a z that
+    # is not finite (it wrote 512 rows of zeros or NaNs)
     out = tmp_path / "dump.csv"
-    code, obj = run_json(capsys, "dump-integrand", "--orders", "1,0,0,1",
-                         "--b", "0", "--z", "0", "--out", str(out))
-    assert code == 2
-    assert obj["error"]["code"] == "parameter_error"
-    assert not out.exists()
-    code, obj = run_json(capsys, "eval", "g", "--orders", "1,0,0,1",
-                         "--b", "0", "--z", "0")
-    assert code == 2
-    assert obj["error"]["code"] == "parameter_error"
+    for z in ("0", "inf", "nan"):
+        code, obj = run_json(capsys, "dump-integrand", "--orders", "1,0,0,1",
+                             "--b", "0", "--z", z, "--out", str(out))
+        assert code == 2
+        assert obj["error"]["code"] == "parameter_error"
+        assert not out.exists()
+        code, obj = run_json(capsys, "eval", "g", "--orders", "1,0,0,1",
+                             "--b", "0", "--z", z)
+        assert code == 2
+        assert obj["error"]["code"] == "parameter_error"
 
 
 @pytest.mark.parametrize("flag", ["--p-coeffs", "--q-coeffs"])

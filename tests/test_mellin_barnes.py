@@ -7,6 +7,7 @@ import logging
 import math
 import pickle
 import random
+import time
 
 import mpmath
 import numpy as np
@@ -494,6 +495,11 @@ def test_residue_series_reproduces_series_expansion():
 def test_residue_series_zero_budget():
     with pytest.raises(NonConvergentSeriesError):
         mb.residue_series(k_exp(0.0), 1.0, "right", n_max=0)
+    # a budget that is not an integer is a typed refusal, not range()'s
+    # TypeError
+    for n_max in (10.5, math.inf, math.nan, "10", 10.0):
+        with pytest.raises(ParameterError):
+            mb.residue_series(k_exp(0.0), 1.0, "right", n_max=n_max)
 
 
 def test_residue_series_no_poles_on_side():
@@ -543,10 +549,21 @@ def test_residue_series_skips_vanishing_ladder_beside_live_one():
 
 
 def test_residue_series_underflowing_terms_are_exact_zero():
-    # every term z^(2 + l) / l! lies below the double range
-    res = meijer_g(GParams(1, 0, 0, 1, (), (2.0,)), 1e-200,
-                   method="residues")
-    assert res.value == 0.0 and res.err_estimate == 0.0
+    # every term lies below the double range: z^(2 + l) / l! of
+    # z^2 e^-z at z = 1e-200, and G^{1,1}_{1,1}(0.5 | 200.5; 0.3), about
+    # 1e-340.  The value is an exact 0, but its estimate is not: each term
+    # is charged its rounding on the subnormal grid, which covers the true
+    # value (at 40 digits)
+    with mpmath.workdps(40):
+        x, a, b = mpmath.mpf(1e-200), mpmath.mpf(200.5), mpmath.mpf(0.3)
+        cases = ((GParams(1, 0, 0, 1, (), (2.0,)), 1e-200,
+                  x ** 2 * mpmath.exp(-x)),
+                 (GParams(1, 1, 1, 1, (200.5,), (0.3,)), 0.5,
+                  mpmath.gamma(1 - a + b) * 0.5 ** b * 1.5 ** (a - b - 1)))
+        for params, z, exact in cases:
+            res = meijer_g(params, z, method="residues")
+            assert res.value == 0.0 and res.err_estimate > 0.0
+            assert exact != 0 and abs(exact) <= res.err_estimate
 
 
 def _sorted_pole_sources(kernel, side, n):
@@ -631,8 +648,8 @@ def test_residue_series_draws_at_most_terms_plus_ladders(monkeypatch):
     drawn = []
     ladder_poles = mb._ladder_poles
 
-    def counting(ladder):
-        for item in ladder_poles(ladder):
+    def counting(ladder, idx):
+        for item in ladder_poles(ladder, idx):
             drawn.append(item)
             yield item
 
@@ -928,8 +945,9 @@ def test_residue_method_labels_are_shared():
 
 
 def test_pole_families_count_validation():
-    with pytest.raises(ParameterError):
-        mb.pole_families(k_exp(0.0), 0)
+    for count in (0, -3, 2.5, math.inf, math.nan, "4"):
+        with pytest.raises(ParameterError):
+            mb.pole_families(k_exp(0.0), count)
 
 
 def test_residue_series_divergent_growth():
@@ -1246,11 +1264,14 @@ def test_residue_estimate_charges_the_geometric_tail(z):
 
 
 @pytest.mark.parametrize("a,refusable", [(175.5, False), (180.5, False),
-                                          (190.5, True)])
+                                          (190.5, False)])
 def test_residue_stop_rule_reads_a_subnormal_partial_sum(a, refusable):
     # the right residues start below the double range and rise for about
     # a hundred poles; a stop rule floored at 1e-300 |partial| stopped after
-    # three of them, at -9.29e-313 +/- 9.07e-313 for -1.139e-285 (a = 175.5)
+    # three of them, at -9.29e-313 +/- 9.07e-313 for -1.139e-285 (a = 175.5).
+    # At a = 190.5 the partial sum is subnormal, tol |partial| underflows
+    # to 0, and the terms that underflow to 0 count as small: 6.19e-317
+    # within an estimate of 1e-321, each term's subnormal rounding
     exact = _g11_closed_form(a, 0.3, 0.5)
     try:
         res = meijer_g(GParams(1, 1, 1, 1, (a,), (0.3,)), 0.5)
@@ -1264,7 +1285,7 @@ def _scalar_log_mag(kernel, sigma, y, logz):
     """_log_mag_estimate one height and one factor at a time."""
     total = sigma * logz.real - y * (logz.imag + kernel.base_log.imag) \
         + sigma * kernel.base_log.real
-    for coeff, slope, sign in mb._signed_terms(kernel):
+    for coeff, slope, sign, _ in kernel.terms:
         eta = complex(coeff).imag + slope * y
         if abs(eta) < 1.0:
             eta = math.copysign(1.0, eta if eta != 0.0 else 1.0)
@@ -1496,15 +1517,105 @@ def test_live_length_tolerance_is_in_s():
 
 def test_a_ratio_whole_to_rounding_is_whole():
     # 0.9 / 0.3 is 3.0000000000000004 in double: the closed form and the cut
-    # take it as 3; s = l / 0.3 meets s' = (3 + l') / 0.9 on l' = 3l - 3
+    # take it as 3 / 1, and the reverse as 1 / 3; s = l / 0.3 meets
+    # s' = (3 + l') / 0.9 on l' = 3l - 3
     a, b = mb._Ladder(1, 0, 50, 0.0, 0.3), mb._Ladder(1, 0, 50, 3.0, 0.9)
-    assert a.ratio(b) == 3 and b.ratio(a) is None
+    assert a.ratio(b) == (3, 1) and b.ratio(a) == (1, 3)
+    assert b.meets(a) == _scan_meets(b, a) == (0, 1)
     assert a.meets(b) == _scan_meets(a, b) == (1, 0)
     kernel = mb.MellinKernel(up_left=((0.0, 0.3),), down_right=((3.0, 0.9),))
     ladder, = mb._pole_ladders(kernel, "right", 50)
     dens = mb._pole_ladders(kernel, "right", math.inf, den=True)
     assert mb._live_length(ladder, dens) == _eager_cut(kernel, ladder, 50) \
         == 1
+
+
+def _walk_before(ladder, bound):
+    """The poles before the line Re s = ``bound``, counted pole by pole:
+    the walk _Ladder.before replaced, kept as its oracle."""
+    l = 0
+    while l < ladder.length \
+            and ladder.step * (ladder.location(l).real - bound) < 0:
+        l += 1
+    return l
+
+
+def test_before_matches_a_pole_by_pole_walk():
+    rng = random.Random(14)
+    counts = collections.Counter()
+    for _ in range(4000):
+        ladder = _random_ladder(rng, rng.choice((1, -1)),
+                                rng.choice((1, 3, 8, 30, math.inf)))
+        pole = ladder.location(rng.randint(0, 40)).real
+        # on a pole, an ulp or POLE_TOLERANCE off one, or anywhere
+        bound = rng.choice((pole, math.nextafter(pole, math.inf),
+                            math.nextafter(pole, -math.inf),
+                            pole + POLE_TOLERANCE, pole - POLE_TOLERANCE,
+                            pole + rng.uniform(-1.0, 1.0),
+                            rng.uniform(-30.0, 30.0)))
+        got = ladder.before(bound)
+        assert got == _walk_before(ladder, bound), (ladder, bound)
+        counts[min(got, 2)] += 1
+    assert min(counts.values()) > 100, counts
+    # far from the head, in both directions
+    for step in (1, -1):
+        ladder = mb._Ladder(step, 0, math.inf, step * 0.3, 1.0)
+        for offset in (0.0, POLE_TOLERANCE, -POLE_TOLERANCE, 0.5):
+            bound = step * (0.3 + 10 ** 5 + offset)
+            assert ladder.before(bound) == _walk_before(ladder, bound)
+
+
+def _scan_ratio(a, b):
+    """The least q <= 12, with p, that puts b.mult within POLE_TOLERANCE of
+    p / q times a.mult, else None: _Ladder.ratio term by term."""
+    r = b.mult / a.mult
+    for q in range(1, 13):
+        p = round(r * q)
+        if p and abs(r - p / q) <= POLE_TOLERANCE:
+            return p, q
+    return None
+
+
+def test_ratio_matches_a_scan_over_denominators():
+    rng = random.Random(16)
+    found = collections.Counter()
+    for _ in range(20000):
+        r = rng.choice((rng.randint(1, 40) / rng.randint(1, 40),
+                        rng.uniform(0.01, 50.0)))
+        r += rng.choice((0.0, 0.0, 1e-10, -5e-10, 9.9e-10, 1.1e-9, -2e-9))
+        a = mb._Ladder(1, 0, 1, 0j, rng.choice((0.3, 1.0, 2.5)))
+        b = mb._Ladder(1, 0, 1, 0j, a.mult * r)
+        got = a.ratio(b)
+        assert got == _scan_ratio(a, b), (a.mult, b.mult)
+        found[None if got is None else got[1] > 1] += 1
+    assert min(found.values()) > 500, found
+    # every multiplier pair _random_ladder draws is a small rational, so
+    # the meetings of test_meets_matches_an_all_pairs_scan are all closed
+    # forms, whole ratio or not
+    mults = (0.5, 1.0, 1.5, 2.0, 3.0)
+    assert all(mb._Ladder(1, 0, 1, 0j, m).ratio(mb._Ladder(1, 0, 1, 0j, m2))
+               for m in mults for m2 in mults)
+
+
+def test_meetings_and_collisions_past_a_trillion_poles():
+    # closed forms at a ratio 3 / 2 that a pole-by-pole sweep would take
+    # hours over: s = l / 2 meets s' = 1e12 + l' / 3 at l = 2e12, l' = 0
+    a = mb._Ladder(1, 0, math.inf, 0.0, 2.0)
+    b = mb._Ladder(1, 0, 5, 3e12, 3.0)
+    start = time.perf_counter()
+    assert a.meets(b) == (2 * 10 ** 12, 0)
+    assert a.location(2 * 10 ** 12) == b.location(0) == 1e12
+    # a Fox H whose two ladders overlap for over 1e12 poles, without a
+    # shared pole: built, then refused by the line that crosses them all
+    params = HParams(1, 1, 1, 1, (1e12 + 0.3,), (-1e12 + 0.1,), (1.5,),
+                     (1.0,))
+    kernel = params.to_kernel()
+    lo, _ = mb.contour_window(kernel)
+    contour = mb.choose_contour(kernel)
+    assert lo < contour.anchor <= lo + 1.0
+    with pytest.raises(ContourError):
+        mb._crossed_poles(kernel, contour.anchor)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_pole_families_merge_across_an_interleaved_pole():

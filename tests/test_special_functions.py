@@ -561,3 +561,45 @@ def test_pfq_cancellation_the_contour_integral_refuses_is_loud():
     # the series returned -3.7e6 for -2.4e5
     with pytest.raises(ConvergenceError):
         sf.pfq((-40.0,), (1.0,), 30.0, tol=1e-10)
+
+
+def _family_residue_side(kernel, z):
+    """_residue_side read off the four families, as it was before the
+    kernel's term list: Delta = sum beta - sum alpha, then the radius."""
+    betas = [f.mult for f in kernel.up_left + kernel.down_left]
+    alphas = [f.mult for f in kernel.up_right + kernel.down_right]
+    slack = sum(betas) - sum(alphas)
+    if slack > 1e-12:
+        return "right"
+    if slack < -1e-12:
+        return "left"
+    radius = math.exp(sum(m * math.log(m) for m in betas)
+                      - sum(m * math.log(m) for m in alphas))
+    z_eff = abs(complex(z)) * abs(complex(kernel.base))
+    return "right" if z_eff < radius else "left" if z_eff > radius else None
+
+
+def test_residue_side_matches_the_family_reading():
+    rng = random.Random(15)
+    sides = set()
+    for _ in range(2000):
+        m, n = rng.randint(0, 3), rng.randint(0, 3)
+        p, q = n + rng.randint(0, 2), m + rng.randint(0, 2)
+        if rng.random() < 0.5:  # G: Delta = q - p, radius 1
+            alpha, beta = (1.0,) * p, (1.0,) * q
+        else:  # H, some balanced: Delta = 0 on a radius other than 1
+            mults = (0.5, 1.0, 1.5, 2.0) if rng.random() < 0.5 \
+                else (rng.uniform(0.3, 2.5),)
+            alpha = tuple(rng.choice(mults) for _ in range(p))
+            beta = tuple(rng.choice(mults) for _ in range(q))
+        kernel = mb.g_kernel(m, n, (0.25,) * p, (0.5,) * q, alpha, beta,
+                             base=rng.choice((1.0, 2.0, -0.5j)))
+        radius = math.exp(sum(b * math.log(b) for b in beta)
+                          - sum(a * math.log(a) for a in alpha))
+        z = rng.choice((radius, radius / abs(kernel.base),
+                        rng.uniform(0.1, 4.0))) \
+            * cmath.exp(1j * rng.uniform(-3.0, 3.0))
+        side = sf._residue_side(kernel, z)
+        assert side == _family_residue_side(kernel, z), (kernel, z)
+        sides.add(side)
+    assert sides == {"left", "right", None}
