@@ -140,11 +140,9 @@ class MellinKernel:
         return MellinKernel(ul, ur, dl, dr, self.base)
 
     def to_json(self):
-        def fam(fs):
-            return [[f.coeff.real, f.coeff.imag, f.mult] for f in fs]
-        return {"up_left": fam(self.up_left), "up_right": fam(self.up_right),
-                "down_left": fam(self.down_left),
-                "down_right": fam(self.down_right),
+        return {**{name: [[f.coeff.real, f.coeff.imag, f.mult]
+                          for f in getattr(self, name)]
+                   for name, _, _ in _FAMILIES},
                 "base": [self.base.real, self.base.imag]}
 
 
@@ -286,13 +284,18 @@ class _Ladder:
         return (self.origin + self.step * l) / self.mult
 
     def ratio(self, other):
-        """(p, q) in lowest terms if other.mult is p / q times mult, q <= 12,
-        to POLE_TOLERANCE, else None: past the whole ratios, the multiple of
-        1 / 27720 = 1 / lcm(1, ..., 12) nearest the ratio, reduced."""
+        """(p, q) in lowest terms if other.mult is p / q times mult, to
+        POLE_TOLERANCE, with q = 1 or p = 1 (whole ratios either way, any
+        size) or q <= 12, else None: past those, the multiple of 1 / 27720
+        = 1 / lcm(1, ..., 12) nearest the ratio, reduced."""
         r = other.mult / self.mult
         k = round(r)
         if k and abs(r - k) <= POLE_TOLERANCE:
             return k, 1
+        inverse = self.mult / other.mult
+        k = round(inverse)
+        if k and abs(inverse - k) <= POLE_TOLERANCE:
+            return 1, k
         n = round(r * 27720)
         g = math.gcd(n, 27720)
         p, q = n // g, 27720 // g
@@ -415,7 +418,7 @@ def pole_families(kernel, count):
     carry order > 1: a pole joins the first earlier one within
     POLE_TOLERANCE, among those whose merge key is that close.
     """
-    if not isinstance(count, numbers.Integral) or count < 1:
+    if not isinstance(count, (int, np.integer)) or count < 1:
         raise ParameterError("count must be an integer >= 1", count=count)
     out = []
     for side in ("left", "right"):
@@ -934,6 +937,30 @@ def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
     return total, abs_sum, tail(), nterms, False
 
 
+def _underflowed_tail(kernel, ladders, shift):
+    """The tail past the last poles of ``ladders``, whose residues all
+    underflow in double: per ladder r |t| / (1 - r) for its last two terms
+    t', t with r = |t / t'| < 1, read off their log moduli (composed as in
+    _log_residue); math.inf if some ladder's terms do not fall."""
+    tail = 0.0
+    for ladder in ladders:
+        if ladder.length < 2:
+            return math.inf
+        ladder, terms, _ = _ladder_model(kernel, ladder, False)
+        logs = []
+        for l in (ladder.length - 2, ladder.length - 1):
+            s = ladder.location(l)
+            total = _log_gammas(terms, s)  # None: a denominator on a pole
+            logs.append(-math.inf if total is None else
+                        (total + s * shift).real - math.lgamma(l + 1)
+                        - math.log(ladder.mult))
+        if not logs[1] < logs[0]:
+            return math.inf
+        # r / (1 - r) = 1 / expm1(log |t'| - log |t|)
+        tail += math.exp(logs[1] - math.log(math.expm1(logs[0] - logs[1])))
+    return tail
+
+
 def _checked_argument(z, tol):
     """complex(z) for a finite nonzero z (else ConvergenceError), with
     ``tol`` a positive finite number (else ParameterError)."""
@@ -962,8 +989,10 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     tol * |partial|, counted once the partial sum is nonzero.  The double
     pass charges each term 2^-1073, its rounding on the subnormal grid; so
     a series whose terms all underflow to zero evaluates to 0 within that
-    estimate, and one with no term at all (every ladder cut to length 0)
-    to an exact 0.
+    estimate, when the sum is complete or each ladder's last two terms
+    fall (their log moduli show it; the geometric tail is charged too),
+    and one with no term at all (every ladder cut to length 0) to an
+    exact 0.
     When alternating cancellation makes double precision insufficient the
     same residues are summed again in mpmath, on ladders of up to
     _EXACT_BUDGET * n_max poles under a 1000x stricter stop rule, first at
@@ -983,7 +1012,7 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     z = _checked_argument(z, tol)
     if side not in ("left", "right"):
         raise ParameterError("side must be 'left' or 'right'", side=side)
-    if not isinstance(n_max, numbers.Integral):
+    if not isinstance(n_max, (int, np.integer)):
         raise ParameterError("n_max must be an integer", n_max=n_max)
     if n_max <= 0:
         raise NonConvergentSeriesError("no residue terms accumulated",
@@ -1000,22 +1029,27 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
                                    location=loc)
     dens = _pole_ladders(kernel, side, math.inf, den=True)
     cuts = [_live_length(lad, dens) for lad in ladders]
-    logz = complex(np.log(z)) + 2j * np.pi * branch_k
+    shift = kernel.base_log + complex(np.log(z)) + 2j * np.pi * branch_k
+    summed = [replace(lad, length=min(cut, n_max))
+              for lad, cut in zip(ladders, cuts)]
     total, abs_sum, tail, nterms, converged = _sum_residues(
-        kernel, [replace(lad, length=min(cut, n_max))
-                 for lad, cut in zip(ladders, cuts)],
-        kernel.base_log + logz, tol, n_max)
+        kernel, summed, shift, tol, n_max)
     method = _RESIDUE_METHOD[side]
+    if abs_sum == 0.0 and not converged:
+        # every term underflowed, and a ladder ran into the budget
+        tail = _underflowed_tail(kernel, [
+            lad for lad, cut in zip(summed, cuts) if lad.length < cut], shift)
+        converged = math.isfinite(tail)
+    if not converged:
+        raise NonConvergentSeriesError("residue series did not settle",
+                                       terms=nterms, tail=tail)
     if abs_sum == 0.0:
         # every term was exactly zero (or every ladder vanishes): terms
         # below the double range, each charged its rounding to zero, or
         # denominator gammas at the poles
-        return EvalResult(value=0j, err_estimate=nterms * _SUBNORMAL,
+        return EvalResult(value=0j, err_estimate=nterms * _SUBNORMAL + tail,
                           nodes_used=nterms, contour=None, method=method,
                           arg_branch=branch_k)
-    if not converged:
-        raise NonConvergentSeriesError("residue series did not settle",
-                                       terms=nterms, tail=tail)
     sign = -1.0 if side == "right" else 1.0
     value = sign * total
     cancel = abs_sum / max(abs(value), 1e-300)

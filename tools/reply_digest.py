@@ -1,7 +1,6 @@
 """Print every benchmark reply of a checkout, then a sha256 over them.
 
-    python tools/reply_digest.py ROOT [--workload NAME] [--seed N]
-                                      [--limit K]
+    python tools/reply_digest.py ROOT
 
 ROOT is a checkout of this repository.  mbint is imported from ROOT/src,
 and the banks and calls from ROOT/perfbench (bank.py and calls.py, read
@@ -10,8 +9,7 @@ the script prints one line per reply: the ``repr`` of the return value,
 or the exception's type, message and context.  The last line is the
 sha256 of all the lines before it, so two checkouts reply bit for bit
 alike when their last lines agree, and ``diff`` names the cases where
-they do not.  ``--workload``, ``--seed`` and ``--limit`` (the first K
-cases of each bank) take a slice.
+they do not.
 """
 
 import argparse
@@ -23,7 +21,8 @@ SEEDS = (1, 2)
 
 
 def reply_lines(workloads, seeds, limit=None):
-    """One line per case: the reply's repr, or its exception."""
+    """One line per case (the first ``limit`` of each bank): the reply's
+    repr, or its exception."""
     import bank
     import calls
     for workload in workloads:
@@ -41,16 +40,11 @@ def reply_lines(workloads, seeds, limit=None):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("root", type=pathlib.Path)
-    parser.add_argument("--workload", action="append")
-    parser.add_argument("--seed", type=int, action="append")
-    parser.add_argument("--limit", type=int)
-    args = parser.parse_args(argv)
-    root = args.root.resolve()
+    root = parser.parse_args(argv).root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import bank
     digest = hashlib.sha256()
-    for line in reply_lines(args.workload or list(bank.WORKLOADS),
-                            args.seed or SEEDS, args.limit):
+    for line in reply_lines(list(bank.WORKLOADS), SEEDS):
         print(line)
         digest.update(line.encode() + b"\n")
     print(digest.hexdigest())
