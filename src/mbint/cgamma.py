@@ -79,19 +79,14 @@ def on_pole(z):
     return _nearest_pole(z)[1] <= POLE_TOLERANCE
 
 
-def detect_pole(z, tol=POLE_TOLERANCE):
-    """Locate the nearest gamma pole (0, -1, -2, ...) to ``z``.
-
-    A tolerance that is not positive, or a non-finite ``z``, is a
-    DomainError.
-    """
-    if tol <= 0:
-        raise DomainError("pole tolerance must be positive", tol=tol)
+def detect_pole(z):
+    """Locate the nearest gamma pole (0, -1, -2, ...) to ``z``, hit within
+    POLE_TOLERANCE.  A non-finite ``z`` is a DomainError."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError("pole detection needs a finite argument", z=z)
     k, dist = _nearest_pole(z)
-    return PoleReport(dist <= tol, -k, dist)
+    return PoleReport(dist <= POLE_TOLERANCE, -k, dist)
 
 
 def _principal_log(x):
@@ -214,10 +209,10 @@ def pochhammer(alpha, n):
 
     Direct product for n <= 64 (exact termination when a factor vanishes),
     log-domain gamma ratio above that whenever neither endpoint sits on a
-    pole ladder.  A non-finite ``alpha`` is a DomainError for every n.
+    pole ladder.  An ``n`` that is not a nonnegative integer (Python or
+    numpy), or a non-finite ``alpha``, is a DomainError for every n.
     """
-    n = int(n)
-    if n < 0:
+    if not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError("pochhammer index must be a nonnegative integer", n=n)
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):

@@ -8,7 +8,6 @@ parameter/domain errors, 3 numerical failure, 64 usage errors.
 """
 
 import argparse
-import cmath
 import csv
 import json
 import logging
@@ -380,12 +379,11 @@ def _cmd_dump_integrand(args):
         raise ParameterError("--points must be at least 2",
                              points=args.points)
     kernel = _kernel_params(args).to_kernel()
-    if args.z == 0 or not cmath.isfinite(args.z):
-        raise ParameterError("argument must be finite and nonzero", z=args.z)
+    tol = 1e-10  # eval g's default
+    logz = np.log(mb.check_argument(args.z, tol))
     contour = mb.choose_contour(kernel)
-    logz = np.log(args.z)
-    # the height integrate takes at this z and eval g's default tol
-    T, _ = mb._truncation(kernel, contour.anchor, logz, 1e-10,
+    # the height integrate takes at this z and tol
+    T, _ = mb._truncation(kernel, contour.anchor, logz, tol,
                           contour.truncation)
     ys = np.linspace(-T, T, args.points)
     s = contour.anchor + 1j * ys

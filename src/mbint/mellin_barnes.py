@@ -30,7 +30,6 @@ import heapq
 import itertools
 import logging
 import math
-import numbers
 import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -147,8 +146,10 @@ class MellinKernel:
 
 
 def check_split(m, n, p, q, error):
-    """Raise ``error`` unless m, n are integers in 0..q and 0..p."""
-    if not (isinstance(m, numbers.Integral) and isinstance(n, numbers.Integral)
+    """Raise ``error`` unless m, n are integers (Python or numpy) in 0..q
+    and 0..p."""
+    integer = (int, np.integer)
+    if not (isinstance(m, integer) and isinstance(n, integer)
             and 0 <= m <= q and 0 <= n <= p):
         raise error("split indices out of range", m=m, n=n, p=p, q=q)
 
@@ -287,12 +288,16 @@ class _Ladder:
         """(p, q) in lowest terms if other.mult is p / q times mult, to
         POLE_TOLERANCE, with q = 1 or p = 1 (whole ratios either way, any
         size) or q <= 12, else None: past those, the multiple of 1 / 27720
-        = 1 / lcm(1, ..., 12) nearest the ratio, reduced."""
-        r = other.mult / self.mult
+        = 1 / lcm(1, ..., 12) nearest the ratio, reduced.  A ratio or its
+        inverse past the double range (0 or inf) is a ParameterError."""
+        r, inverse = other.mult / self.mult, self.mult / other.mult
+        if not (0 < r < math.inf and 0 < inverse < math.inf):
+            raise ParameterError("gamma-factor multiplier ratio past the "
+                                 "double range", mult=self.mult,
+                                 other=other.mult)
         k = round(r)
         if k and abs(r - k) <= POLE_TOLERANCE:
             return k, 1
-        inverse = self.mult / other.mult
         k = round(inverse)
         if k and abs(inverse - k) <= POLE_TOLERANCE:
             return 1, k
@@ -872,21 +877,23 @@ def _ladder_residues(kernel, ladder, shift, exact=False):
 def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
     """The residue sum over ``ladders``, merged lazily in opening order.
 
-    Returns (total, abs_sum, tail, nterms, converged).  Summation stops
-    after three consecutive terms of at most tol * |partial|, counted once
-    the partial sum is nonzero: a term that underflows to 0 counts where
-    tol * |partial| does too.  ``tail``, the charge for the terms left out,
-    is the last term's magnitude or, where they weigh more, the ladders'
-    geometric tails: r |t| / (1 - r) for a last term t that fell by
-    r = |t / t'| < 1 from the one before, bounding the rest while the
-    ratios keep falling; |t| if r >= 1; nothing once a ladder is drawn out.
-    Terms are complex numbers, mpmath numbers or _Dyadic ones (the exact
-    pass's Gamma-ratio recurrence), and the sum is of their type: the loop
-    uses only +, complex() and the zero test.  A _Dyadic sum is exact.
-    Ladders all cut short of ``budget`` give a complete sum, with no tail.
-    A ladder of ``budget`` poles that draws its last one before the stop
-    rule settles ends the sum unconverged: the other ladders' terms say
-    nothing about its tail.
+    Returns (total, abs_sum, tail, nterms).  Summation stops after three
+    consecutive terms of at most tol * |partial|, counted once the partial
+    sum is nonzero: a term that underflows to 0 counts where tol * |partial|
+    does too.  ``tail``, the charge for the terms left out, is the last
+    term's magnitude or, where they weigh more, the ladders' geometric
+    tails: r |t| / (1 - r) for a last term t that fell by r = |t / t'| < 1
+    from the one before, bounding the rest while the ratios keep falling;
+    |t| if r >= 1; nothing once a ladder is drawn out.  Terms are complex
+    numbers, mpmath numbers or _Dyadic ones (the exact pass's Gamma-ratio
+    recurrence), and the sum is of their type: the loop uses only +,
+    complex() and the zero test.  A _Dyadic sum is exact.  Ladders all cut
+    short of ``budget`` give a complete sum, with no tail.  A ladder of
+    ``budget`` poles that draws its last one before the stop rule settles
+    ends the sum, refused with NonConvergentSeriesError: the other ladders'
+    terms say nothing about its tail.  Only a sum whose every term
+    underflowed is kept then, when the last two terms of each such ladder
+    fall (_underflowed_tail, charged as the tail).
     """
     runs = [_ladder_residues(kernel, lad, shift, exact) for lad in ladders]
     total = 0
@@ -927,14 +934,19 @@ def _sum_residues(kernel, ladders, shift, tol, budget, exact=False):
         if total and mag <= tol * modulus(total):
             ok += 1
             if ok >= 3:
-                return total, abs_sum, tail(), nterms, True
+                return total, abs_sum, tail(), nterms
         else:
             ok = 0
         if l == budget - 1:
-            return total, abs_sum, tail(), nterms, False
-    if all(lad.length < budget for lad in ladders):
-        return total, abs_sum, 0.0, nterms, True
-    return total, abs_sum, tail(), nterms, False
+            break  # a ladder ran into the budget before the rule settled
+    else:
+        return total, abs_sum, 0.0, nterms  # every ladder drawn out
+    rest = tail() if abs_sum else _underflowed_tail(
+        kernel, [lad for lad in ladders if lad.length == budget], shift)
+    if abs_sum or not math.isfinite(rest):
+        raise NonConvergentSeriesError("residue series did not settle",
+                                       terms=nterms, tail=rest)
+    return total, abs_sum, rest, nterms
 
 
 def _underflowed_tail(kernel, ladders, shift):
@@ -961,12 +973,12 @@ def _underflowed_tail(kernel, ladders, shift):
     return tail
 
 
-def _checked_argument(z, tol):
-    """complex(z) for a finite nonzero z (else ConvergenceError), with
-    ``tol`` a positive finite number (else ParameterError)."""
+def check_argument(z, tol):
+    """complex(z) for a finite nonzero z, with ``tol`` a positive finite
+    number; else ParameterError."""
     z = complex(z)
     if z == 0 or not cmath.isfinite(z):
-        raise ConvergenceError("argument must be finite and nonzero", z=z)
+        raise ParameterError("argument must be finite and nonzero", z=z)
     check_tolerance(tol)
     return z
 
@@ -985,14 +997,15 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     a pole ladder of up to ``n_max`` poles, cut where a denominator gamma
     makes its residues vanish for good; the ladders are merged lazily in
     opening order, and a ladder pair sharing a pole is refused before
-    summing.  Summation stops after three consecutive terms of at most
-    tol * |partial|, counted once the partial sum is nonzero.  The double
-    pass charges each term 2^-1073, its rounding on the subnormal grid; so
-    a series whose terms all underflow to zero evaluates to 0 within that
-    estimate, when the sum is complete or each ladder's last two terms
-    fall (their log moduli show it; the geometric tail is charged too),
-    and one with no term at all (every ladder cut to length 0) to an
-    exact 0.
+    summing.  The sum itself (_sum_residues) decides whether it settled:
+    it stops after three consecutive terms of at most tol * |partial|,
+    counted once the partial sum is nonzero, and refuses a ladder that
+    runs into its budget first.  The double pass charges each term
+    2^-1073, its rounding on the subnormal grid; so a series whose terms
+    all underflow to zero evaluates to 0 within that estimate, when the
+    sum is complete or each ladder's last two terms fall (their log moduli
+    show it; the geometric tail is charged too), and one with no term at
+    all (every ladder cut to length 0) to an exact 0.
     When alternating cancellation makes double precision insufficient the
     same residues are summed again in mpmath, on ladders of up to
     _EXACT_BUDGET * n_max poles under a 1000x stricter stop rule, first at
@@ -1002,14 +1015,13 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     (over 1000 times below the 5e-16 |value| the estimate adds), and at
     least twice the last pass's digits (up to _MAX_DPS) when the bound
     passes |value|; more than _MAX_DPS digits, or an exact zero, is
-    refused.  For n
-    terms of k gamma factors at P bits the bound is (n + k) 2^(3-P) times
-    the sum of |terms|: with equal multipliers each term follows from the
-    last on Python integers (_ratio_residues), rounded once per step, and
-    the sum is exact; a Fox H term is a product of rounded gamma values,
-    and each addition rounds once.
+    refused.  For n terms of k gamma factors at P bits the bound is
+    (n + k) 2^(3-P) times the sum of |terms|: with equal multipliers each
+    term follows from the last on Python integers (_ratio_residues),
+    rounded once per step, and the sum is exact; a Fox H term is a product
+    of rounded gamma values, and each addition rounds once.
     """
-    z = _checked_argument(z, tol)
+    z = check_argument(z, tol)
     if side not in ("left", "right"):
         raise ParameterError("side must be 'left' or 'right'", side=side)
     if not isinstance(n_max, (int, np.integer)):
@@ -1030,19 +1042,10 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     dens = _pole_ladders(kernel, side, math.inf, den=True)
     cuts = [_live_length(lad, dens) for lad in ladders]
     shift = kernel.base_log + complex(np.log(z)) + 2j * np.pi * branch_k
-    summed = [replace(lad, length=min(cut, n_max))
-              for lad, cut in zip(ladders, cuts)]
-    total, abs_sum, tail, nterms, converged = _sum_residues(
-        kernel, summed, shift, tol, n_max)
+    total, abs_sum, tail, nterms = _sum_residues(
+        kernel, [replace(lad, length=min(cut, n_max))
+                 for lad, cut in zip(ladders, cuts)], shift, tol, n_max)
     method = _RESIDUE_METHOD[side]
-    if abs_sum == 0.0 and not converged:
-        # every term underflowed, and a ladder ran into the budget
-        tail = _underflowed_tail(kernel, [
-            lad for lad, cut in zip(summed, cuts) if lad.length < cut], shift)
-        converged = math.isfinite(tail)
-    if not converged:
-        raise NonConvergentSeriesError("residue series did not settle",
-                                       terms=nterms, tail=tail)
     if abs_sum == 0.0:
         # every term was exactly zero (or every ladder vanishes): terms
         # below the double range, each charged its rounding to zero, or
@@ -1066,12 +1069,9 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
                 shift = mpmath.log(mpmath.mpmathify(z)) \
                     + 2j * mpmath.pi * branch_k \
                     + mpmath.log(mpmath.mpmathify(complex(kernel.base)))
-                total, abs_sum, tail, nterms, converged = _sum_residues(
+                total, abs_sum, tail, nterms = _sum_residues(
                     kernel, ladders, shift, tol * 1e-3, budget, exact=True)
                 value = sign * complex(total)
-            if not converged:
-                raise NonConvergentSeriesError(
-                    "residue series did not settle", terms=nterms)
             # 2^-P < 10^-dps: the digits keeping the bound under 1e-19 |value|
             digits = 19 + math.log10(8 * (nterms + factors) * abs_sum
                                      / abs(value)) if value else math.inf
@@ -1218,7 +1218,7 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     rounding bound is |K z^s| cosh u times its log sum's size:
     kernel_log_grid's, plus |s log z| + 1.
     """
-    z = _checked_argument(z, tol)
+    z = check_argument(z, tol)
     cls = convergence_class(kernel, z, branch_k)
     if cls is ConvergenceClass.DIVERGENT:
         raise ConvergenceError("contour integral diverges for this argument",

@@ -188,11 +188,11 @@ def series_recurrence_residual(a, b, n):
     """Defect of the term ratio c_{n+1}/c_n against its closed form.
 
     Both terms are built independently from rising-factorial products, so a
-    nonzero residual measures arithmetic noise, not modelling.
+    nonzero residual measures arithmetic noise, not modelling.  ``n`` is
+    pochhammer's index, refused there unless a nonnegative integer.
     """
     a = _complex_tuple(a)
     b = _complex_tuple(b)
-    n = int(n)
 
     def coeff(k):
         num = 1.0 + 0.0j
@@ -254,10 +254,7 @@ def _evaluate_kernel(kernel, z, tol, method=None, branch_k=0):
     if method not in (None, "quad", "residues"):
         raise ParameterError("method must be 'quad' or 'residues'",
                              method=method)
-    z = complex(z)
-    if z == 0 or not cmath.isfinite(z):
-        raise ParameterError("argument must be finite and nonzero", z=z)
-    check_tolerance(tol)
+    z = mb.check_argument(z, tol)
     side = _residue_side(kernel, z)
     # where the numerator gammas' poles open: True for rightward
     opening = {slope < 0 for _, slope, sign, _ in kernel.terms if sign > 0}
@@ -269,7 +266,7 @@ def _evaluate_kernel(kernel, z, tol, method=None, branch_k=0):
                                "argument", z=z)
     if opening and (side == "right") not in opening:
         return mb.EvalResult(value=0j, err_estimate=0.0, nodes_used=0,
-                             method="residues_" + side,
+                             method=mb._RESIDUE_METHOD[side],
                              arg_branch=branch_k)
     if method is None and mb.convergence_class(kernel, z, branch_k) \
             is mb.ConvergenceClass.ABSOLUTE:

@@ -465,7 +465,8 @@ def test_integrate_rejects_flat_kernel():
 
 
 def test_integrate_rejects_zero_argument():
-    with pytest.raises(ConvergenceError):
+    # a bad argument is the domain kind, as meijer_g says
+    with pytest.raises(ParameterError):
         mb.integrate(k_exp(0.0), 0.0)
 
 
@@ -918,6 +919,16 @@ def test_residue_series_exact_pass_has_its_own_budget():
     assert abs(res.value - mpmath_value) <= res.err_estimate
 
 
+def test_residue_series_exact_pass_out_of_poles_is_unconverged(monkeypatch):
+    # the mpmath re-summation runs (the double pass cancels past tol) on
+    # ladders of _EXACT_BUDGET * n_max = 130 poles, too few for its 1000x
+    # stricter stop rule
+    monkeypatch.setattr(mb, "_EXACT_BUDGET", 1)
+    with pytest.raises(NonConvergentSeriesError):
+        mb.residue_series(GParams(1, 0, 0, 1, (), (0.3,)).to_kernel(), 40.0,
+                          "right", n_max=130, tol=1e-10)
+
+
 def test_residue_series_exhausted_ladder_is_unconverged():
     # at n_max = 100 the ladder of Gamma(0.5 - 2s) (pole spacing 0.5) draws
     # its last pole at Re s = 49.75 before the sum settles; the sum used to
@@ -948,6 +959,9 @@ def test_residue_method_labels_are_shared():
     first = mb.residue_series(k_exp(0.0), 1.0, "right")
     again = mb.residue_series(k_exp(0.5), 2.0, "right")
     assert first.method == "residues_right" and first.method is again.method
+    # the exact 0 of a residue side whose loop encloses no pole, too
+    empty = meijer_g(GParams(0, 1, 1, 1, (0.3,), (0.2,)), 0.5)
+    assert empty.value == 0 and empty.method is mb._RESIDUE_METHOD["right"]
 
 
 def test_pole_families_count_validation():
@@ -1360,9 +1374,9 @@ def test_kernel_refuses_non_finite_base(base):
 @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan,
                                complex(1.0, math.inf), complex(math.nan, 1.0)])
 def test_non_finite_argument_is_refused_like_zero(z):
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ParameterError):
         mb.integrate(k_exp(0.5), z)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ParameterError):
         mb.residue_series(k_exp(0.5), z, "right")
 
 
@@ -1396,6 +1410,34 @@ def test_pole_families_list_the_residue_merge_order():
             == [loc for *_, loc in mb._merged_poles(ladders)]
     assert [p.location for p in left[:2]] == [-0.5 - 0.5j, -0.5 + 0.5j]
     assert [p.location for p in right[:2]] == [0.5 - 0.5j, 0.5 + 0.5j]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_multiplier_ratio_past_the_double_range_is_refused():
+    # 1e300 / 1e-300 overflows: round(inf) raised an untyped OverflowError
+    kernel = mb.MellinKernel(up_left=((0.1, 1e-300), (0.2, 1e300)))
+    with pytest.raises(ParameterError):
+        mb.residue_series(kernel, 0.5, "right")
+    # a ratio that underflows to 0, and a subnormal one whose inverse
+    # overflows
+    for m, m2 in ((1e300, 1e-300), (1.0, 1e-310)):
+        a, b = mb._Ladder(1, 0, 5, 0j, m), mb._Ladder(1, 1, 5, 0.5, m2)
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ParameterError):
+                x.ratio(y)
+
+
+def test_meets_sweeps_an_irrational_ratio():
+    # s = l against s' = (3 sqrt 2 - 5 + l') / sqrt 2 = 3 - 5 / sqrt 2 +
+    # l' / sqrt 2: no ratio p / q, so the numpy sweep finds s = 3 = s'_5
+    root2 = math.sqrt(2.0)
+    a = mb._Ladder(1, 0, 50, 0j, 1.0)
+    b = mb._Ladder(1, 1, 50, complex(3 * root2 - 5), root2)
+    assert a.ratio(b) is None and b.ratio(a) is None
+    assert a.meets(b) == (3, 5) and b.meets(a) == (5, 3)
+    params = HParams(2, 0, 0, 2, (), (0.0, 3 * root2 - 5), (), (1.0, root2))
+    with pytest.raises(HigherOrderPoleError):
+        mb.residue_series(params.to_kernel(), 0.5, "right")
 
 
 def test_residue_series_builds_its_ladders_once(monkeypatch):

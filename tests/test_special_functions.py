@@ -10,7 +10,7 @@ from mbint import mellin_barnes as mb
 from mbint import special_functions as sf
 from mbint import verification
 from mbint.errors import (ConvergenceError, DivergentSeriesError,
-                          InvalidDenominatorError, MBIntError,
+                          DomainError, InvalidDenominatorError, MBIntError,
                           NonConvergentSeriesError, OrderError,
                           ParameterError, QuadratureError)
 from mbint.fde_solutions import FirstOrderFDE
@@ -91,6 +91,14 @@ def test_series_recurrence_residual_examples():
     assert sf.series_recurrence_residual((-2.0, 1.1), (0.7,), 2) == 0.0
 
 
+@pytest.mark.parametrize("n", [2.5, math.inf, math.nan, "3", -1])
+def test_series_recurrence_residual_index_is_pochhammers(n):
+    with pytest.raises(DomainError):
+        sf.series_recurrence_residual((1.0, 1.0), (2.0,), n)
+    assert sf.series_recurrence_residual((1.0, 1.0), (2.0,), np.int64(3)) \
+        < 1e-15
+
+
 def test_meijer_g_exponential_both_methods():
     params = sf.GParams(1, 0, 0, 1, (), (0.5,))
     exact = 2.0 ** 0.5 * math.exp(-2.0)
@@ -129,6 +137,8 @@ def test_gparams_invariants():
         sf.GParams(1, 0, 0, 2, (), (0.0,))          # wrong vector length
     with pytest.raises(ParameterError):
         sf.GParams(0.5, 0, 0, 1, (), (0.0,))        # non-integer order
+    with pytest.raises(ParameterError):
+        sf.GParams(1.0, 0, 0, 1, (), (0.0,))        # a whole float
     # numpy integers are orders too
     assert sf.GParams(np.int64(1), np.int32(0), 0, 1, (), (0.0,)) \
         == sf.GParams(1, 0, 0, 1, (), (0.0,))
