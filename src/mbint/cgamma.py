@@ -204,6 +204,13 @@ def log_gamma(z):
     return log_gamma_unchecked(z)
 
 
+def check_index(n):
+    """Refuse, with DomainError, an ``n`` that is not a nonnegative integer
+    (Python or numpy)."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError("pochhammer index must be a nonnegative integer", n=n)
+
+
 def pochhammer(alpha, n):
     """Rising factorial (alpha)_n with (alpha)_0 = 1.
 
@@ -212,8 +219,7 @@ def pochhammer(alpha, n):
     pole ladder.  An ``n`` that is not a nonnegative integer (Python or
     numpy), or a non-finite ``alpha``, is a DomainError for every n.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError("pochhammer index must be a nonnegative integer", n=n)
+    check_index(n)
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
         raise DomainError("pochhammer needs a finite alpha", alpha=alpha)

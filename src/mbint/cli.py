@@ -83,6 +83,13 @@ def _tolerance(text):
     return tol
 
 
+def _seed(text):
+    seed = _numbers(text, int, 1)[0]
+    if seed < 0:
+        raise argparse.ArgumentTypeError("seed must be a nonnegative integer")
+    return seed
+
+
 def _c(value):
     value = complex(value)
     return [value.real, value.imag]
@@ -278,7 +285,7 @@ def build_parser():
     ve = sub.add_parser("verify", help="run a property suite")
     ve.add_argument("--suite", required=True,
                     choices=sorted(verification.SUITES) + ["all"])
-    ve.add_argument("--seed", type=int, default=0)
+    ve.add_argument("--seed", type=_seed, default=0)
     return top
 
 

@@ -351,7 +351,9 @@ class _Ladder:
 
     def before(self, bound):
         """How many poles precede the line Re s = bound: read off the
-        progression, settled on location(), monotone in l in floats too."""
+        progression, settled on location(), monotone in l in floats too.
+        Callers pass bounded ladders: the settling walks one pole at a time,
+        and far out many poles round to one location."""
         l = math.ceil(self.step * (bound * self.mult - self.origin.real))
         l = min(max(l, 0), self.length)
         while l > 0 and self.step * (self.location(l - 1).real - bound) >= 0:
@@ -460,7 +462,7 @@ def find_pole_collision(kernel):
 @dataclass(frozen=True, slots=True)
 class Contour:
     """The line Re s = anchor, integrated up to |Im s| >= truncation; the
-    residues of the poles it crosses are added (_crossed_poles)."""
+    contributions of the poles it crosses are added (_crossed_poles)."""
     anchor: float
     truncation: float
 
@@ -534,7 +536,7 @@ def choose_contour(kernel):
     # empty window: anchor inside (lo, lo + 1], clear of every left-opening
     # pole, placed in the widest gap between right-opening abscissae
     cuts = sorted({loc.real
-                   for lad in _pole_ladders(kernel, "right", math.inf)
+                   for lad in _pole_ladders(kernel, "right", MAX_NODES + 1)
                    for loc in map(lad.location, range(lad.before(lo),
                                                       lad.before(lo + 1.0)))
                    if loc.real > lo})
@@ -685,7 +687,8 @@ def _ladder_model(kernel, ladder, exact):
 
 
 def _log_residue(ladder, terms, l, shift):
-    """The residue at pole l of ``ladder`` in double, composed in log space
+    """The contribution of pole l of ``ladder`` in double, (-1)^l / (mult
+    l!) times the other factors and z^s there, composed in log space
     by _log_gammas and exponentiated once, all in Python complex: cmath.exp
     costs a fifth of np.exp on one scalar, and equals it bit for bit below
     Re 708.3 (above, it scales by e and may differ by an ulp)."""
@@ -698,18 +701,17 @@ def _log_residue(ladder, terms, l, shift):
     if total.real > _LOG_MAX:
         # past the double range: the sum's typed overflow check fires
         return complex(math.inf, 0.0)
-    parity = -ladder.step if l % 2 == 0 else ladder.step
-    return parity * cmath.exp(total)
+    return cmath.exp(total) if l % 2 == 0 else -cmath.exp(total)
 
 
 def _gamma_residue(ladder, terms, l, shift):
-    """The residue at pole l of an mpmath ``ladder`` (see _ladder_model), a
-    product of mpmath.gamma/rgamma values with the pole rules of
-    _log_gammas.  mpmath.loggamma costs more than gamma, and a log-space
-    sum of them is complex, so a Fox H term composed as in double costs
-    about 1.5 times as much."""
+    """The contribution of pole l of an mpmath ``ladder`` (see
+    _ladder_model), as in _log_residue: a product of mpmath.gamma/rgamma
+    values with the pole rules of _log_gammas.  mpmath.loggamma costs more
+    than gamma, and a log-space sum of them is complex, so a Fox H term
+    composed as in double costs about 1.5 times as much."""
     s = ladder.location(l)
-    term = mpmath.mpf(-ladder.step if l % 2 == 0 else ladder.step)
+    term = mpmath.mpf(1 if l % 2 == 0 else -1)
     for coeff, slope, sign, _ in terms:
         w = coeff + slope * s
         if on_pole(complex(w)):
@@ -774,7 +776,7 @@ def _dyadic(x):
 
 
 def _ratio_residues(ladder, terms, moves, shift):
-    """The residues of an mpmath ``ladder`` whose other factors all move
+    """The contributions of an mpmath ``ladder`` whose other factors all move
     by +/-1 (see _ladder_residues), by Gamma(w + 1) = w Gamma(w) in
     integer arithmetic.
 
@@ -853,7 +855,8 @@ def _ratio_residues(ladder, terms, moves, shift):
 
 
 def _ladder_residues(kernel, ladder, shift, exact=False):
-    """Residues of K(s) z^s at the poles l = 0, 1, ... of ``ladder``.
+    """The contributions of the poles l = 0, 1, ... of ``ladder``: the
+    residues of K(s) z^s there, negated on a right-opening ladder.
 
     ``shift`` is log(base) + log z.  A numerator gamma on a pole raises
     PoleError; a denominator gamma on a pole gives a zero term.  In double
@@ -992,20 +995,22 @@ _MAX_DPS = 300  # the exact pass's precision cap, in digits
 def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     """Evaluate the contour integral by closing around one pole family.
 
-    Closing right (around the right-opening poles) contributes -sum of
-    residues, closing left +sum.  Each numerator gamma of the family gives
-    a pole ladder of up to ``n_max`` poles, cut where a denominator gamma
-    makes its residues vanish for good; the ladders are merged lazily in
-    opening order, and a ladder pair sharing a pole is refused before
-    summing.  The sum itself (_sum_residues) decides whether it settled:
-    it stops after three consecutive terms of at most tol * |partial|,
-    counted once the partial sum is nonzero, and refuses a ladder that
-    runs into its budget first.  The double pass charges each term
-    2^-1073, its rounding on the subnormal grid; so a series whose terms
-    all underflow to zero evaluates to 0 within that estimate, when the
-    sum is complete or each ladder's last two terms fall (their log moduli
-    show it; the geometric tail is charged too), and one with no term at
-    all (every ladder cut to length 0) to an exact 0.
+    The value is the plain sum of the encircled poles' contributions: pole
+    l of a ladder adds (-1)^l / (mult l!) times the other factors and z^s
+    there (DLMF 16.17.2), whichever family it opens.  Each numerator gamma
+    of the family gives a pole ladder of up to ``n_max`` poles, cut where a
+    denominator gamma makes its residues vanish for good; the ladders are
+    merged lazily in opening order, and a ladder pair sharing a pole is
+    refused before summing.  The sum itself (_sum_residues) decides whether
+    it settled: it stops after three consecutive terms of at most
+    tol * |partial|, counted once the partial sum is nonzero, and refuses a
+    ladder that runs into its budget first.  The double pass charges each
+    term 2^-1073, its rounding on the subnormal grid.  A sum can be all
+    zero, from terms below the double range or denominator gammas at the
+    poles; it evaluates to 0 within that estimate, when the sum is complete
+    or each ladder's last two terms fall (their log moduli show it; the
+    geometric tail is charged too), and one with no term at all (every
+    ladder cut to length 0) to an exact 0.
     When alternating cancellation makes double precision insufficient the
     same residues are summed again in mpmath, on ladders of up to
     _EXACT_BUDGET * n_max poles under a 1000x stricter stop rule, first at
@@ -1045,16 +1050,7 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
     total, abs_sum, tail, nterms = _sum_residues(
         kernel, [replace(lad, length=min(cut, n_max))
                  for lad, cut in zip(ladders, cuts)], shift, tol, n_max)
-    method = _RESIDUE_METHOD[side]
-    if abs_sum == 0.0:
-        # every term was exactly zero (or every ladder vanishes): terms
-        # below the double range, each charged its rounding to zero, or
-        # denominator gammas at the poles
-        return EvalResult(value=0j, err_estimate=nterms * _SUBNORMAL + tail,
-                          nodes_used=nterms, contour=None, method=method,
-                          arg_branch=branch_k)
-    sign = -1.0 if side == "right" else 1.0
-    value = sign * total
+    value = complex(total)
     cancel = abs_sum / max(abs(value), 1e-300)
     err = tail + _EPS * abs_sum * max(10.0, nterms) + nterms * _SUBNORMAL
     if err > tol * max(abs(value), 1e-300) and cancel > 1e3:
@@ -1071,7 +1067,7 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
                     + mpmath.log(mpmath.mpmathify(complex(kernel.base)))
                 total, abs_sum, tail, nterms = _sum_residues(
                     kernel, ladders, shift, tol * 1e-3, budget, exact=True)
-                value = sign * complex(total)
+                value = complex(total)
             # 2^-P < 10^-dps: the digits keeping the bound under 1e-19 |value|
             digits = 19 + math.log10(8 * (nterms + factors) * abs_sum
                                      / abs(value)) if value else math.inf
@@ -1088,7 +1084,8 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
             dps = math.ceil(digits)
         err = tail + 5e-16 * abs(value)
     return EvalResult(value=value, err_estimate=float(err), nodes_used=nterms,
-                      contour=None, method=method, arg_branch=branch_k)
+                      contour=None, method=_RESIDUE_METHOD[side],
+                      arg_branch=branch_k)
 
 
 
@@ -1156,9 +1153,9 @@ def _truncation(kernel, sigma, logz, tol, t_min):
 
 
 def _crossed_sum(crossed, shift):
-    """(sum, rounding) of -step times each crossed residue (_crossed_poles):
-    a right-opening pole subtracts its residue, a left-opening one adds it.
-    A residue is exp of a log-space sum (log gammas, s * shift, log l!,
+    """(sum, rounding) of the crossed poles' contributions (_crossed_poles,
+    each term as in _log_residue), what the line misses of the value.
+    A term is exp of a log-space sum (log gammas, s * shift, log l!,
     log mult), so it is charged eps |term| times the summands' magnitudes,
     plus one for the addition.  Each factor's argument w = c + m s is itself
     rounded, by up to eps (|c| + |m s|), which moves log Gamma(w) by that
@@ -1179,7 +1176,7 @@ def _crossed_sum(crossed, shift):
                             1.0 / detect_pole(w).distance
                             + math.log(2.0 + abs(w)))
                 rounding += _EPS * abs(res) * size
-            total -= ladder.step * res
+            total += res
     if not (cmath.isfinite(total) and math.isfinite(rounding)):
         raise ContourError("crossed residues overflow")
     return total, rounding
@@ -1202,7 +1199,7 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     branch of arg z shifted by 2 pi * branch_k.
 
     The value is the pole-separating contour's: the line's integral plus
-    the crossed poles' residues (_crossed_poles, _crossed_sum), their
+    the crossed poles' contributions (_crossed_poles, _crossed_sum), their
     rounding in the estimate.  A conjugate-symmetric kernel
     (_conjugate_symmetric) is folded onto 0 <= y <= T, for any z and
     branch: with L = log K(sigma + iy), the integrand there is

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import mellin_barnes as mb
 from . import polyroots
-from .cgamma import detect_pole, log_gamma, pochhammer
+from .cgamma import check_index, detect_pole, log_gamma, pochhammer
 from .errors import (ConvergenceError, DivergentSeriesError,
                      InvalidDenominatorError, MBIntError, ParameterError,
                      QuadratureError)
@@ -25,6 +25,7 @@ from .quadrature import check_tolerance
 PFQ_MAX_TERMS = 100000  # pfq's term budget
 _EPS = np.finfo(float).eps
 G_ODE_EVAL_TOL = 1e-12  # the tol of g_ode_residual's meijer_g evaluations
+G_ODE_STEP = 1e-2  # the radius in log z of g_ode_residual's Cauchy circle
 
 
 def _complex_tuple(values):
@@ -189,8 +190,10 @@ def series_recurrence_residual(a, b, n):
 
     Both terms are built independently from rising-factorial products, so a
     nonzero residual measures arithmetic noise, not modelling.  ``n`` is
-    pochhammer's index, refused there unless a nonnegative integer.
+    pochhammer's index, refused up front unless a nonnegative integer
+    (check_index): with ``a`` and ``b`` empty, pochhammer is never called.
     """
+    check_index(n)
     a = _complex_tuple(a)
     b = _complex_tuple(b)
 
@@ -413,27 +416,27 @@ def _theta_derivatives(u_of, z, radius, max_order):
             for k in range(max_order + 1)]
 
 
-def g_ode_residual(params, z, step=1e-2, u=None):
+def g_ode_residual(params, z, u=None):
     """Normalized defect of the factored operator applied to the function.
 
     ``u`` overrides the evaluator (default: meijer_g at G_ODE_EVAL_TOL),
     which lets callers check the operator against closed forms or a zero
-    function.  theta^k u comes from u on the circle |log(z'/z)| = step
-    (_theta_derivatives), which must stay on the principal branch: z
-    finite and nonzero with |arg z| + step < pi, and step > 0; any other
-    z or step is a ParameterError.
+    function.  theta^k u comes from u on the circle |log(z'/z)| =
+    G_ODE_STEP (_theta_derivatives), which must stay on the principal
+    branch: z finite and nonzero with |arg z| + G_ODE_STEP < pi; any other
+    z is a ParameterError.
     """
     z = complex(z)
-    if not (cmath.isfinite(z) and z != 0 and step > 0
-            and abs(cmath.phase(z)) + step < math.pi):
+    if not (cmath.isfinite(z) and z != 0
+            and abs(cmath.phase(z)) + G_ODE_STEP < math.pi):
         raise ParameterError("z must be finite and nonzero, with the circle "
-                             "|log(z'/z)| = step clear of the negative real "
-                             "axis", z=z, step=step)
+                             "|log(z'/z)| = G_ODE_STEP clear of the negative "
+                             "real axis", z=z)
     form = theta_form_from_g(params)
     if u is None:
         def u(zz):
             return meijer_g(params, zz, tol=G_ODE_EVAL_TOL).value
-    thetas = _theta_derivatives(u, z, step, max(params.p, params.q))
+    thetas = _theta_derivatives(u, z, G_ODE_STEP, max(params.p, params.q))
     left_poly = polyroots.from_roots(form.left_factors)
     right_poly = polyroots.from_roots(form.right_factors)
     left = sum(left_poly[k] * thetas[k] for k in range(len(left_poly)))

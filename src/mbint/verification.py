@@ -482,7 +482,10 @@ SUITES = {
 
 
 def run_suite(name, seed=0):
-    """Structured pass/fail report for one suite (or 'all')."""
+    """Structured pass/fail report for one suite (or 'all'), on the
+    nonnegative integer ``seed``."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError("seed must be a nonnegative integer", seed=seed)
     if name == "all":
         names = sorted(SUITES)
     elif name in SUITES:

@@ -176,10 +176,9 @@ def test_criterion_07_h_reduces_to_g():
 
 
 def test_criterion_08_factored_operator():
-    r1 = sf.g_ode_residual(sf.GParams(1, 0, 0, 1, (), (0.0,)), 1.0,
-                           step=1e-2)
+    r1 = sf.g_ode_residual(sf.GParams(1, 0, 0, 1, (), (0.0,)), 1.0)
     r2 = sf.g_ode_residual(sf.GParams(1, 2, 2, 2, (0.0, 0.0), (0.0, -1.0)),
-                           0.25, step=1e-2)
+                           0.25)
     bank = max(sf.g_ode_residual(params, z) for params, z in KERNEL_BANK)
     rng = np.random.default_rng(404)
     structural = True

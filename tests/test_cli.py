@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from mbint import cli
+from mbint import cli, verification
+from mbint.errors import ParameterError
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +192,13 @@ def test_verify_unknown_suite_usage_error(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_run_suite_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
+    # numpy's generator raised an untyped ValueError on -1
+    with pytest.raises(ParameterError):
+        verification.run_suite("gamma", seed)
+
+
 def test_determinism_byte_identical(capsys):
     argv = ("eval", "g", "--orders", "1,0,0,1", "--b", "0.5", "--z", "2")
     _, first = run_cli(capsys, *argv)
@@ -332,7 +340,8 @@ _MALFORMED = [
     ("dump-integrand", "--orders", "1,0,x,1"), ("dump-integrand", "--a", "x"),
     ("dump-integrand", "--b", "x"), ("dump-integrand", "--z", "x,y"),
     ("dump-integrand", "--points", "x"),
-    ("verify", "--seed", "x"),
+    ("verify", "--seed", "x"), ("verify", "--seed", "1.5"),
+    ("verify", "--seed", "-1"),
 ]
 
 

@@ -802,6 +802,49 @@ def test_residue_series_double_and_exact_terms_agree():
             assert abs(d - e) <= 1e-12 * abs(e)
 
 
+def test_residue_series_is_the_plain_sum_of_its_terms():
+    # a term is its pole's contribution, (-1)^l / (mult l!) times the other
+    # factors and z^s, on either side: the value adds the terms in merge
+    # order with no side sign
+    kernel = GParams(2, 2, 2, 2, (0.3, -0.2 + 0.1j),
+                     (0.1, 0.45)).to_kernel()
+    for side, z in (("right", 0.4 + 0.1j), ("left", 2.5 - 0.5j)):
+        res = mb.residue_series(kernel, z, side)
+        shift = kernel.base_log + complex(np.log(z))
+        ladders = mb._pole_ladders(kernel, side, 400)
+        models = [mb._ladder_model(kernel, lad, False) for lad in ladders]
+        assert len(ladders) == 2
+        total = 0
+        for _, _, idx, l, _ in itertools.islice(mb._merged_poles(ladders),
+                                                 res.nodes_used):
+            ladder, terms, _ = models[idx]
+            total += mb._log_residue(ladder, terms, l, shift)
+        assert res.value == complex(total), side
+        exact = complex(mpmath.meijerg([[0.3, -0.2 + 0.1j], []],
+                                       [[0.1, 0.45], []], z))
+        assert abs(res.value - exact) <= 1e-10 * abs(exact), side
+
+
+def test_residue_series_exact_pass_agrees_with_the_double_pass(monkeypatch):
+    # z^0.3 e^-z at z = 8 cancels by about 1e7 on the right: the exact
+    # pass sums the same contributions as the double pass, so it lands
+    # within the double pass's own estimate of it
+    sums = []
+    real_sum = mb._sum_residues
+
+    def summed(*args, **kwargs):
+        sums.append(real_sum(*args, **kwargs))
+        return sums[-1]
+    monkeypatch.setattr(mb, "_sum_residues", summed)
+    res = mb.residue_series(k_exp(0.3), 8.0, "right")
+    assert len(sums) >= 2
+    total, abs_sum, tail, nterms = sums[0]
+    double_err = tail + mb._EPS * abs_sum * max(10.0, nterms)
+    assert abs_sum > 1e6 * abs(total)
+    assert abs(res.value - complex(total)) <= double_err < 1e-6 * abs(total)
+    assert abs(res.value - 8.0 ** 0.3 * math.exp(-8.0)) <= res.err_estimate
+
+
 def _mp_term(term):
     """A _Dyadic term as an mpmath number."""
     return mpmath.mpc(mpmath.ldexp(term.re, term.exp),
@@ -1678,6 +1721,25 @@ def test_meetings_and_collisions_past_a_trillion_poles():
     with pytest.raises(ContourError):
         mb._crossed_poles(kernel, contour.anchor)
     # a loose bound for a slow runner: the walks took hours
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("params", [
+    GParams(1, 1, 1, 1, (1e22,), (0.5,)),
+    GParams(1, 1, 1, 1, (1e25,), (0.5,)),
+    GParams(1, 1, 1, 1, (1e300,), (0.5,)),
+    HParams(1, 1, 1, 1, (2.0,), (0.5,), (1.0,), (1e6,)),
+    HParams(1, 1, 1, 1, (2.0,), (0.5,), (1.0,), (1e7,))])
+def test_empty_window_contour_reads_bounded_ladders(params):
+    # the line would cross far more poles than the node budget: the cut set
+    # reads the right ladders at that budget, where it walked every pole
+    # before the window (a plateau of equal rounded locations at 1e300,
+    # never returning) or every pole in it (15 s at 1e7)
+    start = time.perf_counter()
+    evaluate = meijer_g if isinstance(params, GParams) else fox_h
+    with pytest.raises(ContourError):
+        evaluate(params, 0.5)
+    # a loose bound for a slow runner: each refusal takes under 1 ms
     assert time.perf_counter() - start < 5.0
 
 
