@@ -28,8 +28,8 @@ import cmath
 import functools
 import heapq
 import itertools
-import logging
 import math
+import sys
 import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -44,9 +44,8 @@ from .errors import (ContourError, ConvergenceError, HigherOrderPoleError,
 from .quadrature import (MAX_NODES, check_tolerance, integrate_adaptive,
                          modulus)
 
-log = logging.getLogger(__name__)
-
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny  # below it, exp rounds on the subnormal grid
 _LOG_MAX = math.log(np.finfo(float).max)  # exp() of more overflows
 _T_MIN = 8.0  # the lowest truncation height _truncation tries
 _T_MAX = 6000.0
@@ -478,6 +477,23 @@ class Contour:
 
     def to_json(self):
         return {"anchor": self.anchor, "truncation": self.truncation}
+
+
+@functools.lru_cache(maxsize=256)
+def _contour(anchor, truncation):
+    """Contour(anchor, truncation), one object per line and height: the
+    heights come from _truncation's ladder, so the replies of many z on a
+    line share a few contours (an anchor of -0.0 shares 0.0's)."""
+    return Contour(anchor, truncation)
+
+
+def _debug(msg, *args):
+    """Log ``msg`` at debug level, in a process that imported logging: in
+    one that did not, no handler could print it, so mbint does not import
+    logging itself."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(msg, *args)
 
 
 def decay_rate(kernel):
@@ -1060,7 +1076,7 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
                    for lad, cut in zip(ladders, cuts)]
         factors = len(kernel.terms)
         while True:
-            log.debug("residue series escalating to mpmath dps=%d", dps)
+            _debug("residue series escalating to mpmath dps=%d", dps)
             with _MP_LOCK, _mpmath().workdps(dps):
                 shift = mpmath.log(mpmath.mpmathify(z)) \
                     + 2j * mpmath.pi * branch_k \
@@ -1211,9 +1227,12 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     The line is mapped by y = sinh u, on |u| <= asinh T (u >= 0 folded,
     the node u = 0 at half weight), where |K z^s| falls double-
     exponentially, and integrated by the nested trapezoidal rule
-    (integrate_adaptive), one kernel_log_grid call per level.  A node's
-    rounding bound is |K z^s| cosh u times its log sum's size:
-    kernel_log_grid's, plus |s log z| + 1.
+    (integrate_adaptive): one kernel_log_grid call for the first levels
+    together, then one per level.  A node's rounding bound is |K z^s|
+    cosh u times its log sum's size: kernel_log_grid's, plus |s log z| + 1;
+    a node whose |K z^s| lies below the normal range is charged
+    _SUBNORMAL cosh u more, so a line that underflows to 0 returns 0 with
+    a nonzero estimate, not a proven 0.
     """
     z = check_argument(z, tol)
     cls = convergence_class(kernel, z, branch_k)
@@ -1225,8 +1244,7 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     logz = complex(np.log(z)) + 2j * np.pi * branch_k
     sigma = contour.anchor
     T, tail = _truncation(kernel, sigma, logz, tol, contour.truncation)
-    used = contour if T == contour.truncation \
-        else replace(contour, truncation=float(T))
+    used = contour if T == contour.truncation else _contour(sigma, float(T))
     # summed before the quadrature, so a line through a pole is refused
     # at once
     crossed = _crossed_poles(kernel, sigma)
@@ -1246,8 +1264,13 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
             out += other
             mag += np.abs(other)
         jacobian = np.cosh(u)
+        # below the normal range |value| rounds by up to the subnormal
+        # spacing, not relative to itself: such a node is charged
+        # _SUBNORMAL, as a residue term is
+        underflow = np.where(mag < _TINY, _SUBNORMAL / _EPS, 0.0)
         return out * jacobian, \
-            mag * jacobian * (size + np.abs(s) * abs(logz) + 1.0)
+            mag * jacobian * (size + np.abs(s) * abs(logz) + 1.0) \
+            + underflow * jacobian
 
     U = math.asinh(T)
     quad = integrate_adaptive(integrand, 0.0 if folded else -U, U,
@@ -1263,8 +1286,8 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
         raise QuadratureError("the error estimate, rounding floor and tail "
                               "bound included, exceeds the requested "
                               "tolerance", nodes=quad.nodes, err=err)
-    log.debug("integrate: anchor=%.4g T=%.4g nodes=%d err=%.3g",
-              sigma, T, quad.nodes, err)
+    _debug("integrate: anchor=%.4g T=%.4g nodes=%d err=%.3g",
+           sigma, T, quad.nodes, err)
     return EvalResult(value=complex(value), err_estimate=float(err),
                       nodes_used=quad.nodes, contour=used,
                       method="quadrature", arg_branch=branch_k)

@@ -8,7 +8,9 @@ geometrically in 1/h (Trefethen & Weideman, SIAM Rev. 56 (2014); Takahasi
 & Mori 1974), and halving h keeps every node: each halving evaluates only
 the new odd nodes, in one call of the integrand.  The nodes are the points
 of the lattice h Z in the window, so they do not depend on anything but
-the window and the level.
+the window and the level.  The first call takes the first levels at once,
+up to FIRST_NODES nodes: a call of the line's integrand costs about as
+much as a few hundred of its nodes.
 """
 
 import math
@@ -21,6 +23,7 @@ from .errors import ParameterError
 
 MAX_NODES = 200000  # default integrand evaluations per integral
 STEP = 0.125  # the coarsest level's step, shared by every caller
+FIRST_NODES = 128  # the first call takes each level of at most this many nodes
 _EPS = float(np.finfo(float).eps)
 
 
@@ -58,29 +61,42 @@ def integrate_adaptive(f, lo, hi, tol_rel=1e-10, max_nodes=MAX_NODES):
     ``f`` takes a real array of abscissae and returns (values, rounding):
     the complex integrand and, per node, a bound on its rounding in units
     of eps.  The first call evaluates the level of step STEP, whose even
-    nodes are the level 2 STEP, so the first comparison of two levels
-    costs one call; each halving after it adds the odd nodes, in one call.
-    Refinement stops once the last two levels differ by at most tol_rel
-    times the value, or by no more than the rounding floor: eps times the
-    rule applied to the rounding bounds, from the same sweep, below which
-    the difference says nothing.  The error reported is that difference
-    plus the floor.  A level the node budget cannot take, a non-finite
-    value and a sum past the double range end the refinement, unconverged.
+    nodes are the level 2 STEP, and every halving after it whose level has
+    at most min(FIRST_NODES, max_nodes) nodes; the levels are read from it
+    as strided slices, so the first comparisons of two levels cost one
+    call.  Each halving past it adds the odd nodes, in one call.  Every
+    level is summed on its own, coarsest first, and the abscissae are the
+    same lattice points however the calls split them, so the result does
+    not depend on FIRST_NODES.  Refinement stops once the last two levels
+    differ by at most tol_rel times the value, or by no more than the
+    rounding floor: eps times the rule applied to the rounding bounds, from
+    the same sweep, below which the difference says nothing.  The error
+    reported is that difference plus the floor, and ``nodes`` counts the
+    last level's nodes, not the nodes evaluated.  A level the node budget
+    cannot take, a non-finite value and a sum past the double range end
+    the refinement, unconverged.
     """
     h = 2.0 * STEP
     start = h * math.floor(lo / h)
     n = max(math.ceil(hi / h) - math.floor(lo / h), 1)  # intervals of h
-    fx, rx = f(start + STEP * np.arange(2 * n + 1))
+    stride = 2  # intervals of the first call's finest level per one of h
+    while 2 * stride * n + 1 <= min(FIRST_NODES, max_nodes):
+        stride *= 2
+    first_fx, first_rx = f(start + (h / stride) * np.arange(stride * n + 1))
     nodes = 2 * n + 1
     # each sum scales its values before adding them, so that a value in
     # the double range does not overflow on the way; the level 2 STEP's
     # endpoints carry half weight
-    value = complex((h * fx[::2]).sum() - 0.5 * h * (fx[0] + fx[-1]))
-    rounding = float((h * rx[::2]).sum() - 0.5 * h * (rx[0] + rx[-1]))
-    fx, rx = fx[1::2], rx[1::2]
+    fx, rx = first_fx[::stride], first_rx[::stride]
+    value = complex((h * fx).sum() - 0.5 * h * (fx[0] + fx[-1]))
+    rounding = float((h * rx).sum() - 0.5 * h * (rx[0] + rx[-1]))
     while True:
         h *= 0.5
         n *= 2
+        if stride > 1:  # the odd nodes of level h, from the first call
+            stride //= 2
+            odd = slice(stride, None, 2 * stride)
+            fx, rx = first_fx[odd], first_rx[odd]
         previous = value
         value = 0.5 * value + complex((h * fx).sum())
         rounding = 0.5 * rounding + float((h * rx).sum())
@@ -88,7 +104,8 @@ def integrate_adaptive(f, lo, hi, tol_rel=1e-10, max_nodes=MAX_NODES):
         if diff <= tol_rel * modulus(value) or diff <= _EPS * rounding \
                 or not math.isfinite(modulus(value)) or nodes + n > max_nodes:
             break
-        fx, rx = f(start + h * (np.arange(n) + 0.5))
+        if stride == 1:
+            fx, rx = f(start + h * (np.arange(n) + 0.5))
         nodes += n
     error = diff + _EPS * rounding
     # a sum whose modulus passes the double range has no relative target

@@ -8,7 +8,7 @@ from mbint import cgamma, fde_solutions as fde, laplace, polyroots
 from mbint.duality import CoefficientMatrix, ode_singular_polynomial
 from mbint.errors import (DegreeError, DivergenceError, ParameterError,
                           QuadratureError, RepeatedRootError)
-from mbint.quadrature import STEP, QuadResult
+from mbint.quadrature import FIRST_NODES, STEP, QuadResult
 
 BETA_MATRIX = CoefficientMatrix(((0.0, -1.0), (1.0, -1.0)))
 
@@ -142,13 +142,19 @@ def test_analytic_head_opens_on_equal_panels(monkeypatch, beta):
     # mu* = beta - 1 a positive integer: psi = (1 - e^{-t})^{beta - 1} is
     # analytic at t = 0; the window runs from the head cut through v = 0
     # (t = 1) to the far cut, and the rule opens on the equal grid of step
-    # STEP over that window, widened outward to the lattice 2 STEP Z
+    # STEP over that window, widened outward to the lattice 2 STEP Z; the
+    # first call holds it as every k-th node of the finest level of at most
+    # FIRST_NODES nodes
     runs = recorded_runs(monkeypatch)
     psi = laplace.solve_first_order_ode((0.0, -(beta - 1.0)), (1.0, -1.0))
     assert psi.singular_exponent() == beta - 1.0
     got = laplace.laplace_transform(psi, 1.5, tol=1e-9)
     (lo, hi), res, levels = the_one_run(runs)
-    grid = levels[0]
+    first = levels[0]
+    k = round(STEP / (first[1] - first[0]))
+    assert k > 1 and len(first) <= FIRST_NODES < 2 * len(first) - 1
+    assert np.array_equal(first, first[0] + (STEP / k) * np.arange(len(first)))
+    grid = first[::k]
     assert grid[0] <= lo < 0.0 < hi <= grid[-1]
     assert grid[0] > lo - 2 * STEP and grid[-1] < hi + 2 * STEP
     assert (grid[0] / (2 * STEP)).is_integer()

@@ -688,6 +688,35 @@ def test_residue_series_resums_at_the_precision_its_rounding_needs(z):
     assert abs(res.value - exact) <= res.err_estimate
 
 
+def test_line_underflowing_to_zero_is_not_a_proven_zero():
+    # G^{1,1}_{1,1}(0.5 | a; 0.3) = Gamma(1 - a + 0.3) 0.5^0.3 1.5^(a - 1.3),
+    # about 1e-8600 at a = 3000.5: every node of the line underflows to 0,
+    # and each is charged the subnormal spacing, so the 0 carries an
+    # estimate (it carried 0.0)
+    for a in (3000.5, 1e4 + 0.5):
+        res = meijer_g(GParams(1, 1, 1, 1, (a,), (0.3,)), 0.5)
+        assert res.method == "quadrature"
+        assert res.value == 0
+        assert 0.0 < res.err_estimate < 1e-320
+        with mpmath.workdps(30):
+            exact = mpmath.gamma(1.3 - a) * mpmath.mpf(0.5) ** 0.3 \
+                * mpmath.mpf(1.5) ** (a - 1.3)
+        assert abs(exact) <= res.err_estimate
+
+
+def test_equal_lines_share_one_contour():
+    # two z on one line whose truncation heights agree get the same
+    # Contour object, not two equal ones
+    kernel = GParams(1, 1, 1, 2, (0.3,), (0.1, 0.6)).to_kernel()
+    one = mb.integrate(kernel, 0.7 + 0.2j)
+    two = mb.integrate(kernel, 0.7 - 0.2j)
+    assert one.contour.truncation > mb.choose_contour(kernel).truncation
+    assert one.contour is two.contour
+    assert one.contour == mb.Contour(-0.3, one.contour.truncation)
+    other = mb.integrate(kernel, 0.6 + 0.3j)
+    assert other.contour.truncation != one.contour.truncation
+
+
 def test_residue_series_grows_noisy_resummations_geometrically(caplog):
     # z^0.3 e^{-z} at z = 120 cancels by about 1e104; a pass whose value
     # is rounding noise calls for about 25 more digits than it had, so
