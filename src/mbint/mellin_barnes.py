@@ -25,6 +25,7 @@ route.
 """
 
 import cmath
+import collections
 import functools
 import heapq
 import itertools
@@ -94,6 +95,9 @@ class MellinKernel:
     base_log: complex = field(init=False, repr=False, compare=False)
     # (coeff, slope, sign, a): Gamma(coeff + slope s)^sign, parameter a
     terms: tuple = field(init=False, repr=False, compare=False)
+    # the hash of (terms, base), computed once: a kernel is its plan's key
+    # (_plan), looked up several times a call
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         terms = []
@@ -111,6 +115,18 @@ class MellinKernel:
             raise ParameterError("kernel base must be finite and nonzero",
                                  base=self.base)
         object.__setattr__(self, "base_log", complex(np.log(self.base)))
+        object.__setattr__(self, "_hash", hash((self.terms, self.base)))
+
+    # the dataclass's comparison of the four families and the base, on
+    # kernel.terms, which holds each factor's family, parameter and
+    # multiplier in family order: plain numbers, not GammaFactor objects
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms and self.base == other.base
+
+    def __hash__(self):
+        return self._hash
 
     def simplify(self):
         """Cancel numerator/denominator factor pairs of identical shape.
@@ -168,19 +184,6 @@ def g_kernel(m, n, a, b, alpha=None, beta=None, base=1.0):
     return MellinKernel(b[:m], a[:n], b[m:], a[n:], base)
 
 
-@functools.lru_cache(maxsize=256)
-def _stacked_terms(kernel):
-    """The (coeff, slope, sign) columns of kernel.terms as (k, 1) arrays,
-    built once per kernel; None for a kernel without gamma factors."""
-    if not kernel.terms:
-        return None
-    cols = tuple(np.array(col)[:, None]
-                 for col in tuple(zip(*kernel.terms))[:3])
-    for col in cols:
-        col.flags.writeable = False  # shared by every caller of the kernel
-    return cols
-
-
 def kernel_log_grid(kernel, s):
     """(log K, size) on the grid ``s``; no pole checks (see log_gamma_grid).
 
@@ -193,7 +196,7 @@ def kernel_log_grid(kernel, s):
     s = np.asarray(s, dtype=np.complex128)
     out = np.zeros(s.shape, dtype=np.complex128)
     size = np.zeros(s.shape)
-    stacked = _stacked_terms(kernel)
+    stacked = _plan(kernel).stacked
     if stacked is not None:
         coeff, slope, sign = stacked
         args = coeff + slope * s.ravel()
@@ -479,14 +482,6 @@ class Contour:
         return {"anchor": self.anchor, "truncation": self.truncation}
 
 
-@functools.lru_cache(maxsize=256)
-def _contour(anchor, truncation):
-    """Contour(anchor, truncation), one object per line and height: the
-    heights come from _truncation's ladder, so the replies of many z on a
-    line share a few contours (an anchor of -0.0 shares 0.0's)."""
-    return Contour(anchor, truncation)
-
-
 def _debug(msg, *args):
     """Log ``msg`` at debug level, in a process that imported logging: in
     one that did not, no handler could print it, so mbint does not import
@@ -523,19 +518,23 @@ def contour_window(kernel):
     return lo, hi
 
 
-@functools.lru_cache(maxsize=256)
 def choose_contour(kernel):
-    """Deterministic pole-separating contour.
+    """Deterministic pole-separating contour (_separating_contour's),
+    built once per kernel, in its plan."""
+    return _plan(kernel).contour
+
+
+def _separating_contour(kernel, collision):
+    """choose_contour's rule; ``collision`` is find_pole_collision's
+    verdict on ``kernel``.
 
     Anchor at the midpoint of the separation window when it is bounded, at
     window edge -/+ 0.5 when half-infinite.  When the window is empty the
     line is placed just right of every left-opening pole, in the widest gap
     between right-opening pole abscissae; integrate adds back the residues
     of the right-opening poles left of it (_crossed_poles).  The truncation
-    is _T_MIN, the lowest height integrate tries (_truncation).  Kernel and
-    contour are immutable, so the choice is memoized per kernel.
+    is _T_MIN, the lowest height integrate tries (_truncation).
     """
-    collision = find_pole_collision(kernel)
     if collision is not None:
         raise ContourError("a pole lies in both families; no contour can "
                            "separate them", location=collision)
@@ -562,7 +561,6 @@ def choose_contour(kernel):
     return Contour(0.5 * (bounds[i_best] + bounds[i_best + 1]), _T_MIN)
 
 
-@functools.lru_cache(maxsize=256)
 def _crossed_poles(kernel, anchor):
     """The poles the line Re s = ``anchor`` leaves on the wrong side, as
     (ladder, terms) pairs (_ladder_model) whose poles l < ladder.length are
@@ -570,7 +568,7 @@ def _crossed_poles(kernel, anchor):
     of it.  Refuses, with ContourError, a pole on the line, two crossed
     poles of one family that meet (_first_meeting, as residue_series does)
     and more than MAX_NODES crossed poles on a ladder, one residue each.
-    Memoized per (kernel, anchor), as choose_contour is.
+    The plan keeps the chosen contour's (_Plan.crossed).
     """
     out = []
     for side in ("right", "left"):
@@ -600,6 +598,127 @@ def _crossed_poles(kernel, anchor):
 
 
 # --------------------------------------------------------------------------
+# the plan: what evaluation reads of the kernel alone
+
+
+PLAN_MEMO = 256  # plans _plan keeps; past it, the oldest is dropped
+_PLANS = collections.OrderedDict()  # kernel -> plan, oldest first
+_PLANS_LOCK = threading.Lock()  # held to add a plan, not to read one
+
+
+class _Plan:
+    """What evaluating a kernel reads of the kernel alone, whatever z.
+
+    Each field is built on its first read and kept, so a call that never
+    reads one (a residue sum reads no contour) never builds it; a build
+    that raises keeps nothing and raises again on the next read.  The
+    fields are read-only once built, and two threads that build one at
+    once build equal values.
+    """
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self._line = None  # the _Line last asked for
+
+    @functools.cached_property
+    def stacked(self):
+        """The (coeff, slope, sign) columns of kernel.terms as read-only
+        (k, 1) arrays; None for a kernel without gamma factors."""
+        if not self.kernel.terms:
+            return None
+        cols = tuple(np.array(col)[:, None]
+                     for col in tuple(zip(*self.kernel.terms))[:3])
+        for col in cols:
+            col.flags.writeable = False  # shared by every caller
+        return cols
+
+    @functools.cached_property
+    def collision(self):
+        """find_pole_collision's verdict, which GParams and HParams read."""
+        return find_pole_collision(self.kernel)
+
+    @functools.cached_property
+    def contour(self):
+        return _separating_contour(self.kernel, self.collision)
+
+    @functools.cached_property
+    def crossed(self):
+        """_crossed_poles at the chosen contour's anchor."""
+        return _crossed_poles(self.kernel, self.contour.anchor)
+
+    @functools.cached_property
+    def kappa(self):
+        return decay_rate(self.kernel)
+
+    @functools.cached_property
+    def folded(self):
+        return _conjugate_symmetric(self.kernel)
+
+    @functools.cached_property
+    def opening(self):
+        return _opening(self.kernel)
+
+    @functools.cached_property
+    def residue_rule(self):
+        return _residue_rule(self.kernel)
+
+    def line(self, sigma, t_min):
+        """The _Line of Re s = sigma from the height t_min; the plan keeps
+        the last one asked for, which integrate asks for at every z."""
+        line = self._line
+        if line is None or line.key != (sigma, t_min):
+            line = self._line = _Line(self, sigma, t_min)
+        return line
+
+
+def _plan(kernel):
+    """The plan of ``kernel``: the memo's, one for equal kernels, else a
+    new one, which the memo keeps."""
+    plan = _PLANS.get(kernel)
+    if plan is None:
+        with _PLANS_LOCK:
+            plan = _PLANS.setdefault(kernel, _Plan(kernel))
+            if len(_PLANS) > PLAN_MEMO:
+                _PLANS.popitem(last=False)
+    return plan
+
+
+def _kept_field(kernel, name, build):
+    """Field ``name`` of the kernel's kept plan; for a kernel with none,
+    ``build(kernel)``, kept nowhere.  For the fields as cheap to build
+    again as to look up (the collision verdict, the residue side), read
+    at every construction and residue sum: kernels summed only by
+    residues, where nothing repeats, never fill the memo."""
+    plan = _PLANS.get(kernel)
+    return build(kernel) if plan is None else getattr(plan, name)
+
+
+def _opening(kernel):
+    """Where the numerator gammas' poles open: True for rightward (a set,
+    read only)."""
+    return {slope < 0 for _, slope, sign, _ in kernel.terms if sign > 0}
+
+
+def _residue_rule(kernel):
+    """(side, radius) of the residue-side rule, by Delta = -sum sign *
+    slope over kernel.terms = sum beta - sum alpha: ("right", None) for
+    Delta > 0, ("left", None) for Delta < 0, and for Delta = 0 None and the
+    radius prod beta^beta prod alpha^-alpha, inf past the double range (0
+    below it)."""
+    betas, alphas = [], []  # by sign * slope < 0 and > 0, in term order
+    for _, slope, sign, _ in kernel.terms:
+        (betas if sign * slope < 0 else alphas).append(abs(slope))
+    slack = sum(betas) - sum(alphas)
+    if slack > 1e-12:
+        return "right", None
+    if slack < -1e-12:
+        return "left", None
+    log_radius = sum(m * math.log(m) for m in betas) \
+        - sum(m * math.log(m) for m in alphas)
+    return None, math.inf if log_radius > _LOG_MAX else math.exp(log_radius)
+
+
+# --------------------------------------------------------------------------
 # convergence classification
 
 
@@ -625,7 +744,7 @@ def convergence_class(kernel, z, branch_k=0):
     z = complex(z)
     if z == 0:
         return ConvergenceClass.DIVERGENT
-    kappa = decay_rate(kernel)
+    kappa = _plan(kernel).kappa
     delta = kappa - abs(_effective_arg(kernel, z, branch_k))
     if delta > 1e-12:
         return ConvergenceClass.ABSOLUTE
@@ -1109,24 +1228,92 @@ def residue_series(kernel, z, side, n_max=400, tol=1e-12, branch_k=0):
 # contour quadrature
 
 
-def _log_mag_estimate(kernel, sigma, y, logz):
-    """Asymptotic log|K(sigma + iy) z^s| at every height of the array ``y``,
-    used for truncation bounds."""
-    total = sigma * logz.real - y * (logz.imag + kernel.base_log.imag) \
-        + sigma * kernel.base_log.real
-    stacked = _stacked_terms(kernel)
+def _gamma_rows(stacked, sigma, y):
+    """The gamma factors' share of _log_mag_estimate, which does not
+    depend on z: sign * asymptotic log|Gamma(coeff + slope (sigma + iy))|,
+    one row per factor (``stacked``, _Plan.stacked), none without one."""
     if stacked is None:
-        return total
+        return ()
     coeff, slope, sign = stacked
     # asymptotic_log_abs_gamma needs |eta| >= 1: smaller ones count as 1
     eta = np.maximum(np.abs(coeff.imag + slope * y), 1.0)
-    logs = sign * asymptotic_log_abs_gamma((coeff + slope * sigma).real, eta)
-    for row in logs:  # factor by factor, in kernel.terms order
+    return sign * asymptotic_log_abs_gamma((coeff + slope * sigma).real, eta)
+
+
+def _log_mag_estimate(kernel, sigma, y, logz, rows=None):
+    """Asymptotic log|K(sigma + iy) z^s| at every height of the array ``y``,
+    used for truncation bounds; ``rows`` is _gamma_rows at sigma and y,
+    built here when None."""
+    total = sigma * logz.real - y * (logz.imag + kernel.base_log.imag) \
+        + sigma * kernel.base_log.real
+    if rows is None:
+        rows = _gamma_rows(_plan(kernel).stacked, sigma, y)
+    for row in rows:  # factor by factor, in kernel.terms order
         total = total + row
     return total
 
 
 _REF_HEIGHTS = np.array([1.5, -1.5, 3.0, -3.0, 6.0, -6.0, 12.0, -12.0])
+
+
+class _Line:
+    """What _truncation reads of the line Re s = sigma from the height
+    t_min, z aside: the heights max(t_min, _T_MIN) * 1.1^k up to the first
+    past _T_MAX, _gamma_rows at the reference heights and at +/- each
+    height, kappa and omega; and a Contour per height that a fit reached,
+    so the replies of many z on the line share a few contours (an anchor
+    of -0.0 shares 0.0's line)."""
+
+    def __init__(self, plan, sigma, t_min):
+        self.key = (sigma, t_min)
+        self.sigma = sigma
+        self.kernel = plan.kernel
+        self.kappa = plan.kappa
+        self.omega = _algebraic_exponent(plan.kernel, sigma)
+        heights = [max(t_min, _T_MIN)]
+        while heights[-1] < _T_MAX:
+            heights.append(heights[-1] * 1.1)
+        self.heights = heights
+        h = np.array(heights)
+        self.y = np.concatenate((_REF_HEIGHTS, h, -h))
+        self.rows = _gamma_rows(plan.stacked, sigma, self.y)
+        self.contours = {}
+
+    def fit(self, logz, tol):
+        """_truncation's (T, tail) at log z and tol."""
+        est = _log_mag_estimate(self.kernel, self.sigma, self.y, logz,
+                                self.rows)
+        heights = self.heights
+        n = len(heights)
+        ref, above, below = est[:8], est[8:8 + n], est[8 + n:]
+        target = ref.max() + math.log(max(tol, 1e-16)) - 4.6
+        fits = (above <= target) & (below <= target)
+        if not fits.any():
+            return heights[-1], math.inf
+        k = int(fits.argmax())
+        T = heights[k]
+
+        arg_eff = logz.imag + self.kernel.base_log.imag
+        omega = self.omega
+        tail = 0.0
+        for direction, log_mag in ((+1.0, above[k]), (-1.0, below[k])):
+            rate = self.kappa + direction * arg_eff
+            mag = math.exp(min(log_mag, 700.0))
+            # the exponential bound for any positive rate, the algebraic
+            # one where |K z^s| falls faster than 1/y and it is smaller;
+            # inf if none
+            bound = mag / rate if rate > 0.0 else math.inf
+            if omega < -1.0:
+                bound = min(bound, mag * T / (-omega - 1.0))
+            tail += bound
+        return T, tail / (2.0 * np.pi)
+
+    def contour(self, T):
+        """Contour(sigma, T), one object per height."""
+        contour = self.contours.get(T)
+        if contour is None:
+            contour = self.contours[T] = Contour(self.sigma, T)
+        return contour
 
 
 def _truncation(kernel, sigma, logz, tol, t_min):
@@ -1137,35 +1324,9 @@ def _truncation(kernel, sigma, logz, tol, t_min):
     tol e^-4.6 times the largest at the reference heights +/-1.5, 3, 6, 12,
     all estimated in one pass; the tail bound reads its magnitudes at +/-T
     from the same pass.  With no fit, T is the last height and tail inf.
+    Only the z-dependent half is computed per call (_Line.fit).
     """
-    heights = [max(t_min, _T_MIN)]
-    while heights[-1] < _T_MAX:
-        heights.append(heights[-1] * 1.1)
-    h = np.array(heights)
-    est = _log_mag_estimate(kernel, sigma,
-                            np.concatenate((_REF_HEIGHTS, h, -h)), logz)
-    ref, above, below = np.split(est, (8, 8 + h.size))
-    target = ref.max() + math.log(max(tol, 1e-16)) - 4.6
-    fits = (above <= target) & (below <= target)
-    if not fits.any():
-        return heights[-1], math.inf
-    k = int(fits.argmax())
-    T = heights[k]
-
-    kappa = decay_rate(kernel)
-    arg_eff = logz.imag + kernel.base_log.imag
-    omega = _algebraic_exponent(kernel, sigma)
-    tail = 0.0
-    for direction, log_mag in ((+1.0, above[k]), (-1.0, below[k])):
-        rate = kappa + direction * arg_eff
-        mag = math.exp(min(log_mag, 700.0))
-        # the exponential bound for any positive rate, the algebraic one
-        # where |K z^s| falls faster than 1/y and it is smaller; inf if none
-        bound = mag / rate if rate > 0.0 else math.inf
-        if omega < -1.0:
-            bound = min(bound, mag * T / (-omega - 1.0))
-        tail += bound
-    return T, tail / (2.0 * np.pi)
+    return _plan(kernel).line(sigma, t_min).fit(logz, tol)
 
 
 def _crossed_sum(crossed, shift):
@@ -1239,20 +1400,23 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     if cls is ConvergenceClass.DIVERGENT:
         raise ConvergenceError("contour integral diverges for this argument",
                                z=z)
-    if contour is None:
+    plan = _plan(kernel)
+    chosen = contour is None
+    if chosen:
         contour = choose_contour(kernel)
     logz = complex(np.log(z)) + 2j * np.pi * branch_k
     sigma = contour.anchor
-    T, tail = _truncation(kernel, sigma, logz, tol, contour.truncation)
-    used = contour if T == contour.truncation else _contour(sigma, float(T))
+    line = plan.line(sigma, contour.truncation)
+    T, tail = line.fit(logz, tol)
+    used = contour if T == contour.truncation else line.contour(T)
     # summed before the quadrature, so a line through a pole is refused
     # at once
-    crossed = _crossed_poles(kernel, sigma)
+    crossed = plan.crossed if chosen else _crossed_poles(kernel, sigma)
     if crossed:
         correction, rounding = _crossed_sum(crossed, kernel.base_log + logz)
     if tail == math.inf:
         raise QuadratureError("no truncation height bounds the tail", T=T)
-    folded = _conjugate_symmetric(kernel)
+    folded = plan.folded
 
     def integrand(u):
         s = sigma + 1j * np.sinh(u)

@@ -61,7 +61,7 @@ class _Orders:
             raise ParameterError("parameter vector lengths must match p, q",
                                  len_a=len(self.a), len_b=len(self.b))
         kernel = mb.g_kernel(self.m, self.n, self.a, self.b, alpha, beta)
-        hit = mb.find_pole_collision(kernel)
+        hit = mb._kept_field(kernel, "collision", mb.find_pole_collision)
         if hit is not None:
             raise ParameterError("pole families collide", location=hit)
         object.__setattr__(self, "_kernel", kernel)
@@ -225,18 +225,12 @@ def _residue_side(kernel, z):
     the right side for Delta > 0, the left for Delta < 0, and for Delta = 0
     the right side inside the radius prod beta^beta prod alpha^-alpha of
     |z base|, the left outside it (Kilbas & Saigo, H-Transforms, 2004,
-    section 1.1).  That radius is 1 for every G kernel.
+    section 1.1).  That radius is 1 for every G kernel, and inf past the
+    double range; the kernel's plan holds the rule's z-independent half.
     """
-    betas, alphas = [], []  # by sign * slope < 0 and > 0, in term order
-    for _, slope, sign, _ in kernel.terms:
-        (betas if sign * slope < 0 else alphas).append(abs(slope))
-    slack = sum(betas) - sum(alphas)
-    if slack > 1e-12:
-        return "right"
-    if slack < -1e-12:
-        return "left"
-    radius = math.exp(sum(m * math.log(m) for m in betas)
-                      - sum(m * math.log(m) for m in alphas))
+    side, radius = mb._kept_field(kernel, "residue_rule", mb._residue_rule)
+    if side is not None:
+        return side
     z_eff = abs(complex(z)) * abs(complex(kernel.base))
     if z_eff < radius:
         return "right"
@@ -259,8 +253,7 @@ def _evaluate_kernel(kernel, z, tol, method=None, branch_k=0):
                              method=method)
     z = mb.check_argument(z, tol)
     side = _residue_side(kernel, z)
-    # where the numerator gammas' poles open: True for rightward
-    opening = {slope < 0 for _, slope, sign, _ in kernel.terms if sign > 0}
+    opening = mb._kept_field(kernel, "opening", mb._opening)
     if method == "quad" or method is None and (side is None
                                                or not opening):
         return mb.integrate(kernel, z, tol=tol, branch_k=branch_k)

@@ -78,11 +78,59 @@ def test_equal_kernels_share_stacked_terms():
     one = GParams(2, 1, 2, 3, (0.3, -0.4), (0.1, 0.6, 1.2)).to_kernel()
     two = GParams(2, 1, 2, 3, (0.3, -0.4), (0.1, 0.6, 1.2)).to_kernel()
     assert one is not two
-    stacked = mb._stacked_terms(one)
-    assert mb._stacked_terms(two) is stacked
+    stacked = mb._plan(one).stacked
+    assert mb._plan(two).stacked is stacked
     assert all(not col.flags.writeable and col.shape == (5, 1)
                for col in stacked)
-    assert mb._stacked_terms(mb.MellinKernel(base=2.0)) is None
+    assert mb._plan(mb.MellinKernel(base=2.0)).stacked is None
+
+
+def test_equal_kernels_share_one_plan(monkeypatch):
+    # each construction builds its own kernel; equal kernels (a G and an H
+    # with unit multipliers too) share the plan that the line kept, and a
+    # construction reads its collision verdict
+    one = GParams(2, 1, 2, 3, (0.3, -0.4), (0.1, 0.6, 1.2)).to_kernel()
+    first = mb.integrate(one, 0.4 + 0.3j)
+    plan = mb._plan(one)
+    assert plan.collision is None
+    checked = []
+    monkeypatch.setattr(mb, "find_pole_collision", checked.append)
+    two = HParams(2, 1, 2, 3, (0.3, -0.4), (0.1, 0.6, 1.2), (1.0, 1.0),
+                  (1.0, 1.0, 1.0)).to_kernel()
+    assert not checked
+    assert one is not two and one == two and hash(one) == hash(two)
+    assert one != dataclasses.replace(one, base=2.0)
+    assert mb._plan(two) is plan
+    # every z on the chosen line reads one contour, line and crossing
+    line = plan.line(first.contour.anchor, mb._T_MIN)
+    second = mb.integrate(two, 0.6 - 0.1j)
+    assert mb.choose_contour(two) is plan.contour
+    assert plan.line(second.contour.anchor, mb._T_MIN) is line
+    assert second.contour is line.contour(second.contour.truncation)
+    assert plan.crossed == ()
+
+
+def test_one_bounded_memo_holds_the_plans(monkeypatch):
+    # the module's one cache of per-kernel work keeps PLAN_MEMO plans, the
+    # oldest dropped first; the fields read at every construction and
+    # residue sum come from a kept plan, or are built and kept nowhere, so
+    # a residue sum of a new kernel keeps nothing
+    assert not [name for name, value in vars(mb).items()
+                if hasattr(value, "cache_info")]
+    monkeypatch.setattr(mb, "_PLANS", collections.OrderedDict())
+    kernels = [k_exp(0.01 * i) for i in range(mb.PLAN_MEMO + 20)]
+    plans = [mb._plan(kernel) for kernel in kernels]
+    assert len(mb._PLANS) == mb.PLAN_MEMO
+    assert mb._plan(kernels[-1]) is plans[-1]
+    assert mb._plan(kernels[0]) is not plans[0]  # dropped; now drops 20
+    assert len(mb._PLANS) == mb.PLAN_MEMO and kernels[20] not in mb._PLANS
+    assert mb._kept_field(kernels[-1], "opening", mb._opening) \
+        is plans[-1].opening
+    assert mb._kept_field(kernels[20], "opening", mb._opening) == {True}
+    assert kernels[20] not in mb._PLANS
+    params = GParams(1, 0, 0, 2, (), (0.3, 0.85))
+    meijer_g(params, 0.5, method="residues")
+    assert params.to_kernel() not in mb._PLANS
 
 
 def test_kernel_log_eval_single_factor_at_unit_argument():
@@ -303,6 +351,34 @@ def test_contour_decisions_match_eager_reference():
             outcomes["order > 1" if crossed == "order > 1" else
                      "crossed" if crossed != [[], []] else "separated"] += 1
     assert len(outcomes) == 4, outcomes
+
+
+def test_crossed_poles_at_any_anchor_match_the_eager_reference():
+    # the plan keeps the chosen anchor's crossed poles; any other anchor
+    # (an explicit contour) is read afresh, and both agree with the eager
+    # pole lists
+    rng = random.Random(7)
+    outcomes = collections.Counter()
+    for _ in range(150):
+        m, n, p, q, a, b, alpha, beta = _random_params(rng)
+        kernel = _kernel(m, n, a, b, alpha, beta)
+        if mb.find_pole_collision(kernel) is not None:
+            continue
+        chosen = mb.choose_contour(kernel).anchor
+        for anchor in (chosen, chosen - 1.37, chosen + 0.61, chosen + 2.13):
+            expected = _eager_crossed(kernel, anchor)
+            try:
+                got = _crossed_locations(kernel, anchor)
+            except ContourError as exc:
+                assert "order > 1" in str(exc) and expected == "order > 1"
+                outcomes["order > 1"] += 1
+                continue
+            assert got == expected, (kernel, anchor)
+            if anchor == chosen:
+                assert mb._plan(kernel).crossed \
+                    == mb._crossed_poles(kernel, anchor)
+            outcomes["crossed" if got != [[], []] else "separated"] += 1
+    assert len(outcomes) == 3, outcomes
 
 
 def test_integrate_anchor_on_a_pole_raises_before_quadrature(monkeypatch):
@@ -1152,15 +1228,15 @@ def test_crossed_pole_bookkeeping_is_not_quadratic(monkeypatch):
         return abs(x)
 
     monkeypatch.setattr(mb, "abs", counted_abs, raising=False)
-    contour = mb.choose_contour.__wrapped__(kernel)
+    contour = mb._Plan(kernel).contour  # a fresh plan: not a memo hit
     assert contour.anchor == pytest.approx(1999.9)
-    (ladder, _), = mb._crossed_poles.__wrapped__(kernel, contour.anchor)
+    (ladder, _), = mb._crossed_poles(kernel, contour.anchor)
     assert (ladder.step, ladder.length) == (1, 2000)
     double = mb.MellinKernel(up_left=((0.3, 1.0), (0.3 + 1e-12, 1.0)),
                              up_right=((2000.5, 1.0),))
-    anchor = mb.choose_contour.__wrapped__(double).anchor
+    anchor = mb._Plan(double).contour.anchor
     with pytest.raises(ContourError, match="order > 1"):
-        mb._crossed_poles.__wrapped__(double, anchor)
+        mb._crossed_poles(double, anchor)
 
 
 def test_conjugate_symmetry_real_kernel():
@@ -1243,6 +1319,9 @@ def test_folded_line_matches_full_line_and_oracle(monkeypatch, params, z,
     folded = mb.integrate(kernel, z, branch_k=branch_k)
     assert signs and all(signs)  # the nodes sigma + iy, y >= 0, only
     monkeypatch.setattr(mb, "_conjugate_symmetric", lambda kernel: False)
+    # an empty memo, whose plans read the flag again; the kernel's kept
+    # plan comes back with the memo after the test
+    monkeypatch.setattr(mb, "_PLANS", collections.OrderedDict())
     full = mb.integrate(kernel, z, branch_k=branch_k)
     assert abs(folded.value - full.value) \
         <= folded.err_estimate + full.err_estimate
@@ -1425,6 +1504,27 @@ def test_truncation_matches_scalar_reference_bitwise():
         T, tail = mb._truncation(kernel, sigma, logz, tol, t_min)
         fit = _scalar_truncation_height(kernel, sigma, logz, tol, t_min)
         assert T == fit if fit is not None else tail == math.inf
+
+
+def test_truncation_reads_the_line_of_its_anchor_and_lowest_height():
+    # the plan keeps the line last asked for and builds another when the
+    # anchor or the lowest height moves: lines asked for in turn each fit
+    # as the scalar reference does, also through integrate, bit for bit
+    kernel = GParams(2, 1, 2, 3, (0.3, -0.4), (0.1, 0.6, 1.2)).to_kernel()
+    z = 0.4 + 0.3j
+    logz = complex(np.log(z))
+    lines = [(0.2, 8.0), (0.2, 60.0), (-0.3, 60.0), (-0.3, 8.0)]
+    for sigma, t_min in lines * 2:
+        T, tail = mb._truncation(kernel, sigma, logz, 1e-10, t_min)
+        assert T == _scalar_truncation_height(kernel, sigma, logz, 1e-10,
+                                              t_min)
+        res = mb.integrate(kernel, z, contour=mb.Contour(sigma, t_min))
+        assert res.contour == mb.Contour(sigma, T)
+        # the kept rows are added one by one, as the reference adds them
+        line = mb._plan(kernel).line(sigma, t_min)
+        assert np.array_equal(
+            mb._log_mag_estimate(kernel, sigma, line.y, logz, line.rows),
+            [_scalar_log_mag(kernel, sigma, y, logz) for y in line.y])
 
 
 @pytest.mark.parametrize("coeff,mult", [(math.nan, 1.0), (math.inf, 1.0),

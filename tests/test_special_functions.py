@@ -608,3 +608,28 @@ def test_residue_side_matches_the_family_reading():
         assert side == _family_residue_side(kernel, z), (kernel, z)
         sides.add(side)
     assert sides == {"left", "right", None}
+
+
+@pytest.mark.parametrize("method", [None, "residues", "quad"])
+def test_balanced_h_radius_past_the_double_range(method):
+    # Delta = 0 and the radius prod beta^beta prod alpha^-alpha = 2^2000:
+    # it reads as inf, so |z| = 0.5 is inside it and the right side sums.
+    # Every route raised a bare OverflowError on the radius
+    params = sf.HParams(1, 1, 2, 1, (0.2, 0.4), (0.3,), (1000.0, 1000.0),
+                        (2000.0,))
+    kernel = params.to_kernel()
+    assert mb._plan(kernel).residue_rule == (None, math.inf)
+    assert sf._residue_side(kernel, 0.5) == "right"
+    # the mirrored H: a radius of 2^-2000 reads as 0, every |z| outside it
+    mirrored = sf.HParams(2, 1, 1, 2, (0.2,), (0.3, 0.4), (2000.0,),
+                          (1000.0, 1000.0)).to_kernel()
+    assert mb._plan(mirrored).residue_rule == (None, 0.0)
+    assert sf._residue_side(mirrored, 0.5) == "left"
+    try:
+        res = sf.fox_h(params, 0.5, method=method)
+    except MBIntError:
+        return
+    other = sf.fox_h(params, 0.5,
+                     method="quad" if method == "residues" else "residues")
+    assert abs(res.value - other.value) \
+        <= res.err_estimate + other.err_estimate
