@@ -1388,12 +1388,15 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     The line is mapped by y = sinh u, on |u| <= asinh T (u >= 0 folded,
     the node u = 0 at half weight), where |K z^s| falls double-
     exponentially, and integrated by the nested trapezoidal rule
-    (integrate_adaptive): one kernel_log_grid call for the first levels
-    together, then one per level.  A node's rounding bound is |K z^s|
-    cosh u times its log sum's size: kernel_log_grid's, plus |s log z| + 1;
-    a node whose |K z^s| lies below the normal range is charged
-    _SUBNORMAL cosh u more, so a line that underflows to 0 returns 0 with
-    a nonzero estimate, not a proven 0.
+    (integrate_adaptive): one kernel_log_grid call per integrand call, the
+    first for the first levels together, each later one for the levels
+    down to the stop that the rule's convergence predicts (one level where
+    it predicts nothing), on the nodes and with the result of one level
+    per call.  A node's rounding bound is |K z^s| cosh u times its log
+    sum's size: kernel_log_grid's, plus |s log z| + 1; a node whose
+    |K z^s| lies below the normal range is charged _SUBNORMAL cosh u more,
+    so a line that underflows to 0 returns 0 with a nonzero estimate, not
+    a proven 0.
     """
     z = check_argument(z, tol)
     cls = convergence_class(kernel, z, branch_k)

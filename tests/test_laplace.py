@@ -203,7 +203,8 @@ def test_flattened_head_on_a_tall_mesh_stays_finite():
 def test_non_finite_quadrature_is_refused(monkeypatch):
     monkeypatch.setattr(laplace, "integrate_adaptive",
                         lambda f, lo, hi, **kwargs: QuadResult(
-                            complex(math.nan, math.nan), math.nan, 0, False))
+                            complex(math.nan, math.nan), math.nan, 0, 1, 0,
+                            False))
     psi = laplace.solve_first_order_ode((0.0, -1.0), (1.0, -1.0))
     with pytest.raises(QuadratureError):
         laplace.laplace_transform(psi, 1.5)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import pathlib
 
 import mpmath
 import numpy as np
@@ -10,6 +11,8 @@ from mbint import quadrature
 from mbint.cgamma import log_gamma_grid
 from mbint.errors import QuadratureError
 from mbint.special_functions import GParams, HParams, meijer_g
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def plain(g):
@@ -125,19 +128,24 @@ def test_sum_past_the_double_range_ends_unconverged():
 
 def test_integrand_called_once_per_round():
     # the window opens on 65 nodes, so the first call takes the level STEP
-    # alone (the next has 129 > FIRST_NODES nodes): one call per level, the
-    # lattice STEP Z on the window widened outward, then the odd nodes of
-    # each halving, so every level's nodes are nested
+    # alone (the next has 129 > FIRST_NODES nodes): the lattice STEP Z on
+    # the window widened outward; each later call, one round, takes the odd
+    # nodes of one or more halvings, coarsest first: each level's, the
+    # midpoints of the level before it, ascending, and evaluated once
     f, calls = counting(plain(peaked))
     res = quadrature.integrate_adaptive(f, -3.9, 4.0, tol_rel=1e-12)
     step = quadrature.STEP
     assert np.array_equal(calls[0], step * np.arange(-32, 33))
-    assert [x.size for x in calls[1:]] == [64 * 2 ** k
-                                           for k in range(len(calls) - 1)]
-    assert sum(x.size for x in calls) == res.nodes
-    nodes = np.sort(np.concatenate(calls))
-    finest = step / 2 ** (len(calls) - 1)
-    assert np.array_equal(nodes, -4.0 + finest * np.arange(nodes.size))
+    assert res.calls == len(calls)
+    assert res.evaluated == sum(x.size for x in calls) == res.nodes
+    assert len(calls) > 2 and any(x.size > 64 for x in calls[1:3])
+    level = calls[0]
+    for x in calls[1:]:
+        while x.size:
+            odd, x = x[:level.size - 1], x[level.size - 1:]
+            assert np.array_equal(odd, 0.5 * (level[:-1] + level[1:]))
+            level = np.sort(np.concatenate([level, odd]))
+    assert level.size == res.nodes
 
 
 def reference_integrate(f, lo, hi, tol_rel=1e-10,
@@ -148,7 +156,8 @@ def reference_integrate(f, lo, hi, tol_rel=1e-10,
     start = h * math.floor(lo / h)
     n = max(math.ceil(hi / h) - math.floor(lo / h), 1)
     fx, rx = f(start + quadrature.STEP * np.arange(2 * n + 1))
-    nodes = 2 * n + 1
+    nodes = evaluated = 2 * n + 1
+    calls = 1
     value = complex((h * fx[::2]).sum() - 0.5 * h * (fx[0] + fx[-1]))
     rounding = float((h * rx[::2]).sum() - 0.5 * h * (rx[0] + rx[-1]))
     fx, rx = fx[1::2], rx[1::2]
@@ -166,9 +175,12 @@ def reference_integrate(f, lo, hi, tol_rel=1e-10,
             break
         fx, rx = f(start + h * (np.arange(n) + 0.5))
         nodes += n
+        calls += 1
+        evaluated += n
     error = diff + np.finfo(float).eps * rounding
     converged = error <= tol_rel * quadrature.modulus(value) < math.inf
-    return quadrature.QuadResult(value, error, nodes, converged)
+    return quadrature.QuadResult(value, error, nodes, calls, evaluated,
+                                 converged)
 
 
 def bits(res):
@@ -180,9 +192,11 @@ def bits(res):
 
 def assert_matches_reference(f, lo, hi, **kwargs):
     """integrate_adaptive and reference_integrate give the same result bit
-    for bit; the first call holds the reference's first calls (at most
-    max(opening, min(FIRST_NODES, max_nodes)) nodes), and the later calls
-    are the reference's last ones."""
+    for bit, in no more calls, on the same points.  The first call holds
+    the reference's first call and every level of at most
+    max(opening, min(FIRST_NODES, max_nodes)) nodes; each later call
+    evaluates only nodes that the reference does, none of them twice, so
+    the nodes evaluated are the reference's plus the first call's."""
     got_f, got_calls = counting(f)
     want_f, want_calls = counting(f)
     got = quadrature.integrate_adaptive(got_f, lo, hi, **kwargs)
@@ -191,12 +205,15 @@ def assert_matches_reference(f, lo, hi, **kwargs):
     budget = kwargs.get("max_nodes", quadrature.MAX_NODES)
     assert got_calls[0].size <= max(want_calls[0].size,
                                     min(quadrature.FIRST_NODES, budget))
-    later = len(got_calls) - 1
-    assert later < len(want_calls)
-    assert np.isin(np.concatenate(want_calls[:len(want_calls) - later]),
-                   got_calls[0]).all()
-    for one, two in zip(got_calls[1:], want_calls[len(want_calls) - later:]):
-        assert np.array_equal(one, two)
+    assert np.isin(want_calls[0], got_calls[0]).all()
+    assert len(got_calls) <= len(want_calls)
+    evaluated = np.concatenate(got_calls)
+    assert np.unique(evaluated).size == evaluated.size
+    assert np.array_equal(np.sort(evaluated), np.union1d(
+        np.concatenate(want_calls), got_calls[0]))
+    assert (got.calls, got.evaluated) == (len(got_calls), evaluated.size)
+    assert (want.calls, want.evaluated) \
+        == (len(want_calls), sum(x.size for x in want_calls))
     return got, got_calls
 
 
@@ -236,14 +253,15 @@ def test_look_ahead_matches_level_by_level_rule(f, lo, hi, kwargs):
 
 def test_look_ahead_takes_the_levels_up_to_first_nodes():
     # [-2, 2] opens on 33 nodes: the first call takes the levels of 33 and
-    # 65 nodes, the lattice (STEP / 2) Z, and a level of 129 costs one call
+    # 65 nodes, the lattice (STEP / 2) Z; the levels of 129 nodes and more
+    # follow in fewer calls than levels
     res, calls = assert_matches_reference(plain(peaked), -2.0, 2.0,
                                           tol_rel=1e-12)
     step = quadrature.STEP
     assert np.array_equal(calls[0], -2.0 + 0.5 * step * np.arange(65))
-    assert [x.size for x in calls[1:]] == [64 * 2 ** k
-                                           for k in range(len(calls) - 1)]
-    assert len(calls) > 1 and sum(x.size for x in calls) == res.nodes
+    later_levels = round(math.log2((res.nodes - 1) / 64))
+    assert 1 < len(calls) < 1 + later_levels
+    assert sum(x.size for x in calls) == res.nodes
 
 
 def test_look_ahead_matches_level_by_level_rule_on_a_line(monkeypatch):
@@ -258,8 +276,11 @@ def test_look_ahead_matches_level_by_level_rule_on_a_line(monkeypatch):
     kernel = GParams(1, 1, 1, 2, (0.3,), (0.1, 0.6)).to_kernel()
     mb.integrate(kernel, 2.0 * cmath.exp(1.3j))
     mb.integrate(kernel, 1.5)
+    # the far line's second call takes more than one level: more than the
+    # first call's finest level has intervals
     (far, far_calls), (near, near_calls) = results
-    assert len(far_calls) > 2 and len(near_calls) == 1
+    assert len(far_calls) > 1 and len(near_calls) == 1
+    assert far_calls[1].size > far_calls[0].size - 1
     assert near.nodes <= near_calls[0].size
 
 
@@ -333,10 +354,10 @@ def test_integrate_makes_one_log_gamma_call_per_round(monkeypatch):
     kernel = GParams(1, 1, 1, 2, (0.3,), (0.1, 0.6)).to_kernel()
     res = mb.integrate(kernel, 2.0 * cmath.exp(1.3j))
     # one kernel grid for the first levels (the folded line opens on 45
-    # nodes, and takes the level of 89 with it), then one per level, its
-    # three gamma factors stacked in one call
-    assert [s.size for s in grids[:2]] == [89, 88]
-    assert len(grids) > 2
+    # nodes, and takes the level of 89 with it), then one per later call,
+    # each with its three gamma factors stacked in one log-gamma call
+    assert grids[0].size == 89
+    assert len(grids) > 1
     assert sum(s.size for s in grids) == res.nodes_used
     assert gamma_sizes == [3 * s.size for s in grids]
     # the nodes depend on the line and its height, not on z: another z on
@@ -348,3 +369,137 @@ def test_integrate_makes_one_log_gamma_call_per_round(monkeypatch):
     assert len(grids) == len(first)
     for one, two in zip(first, grids):
         assert np.array_equal(one, two)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("f, lo, hi, kwargs", [
+    (plain(peaked), -4.0, 4.0, {"tol_rel": 1e-12}),
+    (plain(peaked), -2.0, 2.0, {"tol_rel": 1e-12}),
+    (plain(peaked), -1.0, 0.5, {"tol_rel": 1e-6}),
+    (plain(oscillatory), -4.0, 3.0, {"tol_rel": 1e-12}),
+], ids=["peaked", "peaked-short", "peaked-coarse", "oscillatory"])
+def test_squaring_levels_take_fewer_calls_on_the_same_points(f, lo, hi,
+                                                              kwargs):
+    # once two level differences show the squaring, a call takes the
+    # levels down to the predicted stop: 9 -> 6, 13 -> 9, 8 -> 3 and 8 -> 5
+    # calls, on the reference's points
+    got, calls = assert_matches_reference(f, lo, hi, **kwargs)
+    want = reference_integrate(f, lo, hi, **kwargs)
+    assert got.converged and got.calls < want.calls
+    assert got.evaluated == want.evaluated == got.nodes
+
+
+def levelled(values):
+    """An integrand on the window [0, 1] whose level k (step 2 STEP / 2^k)
+    sums to about values[k], with no rounding bound: the level 2 STEP is
+    values[0] everywhere, and level k's odd nodes, whose weights add up to
+    1/2, are 2 values[k] - values[k - 1]."""
+    odd = np.array([values[0]] + [2.0 * v - u for u, v
+                                  in zip(values, values[1:])], dtype=complex)
+
+    def f(x):
+        scaled, level = x / (2.0 * quadrature.STEP), np.zeros(x.size, int)
+        while (fraction := scaled % 1.0 != 0.0).any():
+            level += fraction
+            scaled = np.where(fraction, 2.0 * scaled, scaled)
+        return odd[level], np.zeros(x.size)
+    return f
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("differences", [
+    [1e-9 * 2.0 ** k for k in range(8)],
+    [1e-9] * 8,
+    [1e-3 * 0.1 ** k for k in range(8)],
+    [1e-3, 1e-5, 1e-8, 1e-8, 1e-7, 1e-9, 1e-9, 1e-10],
+], ids=["rise", "stall", "geometric", "stall-after-squaring"])
+def test_levels_without_squaring_take_one_level_per_call(differences):
+    # nine levels, the last of 1025 nodes: the first call takes the levels
+    # of up to 65 nodes, and the differences show no squaring when a call
+    # is due, so each later level costs one call, as in the reference
+    values = np.cumsum([1.0] + differences)
+    got, calls = assert_matches_reference(
+        levelled(values), 0.0, 1.0, tol_rel=1e-14, max_nodes=1025)
+    assert [x.size for x in calls] == [65, 64, 128, 256, 512]
+    assert got.nodes == 1025 and not got.converged
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("before, diff, scale, target", [
+    (math.nan, 1e-4, 1.0, 1e-30),  # the first comparison
+    (1e-5, 1e-4, 1.0, 1e-30),  # rising
+    (1e-4, 1e-4, 1.0, 1e-30),  # stalled
+    (1e-3, 1e-4, 1.0, 1e-30),  # falling, but slower than a^1.5
+    (2.0, 1e-6, 1.0, 1e-30),  # a past |value|
+    (0.0, 1e-6, 1.0, 1e-30),
+    (1e-3, 0.0, 1.0, 1e-30),
+    (0.0, 0.0, 0.0, 0.0),
+    (1e-3, 1e-6, 0.0, 0.0),  # a value of 0
+    # subnormal differences that square towards a target of 1e-22 |value|,
+    # two levels on if they were normal
+    (2e-308, 2e-312, 1e-300, 1e-322),
+    (1e-3, 5e-324, 1.0, 1e-30),
+    (math.inf, 1e-6, 1.0, 1e-30),
+    (1e-3, math.inf, 1.0, 1e-30),
+    (1e-3, 1e-6, math.inf, 1e-30),
+    (math.nan, math.nan, 1.0, 1e-30),
+    (1e-3, math.nan, 1.0, 1e-30),
+    (1e-3, 1e-6, math.nan, 1e-30),
+    (1e-3, 1e-6, 1.0, math.inf),
+    (1e-3, 1e-6, 1.0, math.nan),
+])
+def test_no_squaring_predicts_one_level(before, diff, scale, target):
+    assert quadrature._reach(64, before, diff, scale, target,
+                             quadrature.MAX_NODES) == 129
+
+
+def test_squaring_predicts_the_stop_level_within_the_budget():
+    # a = 1e-3, b = 1e-5: C = a^2 / b = 0.1, so the next differences are
+    # 1e-9 and 1e-17; a target of 1e-12 is met two levels on, one of 1e-18
+    # three levels on unless the budget stops short of it
+    reach = quadrature._reach
+    assert reach(64, 1e-3, 1e-5, 1.0, 1e-8, 10 ** 6) == 129
+    assert reach(64, 1e-3, 1e-5, 1.0, 1e-12, 10 ** 6) == 257
+    assert reach(64, 1e-3, 1e-5, 1.0, 1e-18, 10 ** 6) == 513
+    # the differences are relative to the value
+    assert reach(64, 1e-13, 1e-15, 1e-10, 1e-28, 10 ** 6) == 513
+    assert reach(64, 1e-3, 1e-5, 1.0, 1e-18, 512) == 257
+    assert reach(64, 1e-3, 1e-5, 1.0, 1e-18, 256) == 129
+
+
+@pytest.mark.parametrize("max_nodes", [20, 40, 100, 3000, 10000])
+def test_a_jump_never_passes_the_node_budget(max_nodes):
+    # the finest level evaluated after each call has at most max_nodes
+    # nodes (the opening of 65, past a budget of 20 or 40, aside); at 10000
+    # the squaring predicts a stop past the budget, and the jump ends at
+    # the level of 8193
+    res, calls = assert_matches_reference(plain(peaked), -4.0, 4.0,
+                                          tol_rel=1e-15, max_nodes=max_nodes)
+    sizes = np.cumsum([x.size for x in calls])
+    assert (sizes[1:] <= max_nodes).all()
+    assert sizes[-1] == res.nodes <= max(max_nodes, 65)
+    assert not res.converged
+
+
+def test_every_tabulate_quad_line_keeps_the_reference_points(monkeypatch):
+    # tabulate_quad seed 1's 300 lines: each bit for bit the rule one level
+    # per call, on the points of the first call and the reference's, in
+    # fewer calls than the first call and then one per level took (619)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import bank
+    import calls as bank_calls
+    lines = []
+
+    def checked(f, lo, hi, **kwargs):
+        res, calls = assert_matches_reference(f, lo, hi, **kwargs)
+        lines.append((res, calls))
+        return res
+    monkeypatch.setattr(mb, "integrate_adaptive", checked)
+    for case in bank.make_bank("tabulate_quad", 1):
+        bank_calls.make_call(case)()
+    assert len(lines) == 300
+    level_by_level = sum(
+        1 + max(0, round(math.log2((res.nodes - 1) / (calls[0].size - 1))))
+        for res, calls in lines)
+    made = sum(res.calls for res, _ in lines)
+    assert made <= 540 < level_by_level
