@@ -1260,9 +1260,12 @@ class _Line:
     """What _truncation reads of the line Re s = sigma from the height
     t_min, z aside: the heights max(t_min, _T_MIN) * 1.1^k up to the first
     past _T_MAX, _gamma_rows at the reference heights and at +/- each
-    height, kappa and omega; and a Contour per height that a fit reached,
+    height, kappa and omega; a Contour per height that a fit reached,
     so the replies of many z on the line share a few contours (an anchor
-    of -0.0 shares 0.0's line)."""
+    of -0.0 shares 0.0's line); and the depth, the QuadResult of the last
+    converged quadrature on the line, whose levels integrate's next first
+    call takes.  The depth only groups levels into calls, so threads that
+    overwrite it in any order reply bit for bit alike."""
 
     def __init__(self, plan, sigma, t_min):
         self.key = (sigma, t_min)
@@ -1278,6 +1281,7 @@ class _Line:
         self.y = np.concatenate((_REF_HEIGHTS, h, -h))
         self.rows = _gamma_rows(plan.stacked, sigma, self.y)
         self.contours = {}
+        self.depth = None  # the last converged QuadResult on the line
 
     def fit(self, logz, tol):
         """_truncation's (T, tail) at log z and tol."""
@@ -1392,11 +1396,17 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     first for the first levels together, each later one for the levels
     down to the stop that the rule's convergence predicts (one level where
     it predicts nothing), on the nodes and with the result of one level
-    per call.  A node's rounding bound is |K z^s| cosh u times its log
-    sum's size: kernel_log_grid's, plus |s log z| + 1; a node whose
-    |K z^s| lies below the normal range is charged _SUBNORMAL cosh u more,
-    so a line that underflows to 0 returns 0 with a nonzero estimate, not
-    a proven 0.
+    per call.  The first levels reach down to the step where the last
+    converged quadrature on the line stopped (_Line.depth), at most twice
+    its nodes, since the kernel's poles, which set the rule's rate, are the
+    same for every z on the line; the line's first z, and one after a
+    line that did not converge, keep integrate_adaptive's own first call.
+    A node's rounding bound is |K z^s| cosh u times its log sum's size:
+    kernel_log_grid's, plus |s log z| + 1; a node whose |K z^s| lies below
+    the normal range is charged _SUBNORMAL cosh u more, so a line that
+    underflows to 0 returns 0 with a nonzero estimate, not a proven 0.  A
+    node whose rounding bound passes the double range raises
+    QuadratureError before exp() overflows on it.
     """
     z = check_argument(z, tol)
     cls = convergence_class(kernel, z, branch_k)
@@ -1424,26 +1434,37 @@ def integrate(kernel, z, contour=None, tol=1e-10, branch_k=0):
     def integrand(u):
         s = sigma + 1j * np.sinh(u)
         logs, size = kernel_log_grid(kernel, s)
-        out = np.exp(logs + s * logz)
+        log_out = logs + s * logz
+        peak = log_out.real
+        if folded:
+            log_other = logs.conj() + s.conj() * logz
+            peak = np.maximum(peak, log_other.real)
+        jacobian = np.cosh(u)
+        weight = size + np.abs(s) * abs(logz) + 1.0
+        # a node whose rounding bound |K z^s| cosh u weight passes the
+        # double range is refused before exp() overflows on it
+        if (peak + np.log(jacobian * weight) > _LOG_MAX).any():
+            raise QuadratureError("the integrand passes the double range",
+                                  T=T)
+        out = np.exp(log_out)
         mag = np.abs(out)
         if folded:
-            other = np.exp(logs.conj() + s.conj() * logz)
+            other = np.exp(log_other)
             out += other
             mag += np.abs(other)
-        jacobian = np.cosh(u)
         # below the normal range |value| rounds by up to the subnormal
         # spacing, not relative to itself: such a node is charged
         # _SUBNORMAL, as a residue term is
         underflow = np.where(mag < _TINY, _SUBNORMAL / _EPS, 0.0)
-        return out * jacobian, \
-            mag * jacobian * (size + np.abs(s) * abs(logz) + 1.0) \
-            + underflow * jacobian
+        return out * jacobian, mag * jacobian * weight + underflow * jacobian
 
     U = math.asinh(T)
     quad = integrate_adaptive(integrand, 0.0 if folded else -U, U,
                               tol_rel=0.25 * tol,
                               max_nodes=MAX_NODES // 2 if folded
-                              else MAX_NODES)
+                              else MAX_NODES, previous=line.depth)
+    if quad.converged:
+        line.depth = quad
     value = quad.value / (2.0 * np.pi)
     err = quad.error / (2.0 * np.pi) + tail
     if crossed:

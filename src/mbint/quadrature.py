@@ -11,12 +11,14 @@ keeps every node, and the nodes are the points of the lattice h Z in the
 window, so they depend on nothing but the window and the level.  A call
 of the line's integrand costs about as much as a few hundred of its
 nodes, so the rule takes its levels in blocks, one call each: the first
-call every level of up to FIRST_NODES nodes, and each later call the new
-odd nodes of as many halvings as the squaring of the last two level
-differences predicts the stop needs (one, where it does not show yet).
-The blocks only group the levels into calls; a prediction that falls
-short costs a call, one that overshoots costs nodes, and neither changes
-a bit of the result.
+call every level of up to FIRST_NODES nodes, or, given the result of a
+like integral that converged (``previous``: the Mellin-Barnes line keeps
+its last), every level down to the step where that one stopped, at most
+twice its nodes; each later call the new odd nodes of as many halvings as
+the squaring of the last two level differences predicts the stop needs
+(one, where it does not show yet).  The blocks only group the levels into
+calls; a prediction that falls short costs a call, one that overshoots
+costs nodes, and neither changes a bit of the result.
 """
 
 import math
@@ -58,12 +60,14 @@ class QuadResult:
     calls: int  # integrand calls
     evaluated: int  # abscissae evaluated, over all calls
     converged: bool
+    step: float  # the last level's step
 
 
 kronrod_panel = None  # perfbench/tracing.py counts it by name (ROADMAP 0)
 
 
-def integrate_adaptive(f, lo, hi, tol_rel=1e-10, max_nodes=MAX_NODES):
+def integrate_adaptive(f, lo, hi, tol_rel=1e-10, max_nodes=MAX_NODES,
+                       previous=None):
     """Integrate f over the window [lo, hi], widened outward to the lattice
     2 STEP Z, by the trapezoidal rule with nested halving of the step.
 
@@ -76,14 +80,19 @@ def integrate_adaptive(f, lo, hi, tol_rel=1e-10, max_nodes=MAX_NODES):
     difference says nothing.  The error reported is that difference plus
     the floor, and ``nodes`` counts the last level's nodes.  A level the
     node budget cannot take, a non-finite value and a sum past the double
-    range end the refinement, unconverged.
+    range end the refinement, unconverged.  ``step`` is the last level's
+    step.
 
     The levels are evaluated in blocks, one call of ``f`` each, and each
     level's new nodes are read back as a slice of their block.  The first
     call evaluates the level of step STEP, whose even nodes are the level
     2 STEP, and every halving after it whose level has at most
     min(FIRST_NODES, max_nodes) nodes: the lattice of its finest level,
-    ascending, of which each level's odd nodes are a strided slice.  Each
+    ascending, of which each level's odd nodes are a strided slice.  Given
+    ``previous``, the QuadResult of a like integral that converged, the
+    first call instead takes every halving down to previous.step whose
+    level has at most min(2 previous.nodes, max_nodes) nodes, so a deep
+    previous costs a shallow integral at most twice previous's nodes.  Each
     later call evaluates the odd nodes of the levels down to the one that
     the last two level differences predict to meet the stop target
     (_reach), as far as max_nodes allows, or of the next level alone where
@@ -93,12 +102,17 @@ def integrate_adaptive(f, lo, hi, tol_rel=1e-10, max_nodes=MAX_NODES):
     ``nodes`` and the verdict are the rule's one level per call, bit for
     bit: a block only decides how many calls (``calls``) and nodes
     (``evaluated``) the rule pays.  A block short of the stop costs one
-    more call, and one past it the nodes of its levels past the stop.
+    more call, and one past it the nodes of its levels past the stop; so
+    does a ``previous`` that stopped elsewhere.
     """
     h = 2.0 * STEP
     start = h * math.floor(lo / h)
     n = max(math.ceil(hi / h) - math.floor(lo / h), 1)  # intervals of h
-    stride = _stride(n, min(FIRST_NODES, max_nodes))
+    reach = min(FIRST_NODES, max_nodes)
+    if previous is not None:  # the levels down to previous's last
+        reach = min(int(h / previous.step) * n + 1, 2 * previous.nodes,
+                    max_nodes)
+    stride = _stride(n, reach)
     block_fx, block_rx = f(start + (h / stride) * np.arange(stride * n + 1))
     calls, evaluated = 1, stride * n + 1
     base = None  # a later block's n when it was evaluated
@@ -140,7 +154,7 @@ def integrate_adaptive(f, lo, hi, tol_rel=1e-10, max_nodes=MAX_NODES):
     error = diff + _EPS * rounding
     # a sum whose modulus passes the double range has no relative target
     converged = error <= tol_rel * scale < math.inf
-    return QuadResult(value, error, n + 1, calls, evaluated, converged)
+    return QuadResult(value, error, n + 1, calls, evaluated, converged, h)
 
 
 def _stride(n, reach):

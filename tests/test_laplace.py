@@ -204,7 +204,7 @@ def test_non_finite_quadrature_is_refused(monkeypatch):
     monkeypatch.setattr(laplace, "integrate_adaptive",
                         lambda f, lo, hi, **kwargs: QuadResult(
                             complex(math.nan, math.nan), math.nan, 0, 1, 0,
-                            False))
+                            False, math.nan))
     psi = laplace.solve_first_order_ode((0.0, -1.0), (1.0, -1.0))
     with pytest.raises(QuadratureError):
         laplace.laplace_transform(psi, 1.5)

@@ -8,6 +8,7 @@ import math
 import pickle
 import random
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -416,6 +417,29 @@ def test_line_past_the_double_range_or_the_budget_is_refused(monkeypatch):
         mb.integrate(k_exp(0.0), 1e5, contour=mb.Contour(100.5, 8.0))
     with pytest.raises(ContourError, match="node budget"):
         mb.integrate(k_exp(0.0), 0.5, contour=mb.Contour(1e9, 8.0))
+
+
+@pytest.mark.parametrize("b", [-155.0, -160.0, -170.0, -180.0])
+def test_a_line_node_past_the_double_range_is_a_typed_refusal(b):
+    # z^b e^{-z} at z = 0.01 e^{0.785 i}: the line's nodes pass the double
+    # range, and the integrand refuses them before exp() overflows, so no
+    # RuntimeWarning escapes and the default route falls back to the
+    # residues' typed refusal
+    params = GParams(1, 0, 0, 1, (), (b,))
+    z = 0.01 * cmath.exp(0.785j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="double range"):
+            mb.integrate(params.to_kernel(), z)
+        with pytest.raises(NonConvergentSeriesError):
+            meijer_g(params, z)
+        with pytest.raises(NonConvergentSeriesError):
+            meijer_g(params, z, method="residues")
+        # b = -150 stays in range, and the line answers
+        res = meijer_g(GParams(1, 0, 0, 1, (), (-150.0,)), z)
+    assert res.method == "quadrature"
+    exact = complex(mpmath.power(z, -150) * mpmath.exp(-z))
+    assert abs(res.value - exact) <= res.err_estimate
 
 
 def test_integrate_detour_around_left_opening_pole():

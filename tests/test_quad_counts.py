@@ -1,6 +1,7 @@
 """tools/quad_counts.py counts, from the integrands, the calls and
 abscissae that each QuadResult records."""
 
+import collections
 import importlib.util
 import pathlib
 
@@ -29,6 +30,22 @@ def test_counts_agree_with_the_results(monkeypatch):
     monkeypatch.setattr(mb, "integrate_adaptive", recorded)
     counts = _tool().pass_counts("tabulate_quad", 1)
     assert mb.integrate_adaptive is recorded  # the tool restores it
+    spread = tuple(sum(min(r.calls, 3) == k for r in results)
+                   for k in (1, 2, 3))
     assert counts == (len(results), sum(r.calls for r in results),
-                      sum(r.evaluated for r in results))
+                      sum(r.evaluated for r in results), spread)
     assert counts[0] == 300
+
+
+def test_a_line_starts_at_its_last_depth(monkeypatch):
+    # tabulate_quad seed 1 from an empty plan memo took 529 integrand
+    # calls on 63,692 points when every z started from the opening; each z
+    # that starts at its line's last depth takes at most 360 calls in all,
+    # on at most 15% more points
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    monkeypatch.setattr(mb, "_PLANS", collections.OrderedDict())
+    integrals, made, points, spread = _tool().pass_counts("tabulate_quad", 1)
+    assert integrals == 300 and sum(spread) == 300
+    assert made <= 360
+    assert points <= 1.15 * 63692

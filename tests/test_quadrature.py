@@ -1,6 +1,8 @@
 import cmath
+import collections
 import math
 import pathlib
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -180,7 +182,7 @@ def reference_integrate(f, lo, hi, tol_rel=1e-10,
     error = diff + np.finfo(float).eps * rounding
     converged = error <= tol_rel * quadrature.modulus(value) < math.inf
     return quadrature.QuadResult(value, error, nodes, calls, evaluated,
-                                 converged)
+                                 converged, h)
 
 
 def bits(res):
@@ -190,31 +192,50 @@ def bits(res):
             np.float64(res.error).tobytes(), res.nodes, res.converged)
 
 
-def assert_matches_reference(f, lo, hi, **kwargs):
+def assert_matches_reference(f, lo, hi, previous=None, **kwargs):
     """integrate_adaptive and reference_integrate give the same result bit
     for bit, in no more calls, on the same points.  The first call holds
     the reference's first call and every level of at most
-    max(opening, min(FIRST_NODES, max_nodes)) nodes; each later call
-    evaluates only nodes that the reference does, none of them twice, so
-    the nodes evaluated are the reference's plus the first call's."""
+    max(opening, min(FIRST_NODES, max_nodes)) nodes, or, given a
+    ``previous`` result, every level of at most
+    min(2 previous.nodes, max_nodes) nodes down to previous.step; each
+    later call evaluates only nodes that the reference does, none of them
+    twice, so the nodes evaluated are the reference's plus the first
+    call's."""
     got_f, got_calls = counting(f)
     want_f, want_calls = counting(f)
-    got = quadrature.integrate_adaptive(got_f, lo, hi, **kwargs)
+    got = quadrature.integrate_adaptive(got_f, lo, hi, previous=previous,
+                                        **kwargs)
     want = reference_integrate(want_f, lo, hi, **kwargs)
     assert bits(got) == bits(want)
     budget = kwargs.get("max_nodes", quadrature.MAX_NODES)
-    assert got_calls[0].size <= max(want_calls[0].size,
-                                    min(quadrature.FIRST_NODES, budget))
-    assert np.isin(want_calls[0], got_calls[0]).all()
+    first = got_calls[0]
+    if previous is None:
+        assert first.size <= max(want_calls[0].size,
+                                 min(quadrature.FIRST_NODES, budget))
+    else:
+        assert first.size <= max(want_calls[0].size,
+                                 min(2 * previous.nodes, budget))
+        # no level past the remembered one
+        assert first.size == want_calls[0].size \
+            or np.diff(first).min() >= previous.step
+    assert np.isin(want_calls[0], first).all()
     assert len(got_calls) <= len(want_calls)
     evaluated = np.concatenate(got_calls)
     assert np.unique(evaluated).size == evaluated.size
     assert np.array_equal(np.sort(evaluated), np.union1d(
-        np.concatenate(want_calls), got_calls[0]))
+        np.concatenate(want_calls), first))
     assert (got.calls, got.evaluated) == (len(got_calls), evaluated.size)
     assert (want.calls, want.evaluated) \
         == (len(want_calls), sum(x.size for x in want_calls))
     return got, got_calls
+
+
+@pytest.fixture
+def fresh_plans(monkeypatch):
+    """An empty plan memo, so that no line remembers an earlier test's
+    depth."""
+    monkeypatch.setattr(mb, "_PLANS", collections.OrderedDict())
 
 
 def nan_integrand(x):
@@ -264,8 +285,11 @@ def test_look_ahead_takes_the_levels_up_to_first_nodes():
     assert sum(x.size for x in calls) == res.nodes
 
 
-def test_look_ahead_matches_level_by_level_rule_on_a_line(monkeypatch):
-    # a line that goes past the look-ahead, and one that stops within it
+def test_look_ahead_matches_level_by_level_rule_on_a_line(monkeypatch,
+                                                         fresh_plans):
+    # a line that goes past the look-ahead, one that stops within it and
+    # remembers the first line's depth, and the first line again, which
+    # remembers the shallower second
     results = []
 
     def both(f, lo, hi, **kwargs):
@@ -276,12 +300,105 @@ def test_look_ahead_matches_level_by_level_rule_on_a_line(monkeypatch):
     kernel = GParams(1, 1, 1, 2, (0.3,), (0.1, 0.6)).to_kernel()
     mb.integrate(kernel, 2.0 * cmath.exp(1.3j))
     mb.integrate(kernel, 1.5)
+    mb.integrate(kernel, 2.0 * cmath.exp(1.3j))
+    (far, far_calls), (near, near_calls), (again, again_calls) = results
     # the far line's second call takes more than one level: more than the
     # first call's finest level has intervals
-    (far, far_calls), (near, near_calls) = results
-    assert len(far_calls) > 1 and len(near_calls) == 1
+    assert len(far_calls) > 1
     assert far_calls[1].size > far_calls[0].size - 1
-    assert near.nodes <= near_calls[0].size
+    # the near line's one call reaches the far line's step, past its stop
+    assert len(near_calls) == 1 and near.step > far.step
+    assert np.diff(near_calls[0]).min() == far.step
+    assert near.nodes < near_calls[0].size <= 2 * far.nodes
+    # a memory too shallow costs one more call, not a bit
+    assert np.diff(again_calls[0]).min() == near.step
+    assert len(again_calls) == 2 and bits(again) == bits(far)
+
+
+def test_a_second_z_that_stops_where_the_last_did_makes_one_call(
+        monkeypatch, fresh_plans):
+    results = []
+    integrate_adaptive = mb.integrate_adaptive
+
+    def recorded(*args, **kwargs):
+        results.append((kwargs["previous"], integrate_adaptive(*args,
+                                                                **kwargs)))
+        return results[-1][1]
+    monkeypatch.setattr(mb, "integrate_adaptive", recorded)
+    kernel = GParams(1, 1, 1, 2, (0.3,), (0.1, 0.6)).to_kernel()
+    for z in (2.0 * cmath.exp(1.3j), 2.0 * cmath.exp(-1.3j),
+              1.8 * cmath.exp(1.25j)):
+        mb.integrate(kernel, z)
+    (none, first), (depth, second), (last, third) = results
+    assert none is None and first.calls > 1
+    assert depth is first and last is second
+    assert second.step == third.step == first.step
+    assert second.calls == third.calls == 1
+
+
+def test_deep_then_shallow_pays_at_most_twice_the_deep_nodes():
+    # the deep integral's step on the shallow one's wider window would be
+    # five times the deep nodes: the first call stops at the level of at
+    # most twice them, and the shallow result is the reference's
+    deep = quadrature.integrate_adaptive(plain(peaked), -2.0, 2.0,
+                                         tol_rel=1e-10)
+    assert deep.converged and deep.nodes > 1000
+    res, calls = assert_matches_reference(plain(gaussian), -10.0, 10.0,
+                                          previous=deep, tol_rel=1e-12)
+    assert 20.0 / deep.step + 1 > 4 * deep.nodes
+    assert deep.nodes < calls[0].size <= 2 * deep.nodes
+    assert len(calls) == 1 and res.nodes < 200
+
+
+def test_the_node_budget_caps_a_remembered_depth():
+    deep = quadrature.integrate_adaptive(plain(peaked), -4.0, 4.0,
+                                         tol_rel=1e-12)
+    assert deep.nodes > 300
+    for max_nodes in (300, 100, 40):
+        res, calls = assert_matches_reference(
+            plain(peaked), -4.0, 4.0, previous=deep, tol_rel=1e-12,
+            max_nodes=max_nodes)
+        assert calls[0].size <= max(max_nodes, 65)
+        assert not res.converged
+
+
+def test_an_unconverged_line_leaves_the_depth_as_it_was(monkeypatch,
+                                                       fresh_plans):
+    # a tolerance below the rounding floor leaves a deeper z unconverged,
+    # refused, and the line's depth that of the last converged z
+    results = []
+    integrate_adaptive = mb.integrate_adaptive
+
+    def recorded(*args, **kwargs):
+        results.append(integrate_adaptive(*args, **kwargs))
+        return results[-1]
+    monkeypatch.setattr(mb, "integrate_adaptive", recorded)
+    kernel = GParams(1, 1, 1, 2, (0.3,), (0.1, 0.6)).to_kernel()
+    mb.integrate(kernel, 1.5)
+    line = mb._plan(kernel)._line
+    assert line.depth is results[0] and results[0].converged
+    with pytest.raises(QuadratureError):
+        mb.integrate(kernel, 2.0 * cmath.exp(1.3j), tol=1e-17)
+    assert not results[1].converged and results[1].step < results[0].step
+    assert mb._plan(kernel)._line is line and line.depth is results[0]
+    mb.integrate(kernel, 1.5)
+    assert results[2].calls == 1 and bits(results[2]) == bits(results[0])
+
+
+def test_threads_sharing_a_line_reply_as_one_thread_does(monkeypatch):
+    # the depth groups levels into calls and nothing else, so four threads
+    # that overwrite it in any order reply bit for bit as one thread does
+    params = GParams(1, 1, 1, 2, (0.3,), (0.1, 0.6))
+    zs = [r * cmath.exp(1j * a) for r in (0.3, 1.0, 2.5, 6.0)
+          for a in np.linspace(-1.4, 1.4, 11)]
+
+    def replies(workers):
+        monkeypatch.setattr(mb, "_PLANS", collections.OrderedDict())
+        with ThreadPoolExecutor(workers) as pool:
+            return [(np.complex128(r.value).tobytes(), r.err_estimate,
+                     r.nodes_used, r.method)
+                    for r in pool.map(lambda z: meijer_g(params, z), zs)]
+    assert replies(4) == replies(1)
 
 
 def test_results_are_bit_reproducible():
@@ -338,7 +455,8 @@ def test_stacked_kernel_log_grid_matches_per_factor_sum():
         assert (size >= np.abs(stacked) - np.abs(s * kernel.base_log)).all()
 
 
-def test_integrate_makes_one_log_gamma_call_per_round(monkeypatch):
+def test_integrate_makes_one_log_gamma_call_per_round(monkeypatch,
+                                                      fresh_plans):
     grids, gamma_sizes = [], []
     kernel_log_grid = mb.kernel_log_grid
 
@@ -361,14 +479,15 @@ def test_integrate_makes_one_log_gamma_call_per_round(monkeypatch):
     assert sum(s.size for s in grids) == res.nodes_used
     assert gamma_sizes == [3 * s.size for s in grids]
     # the nodes depend on the line and its height, not on z: another z on
-    # the same line evaluates the kernel on the same levels
-    first = grids[:]
+    # the same line, which stops at the same level, evaluates the kernel on
+    # the same nodes, all of them in the one call its line's depth asks for
+    first = np.sort(np.concatenate(grids).imag)
     del grids[:], gamma_sizes[:]
     again = mb.integrate(kernel, 2.0 * cmath.exp(-1.3j))
     assert again.contour == res.contour
-    assert len(grids) == len(first)
-    for one, two in zip(first, grids):
-        assert np.array_equal(one, two)
+    assert again.nodes_used == res.nodes_used
+    assert len(grids) == 1 and gamma_sizes == [3 * grids[0].size]
+    assert np.array_equal(grids[0].imag, first)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -481,10 +600,12 @@ def test_a_jump_never_passes_the_node_budget(max_nodes):
     assert not res.converged
 
 
-def test_every_tabulate_quad_line_keeps_the_reference_points(monkeypatch):
+def test_every_tabulate_quad_line_keeps_the_reference_points(monkeypatch,
+                                                             fresh_plans):
     # tabulate_quad seed 1's 300 lines: each bit for bit the rule one level
     # per call, on the points of the first call and the reference's, in
-    # fewer calls than the first call and then one per level took (619)
+    # fewer calls than the rule one level per call after the opening takes;
+    # a line that follows a converged one on its line starts at its depth
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import bank
     import calls as bank_calls
@@ -492,14 +613,18 @@ def test_every_tabulate_quad_line_keeps_the_reference_points(monkeypatch):
 
     def checked(f, lo, hi, **kwargs):
         res, calls = assert_matches_reference(f, lo, hi, **kwargs)
-        lines.append((res, calls))
+        h = 2.0 * quadrature.STEP
+        opening = 2 * max(math.ceil(hi / h) - math.floor(lo / h), 1)
+        level_by_level = 1 + round(math.log2((res.nodes - 1) / opening))
+        lines.append((res, level_by_level, kwargs["previous"]))
         return res
     monkeypatch.setattr(mb, "integrate_adaptive", checked)
     for case in bank.make_bank("tabulate_quad", 1):
         bank_calls.make_call(case)()
     assert len(lines) == 300
-    level_by_level = sum(
-        1 + max(0, round(math.log2((res.nodes - 1) / (calls[0].size - 1))))
-        for res, calls in lines)
-    made = sum(res.calls for res, _ in lines)
-    assert made <= 540 < level_by_level
+    made = sum(res.calls for res, _, _ in lines)
+    level_by_level = sum(calls for _, calls, _ in lines)
+    assert made <= 360 < level_by_level
+    remembered = [res for res, _, previous in lines if previous is not None]
+    assert len(remembered) > 250
+    assert sum(res.calls == 1 for res in remembered) > 200
